@@ -32,7 +32,7 @@ from .formula import (
     synthesize,
     to_text,
 )
-from .interp import ModelSet, Universe
+from .interp import ModelSet, Universe, _check_enum_size
 from .merge import (
     Aggregator,
     Base,
@@ -96,7 +96,10 @@ def _parse_model_list(text, universe, lineno):
     masks = []
     for chunk in chunks:
         names = [n.strip() for n in chunk.split(",") if n.strip()]
-        masks.append(universe.interpretation(names).mask)
+        try:
+            masks.append(universe.interpretation(names).mask)
+        except KeyError as exc:
+            raise ProblemFileError(f"line {lineno}: {exc.args[0]}") from None
     return ModelSet(universe, masks)
 
 
@@ -114,7 +117,11 @@ def parse_problem_file(text: str) -> ProblemFile:
             names = line[len("atoms:"):].split()
             if not names:
                 raise ProblemFileError(f"line {lineno}: empty atom list")
-            universe = Universe(names)
+            try:
+                universe = Universe(names)
+                _check_enum_size(universe)
+            except ValueError as exc:
+                raise ProblemFileError(f"line {lineno}: {exc}") from None
             continue
         if universe is None:
             raise ProblemFileError(f"line {lineno}: atoms must be declared first")
@@ -196,7 +203,10 @@ def _parse_lex_order(text, universe) -> LexOrder:
     ordered = []
     for chunk in chunks:
         names = [n.strip() for n in chunk.split(",") if n.strip()]
-        ordered.append(universe.interpretation(names))
+        try:
+            ordered.append(universe.interpretation(names))
+        except KeyError as exc:
+            raise ValueError(f"bad --lex-order: {exc.args[0]}") from None
     try:
         return LexOrder(universe, ordered)
     except ValueError as exc:

@@ -13,7 +13,9 @@ emits minimal parentheses with single spaces around binary operators, and
 printing then re-parsing yields an equal tree.
 """
 
+import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -208,6 +210,30 @@ _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
 _RIGHT_ASSOC = (Iff, Implies)
 
 
+def _operands(phi) -> list:
+    # Operands of the left-deep chain of phi's connective, left to right,
+    # collected with a loop so long flat formulas print without recursion.
+    kind = type(phi)
+    rights = []
+    while type(phi) is kind:
+        rights.append(phi.right)
+        phi = phi.left
+    rights.append(phi)
+    return rights[::-1]
+
+
+def _flatten(phi, kind):
+    # Operands of nested `kind` nodes, left to right, without recursion.
+    out, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, kind):
+            stack += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
+
+
 def to_text(phi: Formula) -> str:
     """Print with minimal parentheses; inverse of `parse`."""
     if isinstance(phi, Atom):
@@ -221,13 +247,16 @@ def to_text(phi: Formula) -> str:
         return f"!{inner}"
     prec = _PREC[type(phi)]
     right_assoc = isinstance(phi, _RIGHT_ASSOC)
-    left = to_text(phi.left)
-    if _PREC[type(phi.left)] < prec or (_PREC[type(phi.left)] == prec and right_assoc):
-        left = f"({left})"
-    right = to_text(phi.right)
-    if _PREC[type(phi.right)] < prec or (_PREC[type(phi.right)] == prec and not right_assoc):
-        right = f"({right})"
-    return f"{left} {_SYMBOL[type(phi)]} {right}"
+    first, *rest = [phi.left, phi.right] if right_assoc else _operands(phi)
+    parts = [to_text(first)]
+    if _PREC[type(first)] < prec or (_PREC[type(first)] == prec and right_assoc):
+        parts[0] = f"({parts[0]})"
+    for operand in rest:
+        text = to_text(operand)
+        if _PREC[type(operand)] < prec or (_PREC[type(operand)] == prec and not right_assoc):
+            text = f"({text})"
+        parts.append(text)
+    return f" {_SYMBOL[type(phi)]} ".join(parts)
 
 
 def _atom_pattern(i: int, n: int) -> int:
@@ -253,12 +282,12 @@ def _truth_bits(phi: Formula, universe: Universe, full: int) -> int:
         return full if phi.value else 0
     if isinstance(phi, Not):
         return full ^ _truth_bits(phi.operand, universe, full)
+    if isinstance(phi, (And, Or)):
+        combine = operator.and_ if isinstance(phi, And) else operator.or_
+        operands = _flatten(phi, type(phi))
+        return functools.reduce(combine, (_truth_bits(op, universe, full) for op in operands))
     left = _truth_bits(phi.left, universe, full)
     right = _truth_bits(phi.right, universe, full)
-    if isinstance(phi, And):
-        return left & right
-    if isinstance(phi, Or):
-        return left | right
     if isinstance(phi, Implies):
         return (full ^ left) | right
     if isinstance(phi, Iff):
@@ -293,9 +322,6 @@ class Clause:
     @property
     def positive_count(self) -> int:
         return sum(1 for _, pos in self.literals if pos)
-
-    def satisfied_by(self, mask: int, universe: Universe) -> bool:
-        return any((mask >> universe.index(n) & 1) == pos for n, pos in self.literals)
 
     def to_formula(self, universe: Universe = None) -> Formula:
         if not self.literals:
@@ -357,21 +383,16 @@ class Classification:
         return "general"
 
 
-def _conjuncts(phi):
-    if isinstance(phi, And):
-        return _conjuncts(phi.left) + _conjuncts(phi.right)
-    return [phi]
-
 def _literals(phi):
-    if isinstance(phi, Or):
-        left = _literals(phi.left)
-        right = _literals(phi.right)
-        return None if left is None or right is None else left + right
-    if isinstance(phi, Atom):
-        return [(phi.name, True)]
-    if isinstance(phi, Not) and isinstance(phi.operand, Atom):
-        return [(phi.operand.name, False)]
-    return None
+    lits = []
+    for leaf in _flatten(phi, Or):
+        if isinstance(leaf, Atom):
+            lits.append((leaf.name, True))
+        elif isinstance(leaf, Not) and isinstance(leaf.operand, Atom):
+            lits.append((leaf.operand.name, False))
+        else:
+            return None
+    return lits
 
 
 def classify(phi: Formula) -> Classification:
@@ -386,7 +407,7 @@ def classify(phi: Formula) -> Classification:
         empty = Clause(frozenset())
         return Classification(True, ((empty, _clause_kind(empty)),))
     kinds = []
-    for conj in _conjuncts(phi):
+    for conj in _flatten(phi, And):
         lits = _literals(conj)
         if lits is None:
             return Classification(False, ())
@@ -407,30 +428,39 @@ HORN = Fragment("horn", AND2, is_horn_clause)
 KROM = Fragment("krom", MAJ3, is_krom_clause)
 
 
-def _candidate_clauses(universe: Universe, predicate):
-    # Each atom is positive, negative, or absent; skip the empty clause.
-    # Tautological clauses cannot arise from this encoding.
-    for shape in itertools.product((0, 1, 2), repeat=len(universe)):
-        if not any(shape):
+def _clause_pool(universe: Universe, predicate, target: int, full: int):
+    # Yields ((size, text), truth table, clause) for every fragment clause
+    # that all models in `target` satisfy; `text` equals str(clause), so the
+    # sort keys are unique.  Each atom is positive, negative or absent, so no
+    # clause is tautological; the empty clause has table 0 and fails the
+    # subset test for non-empty targets.
+    n = len(universe)
+    choices = []
+    for i, name in enumerate(universe.atoms):
+        pos = _atom_pattern(i, n)
+        choices.append((((), 0), ((name, True), pos), ((name, False), full ^ pos)))
+    for shape in itertools.product(*choices):
+        bits = 0
+        for _, lit_bits in shape:
+            bits |= lit_bits
+        if target & ~bits:
             continue
-        lits = frozenset(
-            (name, shape[i] == 1)
-            for i, name in enumerate(universe.atoms)
-            if shape[i]
-        )
-        clause = Clause(lits)
+        lits = [lit for lit, _ in shape if lit]
+        clause = Clause(frozenset(lits))
         if predicate(clause):
-            yield clause
+            text = " | ".join(name if pos else f"!{name}" for name, pos in sorted(lits))
+            yield (len(lits), text), bits, clause
 
 
 def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Formula:
     """Formula of the fragment whose models are exactly `mset`.
 
-    Takes the conjunction of every fragment clause satisfied by all members
-    of `mset`; for the builtin Horn and Krom fragments this pins the model
-    set exactly whenever it is closed under the fragment's function.  The
-    result is re-checked by enumeration.  With `minimize`, clauses entailed
-    by the remaining ones are dropped.
+    Conjoins every fragment clause satisfied by all members of `mset`, in
+    (size, text) order; for the builtin Horn and Krom fragments this pins the
+    model set exactly whenever it is closed under the fragment's function.
+    Clauses and `mset` are compared as truth tables (ints, bit m for
+    interpretation m).  With `minimize`, one pass in that order drops each
+    clause entailed by the clauses kept before it and all clauses after it.
     """
     universe = mset.universe
     if fragment.clause_predicate is None:
@@ -448,25 +478,23 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
     if not mset.masks:
         first = Atom(universe.atoms[0])
         return And(first, Not(first))
-    pool = [
-        clause
-        for clause in _candidate_clauses(universe, fragment.clause_predicate)
-        if all(clause.satisfied_by(m, universe) for m in mset.masks)
-    ]
-    pool.sort(key=lambda c: (len(c.literals), str(c)))
-    if minimize:
-        kept = list(pool)
-        for clause in list(kept):
-            trial = [c for c in kept if c is not clause]
-            if models(_conjoin(trial, universe), universe) == mset:
-                kept = trial
-        pool = kept
-    result = _conjoin(pool, universe)
-    if models(result, universe) != mset:
+    _check_enum_size(universe)
+    full = (1 << (1 << len(universe))) - 1
+    target = sum(1 << m for m in mset.masks)
+    pool = sorted(_clause_pool(universe, fragment.clause_predicate, target, full))
+    # suffix[k] is the truth table of the conjunction of pool[k:].
+    tables = reversed([bits for _, bits, _ in pool])
+    suffix = list(itertools.accumulate(tables, operator.and_, initial=full))[::-1]
+    if suffix[0] != target:
         raise NoSyntacticFragmentError(
             f"fragment {fragment.name!r} cannot express the given model set"
         )
-    return result
+    kept, prefix = [], full
+    for k, (_, bits, clause) in enumerate(pool):
+        if not minimize or prefix & suffix[k + 1] != target:
+            kept.append(clause)
+            prefix &= bits
+    return _conjoin(kept, universe)
 
 
 def _conjoin(clauses, universe) -> Formula:

@@ -269,6 +269,8 @@ class SearchSpace:
 
 
 def _guard(space: SearchSpace):
+    if space.atoms < 1:
+        raise SpaceTooLargeError(f"the universe needs at least 1 atom, got {space.atoms}")
     if space.atoms > 4:
         raise SpaceTooLargeError(
             f"exhaustive mode caps the universe at 4 atoms, got {space.atoms}"

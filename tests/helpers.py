@@ -2,7 +2,17 @@
 
 import itertools
 
-from fragmerge import Base, ModelSet, Profile, Universe
+from fragmerge import Base, Clause, ModelSet, Profile, Universe
+from fragmerge.formula import (
+    And,
+    Atom,
+    NoSyntacticFragmentError,
+    NotClosedError,
+    Not,
+    TOP,
+    models,
+)
+from fragmerge.interp import closure_witness
 
 U2 = Universe("ab")
 U3 = Universe("abc")
@@ -57,3 +67,59 @@ def all_model_sets(universe, include_empty=True):
     start = 0 if include_empty else 1
     for code in range(start, 1 << n):
         yield ModelSet(universe, (m for m in range(n) if code >> m & 1))
+
+
+def fragment_clauses(universe, predicate):
+    """Every non-empty, non-tautological clause accepted by `predicate`."""
+    for shape in itertools.product((0, 1, 2), repeat=len(universe)):
+        if not any(shape):
+            continue
+        lits = frozenset(
+            (name, shape[i] == 1) for i, name in enumerate(universe.atoms) if shape[i]
+        )
+        clause = Clause(lits)
+        if predicate(clause):
+            yield clause
+
+
+def slow_synthesize(mset, fragment, minimize=False):
+    """Oracle for `synthesize`: tests each clause model by model, builds the
+    formula of every trial conjunction and enumerates its models."""
+    universe = mset.universe
+    if fragment.clause_predicate is None:
+        raise NoSyntacticFragmentError(f"fragment {fragment.name!r} has no clause predicate")
+    witness = closure_witness(fragment.beta, mset)
+    if witness is not None:
+        raise NotClosedError("model set is not closed", witness=witness)
+    if not mset.masks:
+        first = Atom(universe.atoms[0])
+        return And(first, Not(first))
+    pool = [
+        clause
+        for clause in fragment_clauses(universe, fragment.clause_predicate)
+        if all(
+            any((m >> universe.index(n) & 1) == pos for n, pos in clause.literals)
+            for m in mset.masks
+        )
+    ]
+    pool.sort(key=lambda c: (len(c.literals), str(c)))
+    if minimize:
+        kept = list(pool)
+        for clause in list(kept):
+            trial = [c for c in kept if c is not clause]
+            if models(_conjoin(trial, universe), universe) == mset:
+                kept = trial
+        pool = kept
+    result = _conjoin(pool, universe)
+    if models(result, universe) != mset:
+        raise NoSyntacticFragmentError(f"fragment {fragment.name!r} cannot express the set")
+    return result
+
+
+def _conjoin(clauses, universe):
+    if not clauses:
+        return TOP
+    node = clauses[0].to_formula(universe)
+    for clause in clauses[1:]:
+        node = And(node, clause.to_formula(universe))
+    return node

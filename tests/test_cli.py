@@ -1,5 +1,6 @@
 import pytest
 
+from fragmerge import Universe, models, parse
 from fragmerge.cli import main, parse_problem_file
 from fragmerge.merge import InconsistentBaseError
 
@@ -9,6 +10,14 @@ atoms: a b
 base K1: a
 base K2: b
 constraint: !a | !b
+"""
+
+# Eight atoms; the refined set {b,e,h}, {a,b,e,h} satisfies 1192 Horn clauses.
+HORN8 = """\
+atoms: a b c d e f g h
+base K1: models {b,h}
+base K2: (!d | f | h) & (!d | e | g) & (!a | d | e) & (a | d | f) & (!d | !g | h) & (!d | !g | h) & (!b | !f | h) & (!f | !g | !h) & (!c | !d | !g) & (a | !e | g) & (!c | !e | !h) & (!b | !d | !f) & (!c | d | g) & (b | f | g) & (d | !e | !g) & (!c | !d | !f) & (!f | g | !h) & (a | d | !h) & (c | d | !g) & (d | e | f) & (!a | !c | !g) & (a | !e | f) & (b | !c | e)
+constraint: (!b | c | h) & (d | e | f) & (!c | d | g) & (!d | e | h) & (!a | c | !f) & (!b | !e | !g) & (!b | e | !h) & (f | !g | h) & (a | c | !d) & (b | e | f) & (!a | !b | e) & (a | b | !d) & (b | !e | g) & (!a | c | h) & (!b | !c | h) & (!b | !c | !g) & (!f | !g | !h)
 """
 
 
@@ -136,6 +145,43 @@ class TestMergeCommand:
         missing = tmp_path / "missing.txt"
         assert run(capsys, "merge", str(missing))[0] == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "atoms: a a\nbase K: a\n",
+            "atoms: a\nbase K: models {z}\n",
+            "atoms: " + " ".join("abcdefghijklmnopq") + "\nbase K: a\n",
+        ],
+        ids=["duplicate-atom", "unknown-model-atom", "17-atoms"],
+    )
+    def test_bad_problem_file_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, _, err = run(capsys, "merge", str(path))
+        assert code == 2
+        assert err.startswith("problem file error: line ")
+
+    def test_unknown_atom_in_lex_order(self, capsys, example1):
+        code, _, err = run(
+            capsys, "merge", example1, "--refinement", "lex", "--fragment", "horn",
+            "--lex-order", "{z}",
+        )
+        assert code == 2 and err.startswith("bad arguments: bad --lex-order")
+
+    def test_eight_atom_horn_closure(self, capsys, tmp_path):
+        path = tmp_path / "horn8.txt"
+        path.write_text(HORN8)
+        code, out, _ = run(
+            capsys, "merge", str(path), "--fragment", "horn", "--refinement", "closure",
+            "--format", "machine",
+        )
+        assert code == 0
+        records = dict(line.split("\t", 1) for line in out.splitlines())
+        u = Universe(records["universe"].split())
+        assert records["refined"] == "{b,e,h}|{a,b,e,h}"
+        assert models(parse(records["formula"], u), u).compact() == records["refined"]
+        assert records["formula-class"] == "horn"
+
     def test_refinement_without_fragment_is_rejected(self, capsys, example1):
         code, _, err = run(capsys, "merge", example1, "--refinement", "closure")
         assert code == 2 and "fragment" in err
@@ -179,6 +225,10 @@ class TestCheckCommand:
             capsys, "check", "--op", "hamming,sigma,none", "--atoms", "5"
         )
         assert code == 2
+
+    def test_zero_atoms(self, capsys):
+        code, _, err = run(capsys, "check", "--op", "hamming,sigma,none", "--atoms", "0")
+        assert code == 2 and err.startswith("bad arguments: ")
 
     def test_machine_format(self, capsys):
         code, out, _ = run(

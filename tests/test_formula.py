@@ -9,7 +9,6 @@ from fragmerge import (
     HORN,
     KROM,
     MAJ3,
-    Clause,
     ClauseKind,
     Fragment,
     ModelSet,
@@ -21,6 +20,7 @@ from fragmerge import (
     UniverseTooLargeError,
     classify,
     closed_model_sets,
+    closure,
     is_closed,
     models,
     parse,
@@ -28,7 +28,7 @@ from fragmerge import (
     to_text,
 )
 from fragmerge.formula import And, Atom, Const, Iff, Implies, Not, Or, TOP, BOTTOM
-from helpers import U2, U3, ms
+from helpers import U2, U3, fragment_clauses, ms, slow_synthesize
 
 
 def eval_formula(phi, assignment):
@@ -178,7 +178,7 @@ class TestClassify:
     @pytest.mark.parametrize("fragment,beta", [(HORN, AND2), (KROM, MAJ3)])
     def test_classified_formulas_have_closed_models(self, fragment, beta):
         # every CNF built from fragment clauses over 3 atoms, up to 4 clauses
-        pool = _fragment_clauses(U3, fragment)
+        pool = list(fragment_clauses(U3, fragment.clause_predicate))
         texts = [to_text(c.to_formula(U3)) for c in pool]
         for size in (1, 2, 3, 4):
             for combo in itertools.combinations(texts, size):
@@ -186,20 +186,6 @@ class TestClassify:
                 verdict = classify(phi)
                 assert getattr(verdict, fragment.name)
                 assert is_closed(beta, models(phi, U3))
-
-
-def _fragment_clauses(universe, fragment):
-    out = []
-    for shape in itertools.product((0, 1, 2), repeat=len(universe)):
-        if not any(shape):
-            continue
-        lits = frozenset(
-            (name, shape[i] == 1) for i, name in enumerate(universe.atoms) if shape[i]
-        )
-        clause = Clause(lits)
-        if fragment.clause_predicate(clause):
-            out.append(clause)
-    return out
 
 
 class TestSynthesize:
@@ -256,7 +242,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     def test_formula_round_trip_three_atoms(self, fragment):
         # models(synthesize(models(phi))) == models(phi) for fragment CNFs
-        pool = _fragment_clauses(U3, fragment)[:10]
+        pool = list(fragment_clauses(U3, fragment.clause_predicate))[:10]
         for size in (1, 2, 3):
             for combo in itertools.combinations(pool, size):
                 phi = _conjoin_clauses(combo)
@@ -264,6 +250,43 @@ class TestSynthesize:
                 if not target:
                     continue
                 assert models(synthesize(target, fragment), U3) == target
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM])
+    @pytest.mark.parametrize("minimize", [False, True])
+    def test_matches_slow_synthesize_on_every_closed_set(self, fragment, minimize):
+        # Atom order differs from name order: pool order sorts literals by
+        # name, the printed clauses by universe index.
+        counts = {"horn": 121, "krom": 165}
+        for universe in (Universe("ba"), Universe("cab")):
+            sets = closed_model_sets(fragment.beta, universe, include_empty=True)
+            if len(universe) == 3:
+                assert len(sets) == counts[fragment.name] + 1
+            for mset in sets:
+                fast = synthesize(mset, fragment, minimize=minimize)
+                slow = slow_synthesize(mset, fragment, minimize=minimize)
+                assert to_text(fast) == to_text(slow)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fragment=st.sampled_from([HORN, KROM]),
+        minimize=st.booleans(),
+        masks=st.sets(st.integers(0, 15), min_size=1, max_size=6),
+    )
+    def test_matches_slow_synthesize_at_four_atoms(self, fragment, minimize, masks):
+        universe = Universe("dbca")
+        mset = closure(fragment.beta, ModelSet(universe, masks))
+        fast = synthesize(mset, fragment, minimize=minimize)
+        assert to_text(fast) == to_text(slow_synthesize(mset, fragment, minimize=minimize))
+
+    def test_long_horn_pool_at_eight_atoms(self):
+        # 1192 Horn clauses hold in both models; the unminimized conjunction
+        # is a left-deep chain deeper than the default recursion limit.
+        u = Universe("abcdefgh")
+        target = ms(u, "beh", "abeh")
+        phi = synthesize(target, HORN)
+        assert len(classify(phi).clauses) == 1192
+        assert models(phi, u) == target
+        assert models(parse(to_text(phi), u), u) == target
 
 
 def _conjoin_clauses(clauses):
@@ -301,6 +324,15 @@ class TestPrinter:
         ]
         for text, expected in cases:
             assert to_text(parse(text, U3)) == expected
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_long_flat_chain(self, op):
+        # Deeper than the default recursion limit.
+        text = f" {op} ".join(["a"] * 1200)
+        phi = parse(text, U2)
+        assert to_text(phi) == text
+        assert models(phi, U2) == ms(U2, "a", "ab")
+        assert classify(phi).verdict == "both"
 
     @settings(max_examples=300, deadline=None)
     @given(phi=formulas(U3))
