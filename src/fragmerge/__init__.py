@@ -59,6 +59,7 @@ from .merge import (
 )
 from .postulates import (
     ALL_POSTULATES,
+    EmptySpaceError,
     Instance,
     PostulateId,
     SearchSpace,

@@ -11,7 +11,8 @@ A base is either a formula or an explicit model list; several constraint
 lines are conjoined.  Exit codes for `merge`: 0 success, 2 parse/flag error,
 3 inconsistent base, 4 result not expressible in the selected fragment
 without a refinement.  `check` exits 1 when witnesses were found, `reproduce`
-exits 1 on any mismatching cell; both use 2 for bad arguments.
+exits 1 on any mismatching cell; both use 2 for bad arguments, and `check`
+also for a space in which the selected postulates have no instances.
 """
 
 import argparse
@@ -26,6 +27,7 @@ from .formula import (
     NotClosedError,
     ParseError,
     UnknownAtomError,
+    _ATOM_RE,
     classify,
     models,
     parse,
@@ -42,6 +44,7 @@ from .merge import (
     Profile,
 )
 from .postulates import (
+    EmptySpaceError,
     PostulateId,
     SearchSpace,
     SpaceTooLargeError,
@@ -117,6 +120,11 @@ def parse_problem_file(text: str) -> ProblemFile:
             names = line[len("atoms:"):].split()
             if not names:
                 raise ProblemFileError(f"line {lineno}: empty atom list")
+            for name in names:
+                if not _ATOM_RE.fullmatch(name):
+                    raise ProblemFileError(
+                        f"line {lineno}: atom name {name!r} does not match {_ATOM_RE.pattern}"
+                    )
             try:
                 universe = Universe(names)
                 _check_enum_size(universe)
@@ -338,6 +346,8 @@ def cmd_check(args, out=None, err=None) -> int:
         aggregator = Aggregator(agg_spec)
         refinement = _build_refinement(ref_spec, fragment, None)
         postulates = _parse_postulates(args.postulates)
+        if args.limit is not None and args.limit < 1:
+            raise ValueError(f"--limit must be at least 1, got {args.limit}")
     except (KeyError, ValueError) as exc:
         print(f"bad arguments: {exc}", file=err)
         return EXIT_USAGE
@@ -354,7 +364,7 @@ def cmd_check(args, out=None, err=None) -> int:
     )
     try:
         witnesses = search(space, op, limit=args.limit)
-    except SpaceTooLargeError as exc:
+    except (SpaceTooLargeError, EmptySpaceError) as exc:
         print(f"bad arguments: {exc}", file=err)
         return EXIT_USAGE
 

@@ -10,7 +10,9 @@ Grammar (ASCII, whitespace-insensitive):
 
 `&` and `|` associate to the left, `->` and `<->` to the right.  The printer
 emits minimal parentheses with single spaces around binary operators, and
-printing then re-parsing yields an equal tree.
+printing then re-parsing yields an equal tree.  Chains of one connective and
+runs of `!` are read, printed and evaluated with loops, so their length is
+not limited by the recursion limit; parentheses may nest MAX_NESTING deep.
 """
 
 import functools
@@ -26,7 +28,10 @@ from .interp import (
     Fragment,
     ModelSet,
     Universe,
+    _atom_patterns,
     _check_enum_size,
+    _from_bits,
+    _to_bits,
     closure_witness,
 )
 
@@ -107,7 +112,10 @@ class Iff(Formula):
     right: Formula
 
 
-_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:(?P<atom>[a-z][a-z0-9_]*)|(?P<const>[TF])|(?P<op><->|->|[!&|()]))")
+_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
+_TOKEN_RE = re.compile(
+    rf"[ \t\r\n]*(?:(?P<atom>{_ATOM_RE.pattern})|(?P<const>[TF])|(?P<op><->|->|[!&|()]))"
+)
 
 
 def _tokenize(text):
@@ -130,12 +138,16 @@ def _tokenize(text):
     return tokens
 
 
+MAX_NESTING = 64
+
+
 class _Parser:
     def __init__(self, tokens, universe, length):
         self.tokens = tokens
         self.universe = universe
         self.length = length
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.length)
@@ -148,16 +160,19 @@ class _Parser:
         return False
 
     def iff(self):
-        left = self.implies()
-        if self.take_op("<->"):
-            return Iff(left, self.iff())
-        return left
+        return self.right_chain(Iff, "<->", self.implies)
 
     def implies(self):
-        left = self.disjunction()
-        if self.take_op("->"):
-            return Implies(left, self.implies())
-        return left
+        return self.right_chain(Implies, "->", self.disjunction)
+
+    def right_chain(self, kind, symbol, operand):
+        operands = [operand()]
+        while self.take_op(symbol):
+            operands.append(operand())
+        node = operands.pop()
+        for left in reversed(operands):
+            node = kind(left, node)
+        return node
 
     def disjunction(self):
         node = self.conjunction()
@@ -172,9 +187,13 @@ class _Parser:
         return node
 
     def unary(self):
-        if self.take_op("!"):
-            return Not(self.unary())
-        return self.primary()
+        negations = 0
+        while self.take_op("!"):
+            negations += 1
+        node = self.primary()
+        for _ in range(negations):
+            node = Not(node)
+        return node
 
     def primary(self):
         kind, text, pos = self.peek()
@@ -187,10 +206,14 @@ class _Parser:
             self.i += 1
             return TOP if text == "T" else BOTTOM
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep", pos)
             self.i += 1
+            self.depth += 1
             node = self.iff()
             if not self.take_op(")"):
                 raise ParseError("expected ')'", self.peek()[2])
+            self.depth -= 1
             return node
         raise ParseError(f"expected a formula, found {text!r}" if kind else "unexpected end of input", pos)
 
@@ -211,9 +234,16 @@ _RIGHT_ASSOC = (Iff, Implies)
 
 
 def _operands(phi) -> list:
-    # Operands of the left-deep chain of phi's connective, left to right,
-    # collected with a loop so long flat formulas print without recursion.
+    # Operands of the chain of phi's connective, left to right: left-deep
+    # for & and |, right-deep for -> and <->.  Collected with a loop so long
+    # chains print and evaluate without recursion.
     kind = type(phi)
+    if kind in _RIGHT_ASSOC:
+        lefts = []
+        while type(phi) is kind:
+            lefts.append(phi.left)
+            phi = phi.right
+        return lefts + [phi]
     rights = []
     while type(phi) is kind:
         rights.append(phi.right)
@@ -241,34 +271,22 @@ def to_text(phi: Formula) -> str:
     if isinstance(phi, Const):
         return "T" if phi.value else "F"
     if isinstance(phi, Not):
-        inner = to_text(phi.operand)
-        if _PREC[type(phi.operand)] < _PREC[Not]:
+        negations = 0
+        while isinstance(phi, Not):
+            negations += 1
+            phi = phi.operand
+        inner = to_text(phi)
+        if _PREC[type(phi)] < _PREC[Not]:
             inner = f"({inner})"
-        return f"!{inner}"
+        return "!" * negations + inner
+    # Each connective has its own precedence, so an operand of equal
+    # precedence is one the chain did not absorb: it needs parentheses.
     prec = _PREC[type(phi)]
-    right_assoc = isinstance(phi, _RIGHT_ASSOC)
-    first, *rest = [phi.left, phi.right] if right_assoc else _operands(phi)
-    parts = [to_text(first)]
-    if _PREC[type(first)] < prec or (_PREC[type(first)] == prec and right_assoc):
-        parts[0] = f"({parts[0]})"
-    for operand in rest:
+    parts = []
+    for operand in _operands(phi):
         text = to_text(operand)
-        if _PREC[type(operand)] < prec or (_PREC[type(operand)] == prec and not right_assoc):
-            text = f"({text})"
-        parts.append(text)
+        parts.append(f"({text})" if _PREC[type(operand)] <= prec else text)
     return f" {_SYMBOL[type(phi)]} ".join(parts)
-
-
-def _atom_pattern(i: int, n: int) -> int:
-    # Truth table of atom i over all 2^n interpretations, one bit per mask.
-    block = 1 << i
-    pat = ((1 << block) - 1) << block
-    period = block << 1
-    width = 1 << n
-    while period < width:
-        pat |= pat << period
-        period <<= 1
-    return pat
 
 
 def _truth_bits(phi: Formula, universe: Universe, full: int) -> int:
@@ -277,22 +295,25 @@ def _truth_bits(phi: Formula, universe: Universe, full: int) -> int:
             i = universe.index(phi.name)
         except KeyError:
             raise UnknownAtomError(phi.name) from None
-        return _atom_pattern(i, len(universe))
+        return _atom_patterns(len(universe))[i]
     if isinstance(phi, Const):
         return full if phi.value else 0
     if isinstance(phi, Not):
-        return full ^ _truth_bits(phi.operand, universe, full)
+        flip = 0
+        while isinstance(phi, Not):
+            flip ^= full
+            phi = phi.operand
+        return flip ^ _truth_bits(phi, universe, full)
     if isinstance(phi, (And, Or)):
         combine = operator.and_ if isinstance(phi, And) else operator.or_
         operands = _flatten(phi, type(phi))
         return functools.reduce(combine, (_truth_bits(op, universe, full) for op in operands))
-    left = _truth_bits(phi.left, universe, full)
-    right = _truth_bits(phi.right, universe, full)
-    if isinstance(phi, Implies):
-        return (full ^ left) | right
-    if isinstance(phi, Iff):
-        return full ^ (left ^ right)
-    raise TypeError(f"not a formula node: {phi!r}")
+    if not isinstance(phi, _RIGHT_ASSOC):
+        raise TypeError(f"not a formula node: {phi!r}")
+    *lefts, bits = (_truth_bits(op, universe, full) for op in _operands(phi))
+    for left in reversed(lefts):
+        bits = (full ^ left) | bits if isinstance(phi, Implies) else full ^ (left ^ bits)
+    return bits
 
 
 def models(phi: Formula, universe: Universe) -> ModelSet:
@@ -300,7 +321,7 @@ def models(phi: Formula, universe: Universe) -> ModelSet:
     _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
     bits = _truth_bits(phi, universe, full)
-    return ModelSet(universe, (m for m in range(1 << len(universe)) if bits >> m & 1))
+    return ModelSet(universe, _from_bits(bits))
 
 
 @dataclass(frozen=True)
@@ -434,10 +455,8 @@ def _clause_pool(universe: Universe, predicate, target: int, full: int):
     # sort keys are unique.  Each atom is positive, negative or absent, so no
     # clause is tautological; the empty clause has table 0 and fails the
     # subset test for non-empty targets.
-    n = len(universe)
     choices = []
-    for i, name in enumerate(universe.atoms):
-        pos = _atom_pattern(i, n)
+    for name, pos in zip(universe.atoms, _atom_patterns(len(universe))):
         choices.append((((), 0), ((name, True), pos), ((name, False), full ^ pos)))
     for shape in itertools.product(*choices):
         bits = 0
@@ -480,7 +499,7 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
         return And(first, Not(first))
     _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
-    target = sum(1 << m for m in mset.masks)
+    target = _to_bits(mset.masks)
     pool = sorted(_clause_pool(universe, fragment.clause_predicate, target, full))
     # suffix[k] is the truth table of the conjunction of pool[k:].
     tables = reversed([bits for _, bits, _ in pool])

@@ -56,7 +56,7 @@ def _check_enum_size(universe):
 class Universe:
     """Ordered alphabet of distinct atom names; order fixes bit positions."""
 
-    __slots__ = ("atoms", "_index", "_hash")
+    __slots__ = ("atoms", "_index", "_hash", "_name_tables")
 
     def __init__(self, atoms):
         atoms = tuple(atoms)
@@ -71,6 +71,7 @@ class Universe:
         self.atoms = atoms
         self._index = {name: i for i, name in enumerate(atoms)}
         self._hash = hash(atoms)
+        self._name_tables = None
 
     def __len__(self):
         return len(self.atoms)
@@ -111,6 +112,62 @@ class Universe:
 
     def all_interpretations(self):
         return tuple(Interpretation(self, m) for m in self.all_masks())
+
+    def _mask_texts(self, masks) -> list:
+        """`str(Interpretation)` of each mask, e.g. '{a,c}', without building
+        the interpretations: each half of a mask indexes a table of its
+        atoms' names, each name followed by a comma."""
+        if self._name_tables is None:
+            half = len(self.atoms) // 2
+            self._name_tables = (half,) + tuple(
+                tuple("".join(f"{a}," for i, a in enumerate(names) if v >> i & 1)
+                      for v in range(1 << len(names)))
+                for names in (self.atoms[:half], self.atoms[half:])
+            )
+        half, low, high = self._name_tables
+        cut = (1 << half) - 1
+        return ["{" + (low[m & cut] + high[m >> half])[:-1] + "}" for m in masks]
+
+
+def _to_bits(masks) -> int:
+    """Truth-table bitset of a collection of masks: bit m set for each m."""
+    bits = 0
+    for m in masks:
+        bits |= 1 << m
+    return bits
+
+
+_CHUNK_MASK = (1 << 256) - 1
+
+
+def _from_bits(bits: int) -> list:
+    """Masks whose bit is set in `bits`, ascending.  Set bits are peeled off
+    256-bit chunks, so each step works on a small int, not on all 2^n bits."""
+    masks, base = [], 0
+    while bits:
+        chunk = bits & _CHUNK_MASK
+        while chunk:
+            low = chunk & -chunk
+            masks.append(base + low.bit_length() - 1)
+            chunk ^= low
+        bits >>= 256
+        base += 256
+    return masks
+
+
+@lru_cache(maxsize=None)
+def _atom_patterns(n: int) -> tuple:
+    """Truth tables of the n atoms: bit m of entry i is bit i of mask m."""
+    patterns = []
+    for i in range(n):
+        block = 1 << i
+        pat = ((1 << block) - 1) << block
+        period = block << 1
+        while period < 1 << n:
+            pat |= pat << period
+            period <<= 1
+        patterns.append(pat)
+    return tuple(patterns)
 
 
 class Interpretation:
@@ -247,11 +304,11 @@ class ModelSet:
         return not self.masks.isdisjoint(self._coerce(other).masks)
 
     def render(self, sep=", ") -> str:
-        return sep.join(str(w) for w in self.members)
+        return sep.join(self.universe._mask_texts(sorted(self.masks)))
 
     def compact(self) -> str:
         """Machine rendering: members joined by '|', e.g. '{}|{a}|{a,b}'."""
-        return "|".join(str(w) for w in self.members)
+        return self.render("|")
 
     def __str__(self):
         return self.render()

@@ -5,8 +5,13 @@ for a nondecreasing gauge g with g(0)=0 and g(k)>0 otherwise; Hamming is
 g=id, drastic is g=1 off zero.  Per-interpretation distances to the bases
 are aggregated by sum or by the descending-sorted vector compared
 lexicographically, and merging keeps the constraint models with minimal
-aggregate.  Everything works on model sets; distances are integer-valued,
-so comparisons are exact.
+aggregate.  Distances are integer-valued, so comparisons are exact.
+
+One kernel, `_distance_rows`, gives `merge` and `score_table` every
+distance d(w, K) without scanning (w, model) pairs: per base, a breadth-first
+search over the hypercube on truth-table bitsets (ints with bit m for
+interpretation m) reaches w at step k = min over models m of |w xor m|, and
+d(w, K) = g(k) because the gauge is nondecreasing.
 """
 
 from dataclasses import dataclass, field
@@ -14,6 +19,7 @@ from enum import Enum
 from functools import total_ordering
 
 from .interp import Interpretation, ModelSet, Universe, UniverseMismatchError
+from .interp import _atom_patterns, _from_bits, _to_bits
 
 
 class InconsistentBaseError(ValueError):
@@ -210,28 +216,56 @@ def _check_merge_inputs(profile: Profile, mu: ModelSet, d: CountingDistance):
         )
 
 
+def _distance_rows(profile: Profile, mu: ModelSet, gauge: tuple) -> dict:
+    """Map each model w of `mu`, in ascending mask order, to the list of its
+    distances to the bases, in base order.
+
+    Ring 0 is a base's bitset and ring k+1 is every interpretation one atom
+    flip from ring k: flipping atom i moves the bits under its pattern down
+    by 2^i and the others up.  So ring k holds every w at Hamming distance k
+    from the base and none farther; those of `mu` leave the search when first
+    hit.  The gauge g is nondecreasing (CountingDistance enforces it), so
+    min_m g(|w xor m|) = g(min_m |w xor m|) = gauge[k]: one lookup per hit.
+    """
+    patterns = _atom_patterns(len(profile.universe))
+    targets = _to_bits(mu.masks)
+    rows = {w: [] for w in sorted(mu.masks)}
+    for base in profile.bases:
+        ring = _to_bits(base.models.masks)
+        left = targets
+        for g in gauge:
+            hit = ring & left
+            if hit:
+                for w in _from_bits(hit):
+                    rows[w].append(g)
+                left ^= hit
+            if not left:
+                break
+            grown = 0
+            for i, pattern in enumerate(patterns):
+                down = ring & pattern
+                grown |= down >> (1 << i) | (ring ^ down) << (1 << i)
+            ring = grown
+    return rows
+
+
 def merge(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator) -> ModelSet:
     """Constraint models at minimal aggregated distance from the profile.
 
     Ties are all retained; an empty constraint yields an empty result.
+    Distances come from the ring kernel `_distance_rows`; raw sums (sigma)
+    or descending lists (gmax) are compared, no AggValue is built.
     """
     _check_merge_inputs(profile, mu, d)
-    universe = profile.universe
-    if not mu.masks:
-        return ModelSet.empty(universe)
-    gauge = d.gauge
-    base_masks = [tuple(b.models.masks) for b in profile.bases]
-    best = None
-    best_masks = []
-    for w in sorted(mu.masks):
-        dists = [min(gauge[(w ^ m).bit_count()] for m in bm) for bm in base_masks]
-        score = aggregate(f, dists)
+    best, best_masks = None, []
+    sigma = f is Aggregator.SIGMA
+    for w, dists in _distance_rows(profile, mu, d.gauge).items():
+        score = sum(dists) if sigma else sorted(dists, reverse=True)
         if best is None or score < best:
-            best = score
-            best_masks = [w]
-        elif not score < best and not best < score:
+            best, best_masks = score, [w]
+        elif score == best:
             best_masks.append(w)
-    return ModelSet(universe, best_masks)
+    return ModelSet(profile.universe, best_masks)
 
 
 @dataclass(frozen=True)
@@ -242,13 +276,14 @@ class ScoreRow:
 
 
 def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator):
-    """Per-interpretation distance rows, ordered by interpretation weight."""
+    """Per-interpretation distance rows in ascending mask order, from the
+    ring kernel `_distance_rows` that `merge` reads."""
     _check_merge_inputs(profile, mu, d)
-    rows = []
-    for w in mu.members:
-        dists = tuple(dist_base(d, w, b) for b in profile.bases)
-        rows.append(ScoreRow(w, dists, aggregate(f, dists)))
-    return tuple(rows)
+    universe = profile.universe
+    return tuple(
+        ScoreRow(Interpretation(universe, w), tuple(dists), aggregate(f, dists))
+        for w, dists in _distance_rows(profile, mu, d.gauge).items()
+    )
 
 
 class MergeOperator:

@@ -40,6 +40,10 @@ class SpaceTooLargeError(ValueError):
     """Search space exceeds the exhaustive-mode caps."""
 
 
+class EmptySpaceError(ValueError):
+    """The selected postulates have no instances in the search space."""
+
+
 class UnknownFixtureError(KeyError):
     pass
 
@@ -282,14 +286,18 @@ def _guard(space: SearchSpace):
 def search(space: SearchSpace, op, limit: int = None):
     """Enumerate all instances of the selected postulates over the space, in
     deterministic order, and return the witnesses found (all, or the first
-    `limit`)."""
+    `limit`).  Raises EmptySpaceError when no instance was checked, since
+    finding no witness in an empty space shows nothing."""
     _guard(space)
     profiles = space.profiles()
     constraints = space.base_sets()
     witnesses = []
+    checked = 0
 
     def run(pid, instances):
+        nonlocal checked
         for instance in instances:
+            checked += 1
             hit = check_postulate(pid, op, instance)
             if hit is not None:
                 witnesses.append(hit)
@@ -347,6 +355,8 @@ def search(space: SearchSpace, op, limit: int = None):
             continue
         if run(pid, shapes[pid]()):
             break
+    if not checked:
+        raise EmptySpaceError("the selected postulates have no instances in this space")
     return witnesses
 
 

@@ -2,7 +2,7 @@
 
 import itertools
 
-from fragmerge import Base, Clause, ModelSet, Profile, Universe
+from fragmerge import Base, Clause, ModelSet, Profile, Universe, aggregate
 from fragmerge.formula import (
     And,
     Atom,
@@ -60,6 +60,28 @@ def brute_force_closure(beta, mset):
 def _index_of_weight(arity, ones):
     # Table index whose bit pattern has the requested number of ones.
     return (1 << ones) - 1
+
+
+def slow_score_rows(profile, mu, d, f):
+    """(mask, per-base distances, aggregate) for each constraint model in
+    ascending mask order; each distance is a minimum over every
+    (interpretation, model) pair."""
+    rows = []
+    for w in sorted(mu.masks):
+        dists = tuple(
+            min(d.of((w ^ m).bit_count()) for m in b.models.masks) for b in profile.bases
+        )
+        rows.append((w, dists, aggregate(f, dists)))
+    return rows
+
+
+def slow_merge(profile, mu, d, f):
+    """Oracle for `merge`: the pair loop that the ring kernel replaced."""
+    rows = slow_score_rows(profile, mu, d, f)
+    if not rows:
+        return ModelSet(profile.universe)
+    best = min(value for _, _, value in rows)
+    return ModelSet(profile.universe, [w for w, _, value in rows if value == best])
 
 
 def all_model_sets(universe, include_empty=True):

@@ -151,8 +151,11 @@ class TestMergeCommand:
             "atoms: a a\nbase K: a\n",
             "atoms: a\nbase K: models {z}\n",
             "atoms: " + " ".join("abcdefghijklmnopq") + "\nbase K: a\n",
+            "atoms: A b\nbase K: b\n",
+            "atoms: a\nbase K: " + "(" * 1200 + "a" + ")" * 1200 + "\n",
         ],
-        ids=["duplicate-atom", "unknown-model-atom", "17-atoms"],
+        ids=["duplicate-atom", "unknown-model-atom", "17-atoms", "upper-case-atom",
+             "deep-parentheses"],
     )
     def test_bad_problem_file_exits_two(self, capsys, tmp_path, text):
         path = tmp_path / "bad.txt"
@@ -160,6 +163,20 @@ class TestMergeCommand:
         code, _, err = run(capsys, "merge", str(path))
         assert code == 2
         assert err.startswith("problem file error: line ")
+
+    def test_long_negation_and_implication_chains(self, capsys, tmp_path):
+        path = tmp_path / "chains.txt"
+        path.write_text(
+            "atoms: a b\n"
+            "base K: " + "!" * 1200 + "a\n"
+            "constraint: " + " -> ".join(["!a"] * 1199 + ["b"]) + "\n"
+        )
+        code, out, _ = run(capsys, "merge", str(path), "--format", "machine")
+        assert code == 0
+        records = dict(line.split("\t", 1) for line in out.splitlines())
+        assert records["base"] == "K\t{a}|{a,b}"
+        assert records["constraint"] == "{a}|{b}|{a,b}"
+        assert records["merged"] == "{a}|{a,b}"
 
     def test_unknown_atom_in_lex_order(self, capsys, example1):
         code, _, err = run(
@@ -229,6 +246,20 @@ class TestCheckCommand:
     def test_zero_atoms(self, capsys):
         code, _, err = run(capsys, "check", "--op", "hamming,sigma,none", "--atoms", "0")
         assert code == 2 and err.startswith("bad arguments: ")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--limit", "0"], "--limit must be at least 1"),
+            (["--postulates", "ic3", "--max-profile-size", "1"], "no instances"),
+            (["--max-bases", "0"], "no instances"),
+        ],
+        ids=["limit-0", "ic3-single-base-profiles", "no-bases"],
+    )
+    def test_rejected_search_exits_two(self, capsys, extra, message):
+        code, out, err = run(capsys, "check", "--op", "hamming,sigma,none", "--atoms", "2", *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("bad arguments: ") and message in err
 
     def test_machine_format(self, capsys):
         code, out, _ = run(

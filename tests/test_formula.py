@@ -325,14 +325,30 @@ class TestPrinter:
         for text, expected in cases:
             assert to_text(parse(text, U3)) == expected
 
-    @pytest.mark.parametrize("op", ["&", "|"])
+    @pytest.mark.parametrize("op", ["&", "|", "->", "<->"])
     def test_long_flat_chain(self, op):
-        # Deeper than the default recursion limit.
+        # Deeper than the default recursion limit.  An even number of a's
+        # chained by -> or <-> is valid.
         text = f" {op} ".join(["a"] * 1200)
         phi = parse(text, U2)
         assert to_text(phi) == text
-        assert models(phi, U2) == ms(U2, "a", "ab")
-        assert classify(phi).verdict == "both"
+        if op in ("&", "|"):
+            assert models(phi, U2) == ms(U2, "a", "ab")
+            assert classify(phi).verdict == "both"
+        else:
+            assert models(phi, U2) == ModelSet.full(U2)
+
+    @pytest.mark.parametrize("count", [1200, 1201])
+    def test_long_negation_run(self, count):
+        text = "!" * count + "(a & b)"
+        phi = parse(text, U2)
+        assert to_text(phi) == text
+        assert models(phi, U2) == (ms(U2, "ab") if count % 2 == 0 else ms(U2, "", "a", "b"))
+
+    def test_parentheses_nested_too_deep(self):
+        assert parse("(" * 64 + "a" + ")" * 64, U2) == parse("a", U2)
+        with pytest.raises(ParseError, match="nested more than 64 deep"):
+            parse("(" * 65 + "a" + ")" * 65, U2)
 
     @settings(max_examples=300, deadline=None)
     @given(phi=formulas(U3))

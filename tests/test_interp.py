@@ -22,6 +22,7 @@ from fragmerge import (
     is_closed,
     validate_boolean_fn,
 )
+from fragmerge.interp import _atom_patterns, _from_bits, _to_bits
 from helpers import U2, U3, all_model_sets, brute_force_closure, ms
 
 OR2 = BooleanFn(2, (0, 1, 1, 1), "or")
@@ -235,10 +236,35 @@ class TestClosedModelSets:
         assert not with_empty[0]
 
 
+class TestBitsets:
+    @settings(max_examples=100, deadline=None)
+    @given(masks=st.sets(st.integers(0, (1 << 12) - 1), max_size=300))
+    def test_masks_round_trip_across_chunks(self, masks):
+        bits = _to_bits(masks)
+        assert bits == sum(1 << m for m in masks)
+        assert _from_bits(bits) == sorted(masks)
+
+    def test_atom_patterns(self):
+        for n in range(1, 6):
+            for i, pattern in enumerate(_atom_patterns(n)):
+                assert _from_bits(pattern) == [m for m in range(1 << n) if m >> i & 1]
+
+
 class TestModelSetBasics:
     def test_render_sorted_by_weight(self):
         assert str(ms(U2, "b", "", "a")) == "{}, {a}, {b}"
         assert ms(U2, "ab", "a").compact() == "{a}|{a,b}"
+
+    @pytest.mark.parametrize("atoms", ["cab", "z", "gfedcba"])
+    def test_rendering_matches_member_strings(self, atoms):
+        # Every model set over 1 and 3 atoms, every single mask over 7.
+        u = Universe(atoms)
+        sets = all_model_sets(u) if len(u) < 4 else (ModelSet(u, [m]) for m in u.all_masks())
+        for mset in sets:
+            texts = [str(w) for w in mset.members]
+            assert mset.compact() == "|".join(texts)
+            assert str(mset) == mset.render() == ", ".join(texts)
+            assert mset.render(" ") == " ".join(texts)
 
     def test_set_operations(self):
         left, right = ms(U2, "", "a"), ms(U2, "a", "b")

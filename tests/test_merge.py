@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragmerge import (
     Aggregator,
@@ -19,7 +21,7 @@ from fragmerge import (
     merge,
     score_table,
 )
-from helpers import U2, U3, all_model_sets, ms, prof
+from helpers import U2, U3, all_model_sets, ms, prof, slow_merge, slow_score_rows
 
 DH2 = CountingDistance.hamming(2)
 DD2 = CountingDistance.drastic(2)
@@ -232,6 +234,48 @@ class TestMerge:
             for perm in itertools.permutations(bases)
         }
         assert len(outputs) == 1
+
+
+def kernel_matches_pair_loop(profile, mu, d, f):
+    assert merge(profile, mu, d, f) == slow_merge(profile, mu, d, f)
+    rows = score_table(profile, mu, d, f)
+    got = [(r.interpretation.mask, r.per_base, r.value) for r in rows]
+    assert got == slow_score_rows(profile, mu, d, f)
+
+
+class TestKernelAgainstPairLoop:
+    @pytest.mark.parametrize("f", [Aggregator.SIGMA, Aggregator.GMAX])
+    @pytest.mark.parametrize(
+        "d", [DH2, DD2, CountingDistance.from_gauge((1, 3))], ids=["hamming", "drastic", "g13"]
+    )
+    def test_every_two_atom_profile_and_constraint(self, d, f):
+        sets = list(all_model_sets(U2, include_empty=False))
+        profiles = [Profile((Base(a),)) for a in sets]
+        profiles += [
+            Profile((Base(a), Base(b))) for a, b in itertools.combinations_with_replacement(sets, 2)
+        ]
+        for e in profiles:
+            for mu in all_model_sets(U2):
+                kernel_matches_pair_loop(e, mu, d, f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_wide_universes_and_plateau_gauges(self, data):
+        n = data.draw(st.integers(5, 9))
+        names = data.draw(st.permutations([f"x{i}" for i in range(n)]))
+        universe = Universe(names)
+        masks = st.integers(0, (1 << n) - 1)
+        bases = data.draw(
+            st.lists(st.frozensets(masks, min_size=1, max_size=12), min_size=1, max_size=3)
+        )
+        mu = ModelSet(universe, data.draw(st.frozensets(masks, max_size=40)))
+        # Nondecreasing gauges with plateaus, e.g. (1, 1, 4, 4, ...).
+        steps = data.draw(st.lists(st.sampled_from((0, 0, 3)), min_size=n - 1, max_size=n - 1))
+        gauge = list(itertools.accumulate(steps, initial=data.draw(st.integers(1, 2))))
+        d = CountingDistance.from_gauge(gauge)
+        f = data.draw(st.sampled_from(list(Aggregator)))
+        profile = Profile(tuple(Base(ModelSet(universe, b)) for b in bases))
+        kernel_matches_pair_loop(profile, mu, d, f)
 
 
 class TestScoreTable:
