@@ -40,7 +40,6 @@ from .interp import (
     closure,
     closure_witness,
     is_closed,
-    validate_boolean_fn,
 )
 from .merge import (
     AggValue,
@@ -78,15 +77,11 @@ from .refine import (
     LexClosureRefinement,
     LexOrder,
     LexRefinement,
-    MappingRefinement,
     MappingViolationError,
     RefinedOperator,
     cardintersection,
     check_refinement_properties,
-    closure_mapping,
     is_fair,
-    lex_closure_mapping,
-    lex_mapping,
     refine,
     validate_mapping,
 )

@@ -30,8 +30,6 @@ from .interp import (
     Universe,
     _atom_patterns,
     _check_enum_size,
-    _from_bits,
-    _to_bits,
     closure_witness,
 )
 
@@ -320,8 +318,7 @@ def models(phi: Formula, universe: Universe) -> ModelSet:
     """Exact model set by enumerating all 2^|U| interpretations."""
     _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
-    bits = _truth_bits(phi, universe, full)
-    return ModelSet(universe, _from_bits(bits))
+    return ModelSet.from_bits(universe, _truth_bits(phi, universe, full))
 
 
 @dataclass(frozen=True)
@@ -494,12 +491,12 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
             f"({', '.join(map(str, args))}) maps to {img}",
             witness=witness,
         )
-    if not mset.masks:
+    if not mset:
         first = Atom(universe.atoms[0])
         return And(first, Not(first))
     _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
-    target = _to_bits(mset.masks)
+    target = mset.bits
     pool = sorted(_clause_pool(universe, fragment.clause_predicate, target, full))
     # suffix[k] is the truth table of the conjunction of pool[k:].
     tables = reversed([bits for _, bits, _ in pool])

@@ -216,19 +216,30 @@ class Interpretation:
 
 
 class ModelSet:
-    """Set of interpretations sharing one universe."""
+    """Set of interpretations sharing one universe, held as a truth-table
+    bitset: bit m of `bits` is set iff the interpretation with mask m is a
+    model.  Set operations are int operations on `bits`."""
 
-    __slots__ = ("universe", "masks", "_hash")
+    __slots__ = ("universe", "bits")
 
     def __init__(self, universe: Universe, masks=()):
-        width = 1 << len(universe)
-        masks = frozenset(masks)
-        for m in masks:
-            if not 0 <= m < width:
-                raise ValueError(f"mask {m} out of range for {len(universe)} atoms")
+        masks = tuple(masks)
+        if masks:
+            low, high = min(masks), max(masks)
+            bad = low if low < 0 else high
+            if not 0 <= bad < 1 << len(universe):
+                raise ValueError(f"mask {bad} out of range for {len(universe)} atoms")
         self.universe = universe
-        self.masks = masks
-        self._hash = hash((universe, masks))
+        self.bits = _to_bits(masks)
+
+    @classmethod
+    def from_bits(cls, universe, bits: int) -> "ModelSet":
+        if bits < 0 or bits.bit_length() > 1 << len(universe):
+            raise ValueError(f"bitset has bits beyond the interpretations of {len(universe)} atoms")
+        mset = cls.__new__(cls)
+        mset.universe = universe
+        mset.bits = bits
+        return mset
 
     @classmethod
     def of(cls, *interps) -> "ModelSet":
@@ -251,60 +262,66 @@ class ModelSet:
 
     @classmethod
     def full(cls, universe) -> "ModelSet":
-        return cls(universe, universe.all_masks())
+        _check_enum_size(universe)
+        return cls.from_bits(universe, (1 << (1 << len(universe))) - 1)
+
+    @property
+    def masks(self) -> tuple:
+        """Masks of the models, ascending."""
+        return tuple(_from_bits(self.bits))
 
     @property
     def members(self) -> tuple:
-        return tuple(Interpretation(self.universe, m) for m in sorted(self.masks))
+        return tuple(Interpretation(self.universe, m) for m in _from_bits(self.bits))
 
     def __len__(self):
-        return len(self.masks)
+        return self.bits.bit_count()
 
     def __bool__(self):
-        return bool(self.masks)
+        return self.bits != 0
 
     def __iter__(self):
         return iter(self.members)
 
     def __contains__(self, w):
         if isinstance(w, Interpretation):
-            return w.universe == self.universe and w.mask in self.masks
-        return w in self.masks
+            return w.universe == self.universe and self.bits >> w.mask & 1 == 1
+        return isinstance(w, int) and w >= 0 and self.bits >> w & 1 == 1
 
     def __eq__(self, other):
         return (
             isinstance(other, ModelSet)
             and self.universe == other.universe
-            and self.masks == other.masks
+            and self.bits == other.bits
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.universe, self.bits))
 
-    def _coerce(self, other):
+    def _other_bits(self, other) -> int:
         if not isinstance(other, ModelSet):
             raise TypeError(f"expected ModelSet, got {type(other).__name__}")
         if other.universe != self.universe:
             raise UniverseMismatchError("model sets over different universes")
-        return other
+        return other.bits
 
     def __and__(self, other):
-        return ModelSet(self.universe, self.masks & self._coerce(other).masks)
+        return ModelSet.from_bits(self.universe, self.bits & self._other_bits(other))
 
     def __or__(self, other):
-        return ModelSet(self.universe, self.masks | self._coerce(other).masks)
+        return ModelSet.from_bits(self.universe, self.bits | self._other_bits(other))
 
     def __sub__(self, other):
-        return ModelSet(self.universe, self.masks - self._coerce(other).masks)
+        return ModelSet.from_bits(self.universe, self.bits & ~self._other_bits(other))
 
     def issubset(self, other) -> bool:
-        return self.masks <= self._coerce(other).masks
+        return self.bits & ~self._other_bits(other) == 0
 
     def intersects(self, other) -> bool:
-        return not self.masks.isdisjoint(self._coerce(other).masks)
+        return self.bits & self._other_bits(other) != 0
 
     def render(self, sep=", ") -> str:
-        return sep.join(self.universe._mask_texts(sorted(self.masks)))
+        return sep.join(self.universe._mask_texts(_from_bits(self.bits)))
 
     def compact(self) -> str:
         """Machine rendering: members joined by '|', e.g. '{}|{a}|{a,b}'."""
@@ -315,6 +332,15 @@ class ModelSet:
 
     def __repr__(self):
         return f"ModelSet[{self.render()}]"
+
+
+def model_sets(universe: Universe, include_empty: bool = True):
+    """Every model set over `universe` in ascending subset-code order: the
+    code is the set's bitset."""
+    _check_enum_size(universe)
+    start = 0 if include_empty else 1
+    for code in range(start, 1 << (1 << len(universe))):
+        yield ModelSet.from_bits(universe, code)
 
 
 @dataclass(frozen=True)
@@ -378,11 +404,6 @@ def _bits(idx, arity):
     return tuple(idx >> i & 1 for i in range(arity))
 
 
-def validate_boolean_fn(table, arity: int, name: str = "") -> BooleanFn:
-    """Check symmetry and 0/1-reproduction; return the validated function."""
-    return BooleanFn(arity, tuple(table), name)
-
-
 AND2 = BooleanFn(2, (0, 0, 0, 1), "and")
 MAJ3 = BooleanFn(3, (0, 0, 0, 1, 0, 1, 1, 1), "maj3")
 
@@ -426,19 +447,19 @@ def apply_pointwise(beta: BooleanFn, args) -> Interpretation:
 
 
 @lru_cache(maxsize=None)
-def _closed_witness(beta: BooleanFn, masks: tuple, width: int):
+def _closed_witness(beta: BooleanFn, bits: int, width: int):
     # Tuples may be drawn with repetition; since beta is symmetric, checking
     # one ordering per multiset of arguments suffices.
-    for tup in itertools.combinations_with_replacement(masks, beta.arity):
+    for tup in itertools.combinations_with_replacement(_from_bits(bits), beta.arity):
         img = _apply_masks(beta, tup, width)
-        if img not in masks:
+        if not bits >> img & 1:
             return tup, img
     return None
 
 
 @lru_cache(maxsize=None)
-def _closure_masks(beta: BooleanFn, masks: tuple, width: int) -> frozenset:
-    current = set(masks)
+def _closure_bits(beta: BooleanFn, bits: int, width: int) -> int:
+    current = set(_from_bits(bits))
     while True:
         fresh = set()
         for tup in itertools.combinations_with_replacement(sorted(current), beta.arity):
@@ -446,12 +467,8 @@ def _closure_masks(beta: BooleanFn, masks: tuple, width: int) -> frozenset:
             if img not in current:
                 fresh.add(img)
         if not fresh:
-            return frozenset(current)
+            return _to_bits(current)
         current |= fresh
-
-
-def _key(mset: ModelSet) -> tuple:
-    return tuple(sorted(mset.masks))
 
 
 def closure(beta: BooleanFn, mset: ModelSet) -> ModelSet:
@@ -460,13 +477,12 @@ def closure(beta: BooleanFn, mset: ModelSet) -> ModelSet:
     Worklist fixpoint over argument tuples; worst case enumerates
     C(|2^U|+k-1, k) tuples, fine at the universe sizes this library targets.
     """
-    masks = _closure_masks(beta, _key(mset), len(mset.universe))
-    return ModelSet(mset.universe, masks)
+    return ModelSet.from_bits(mset.universe, _closure_bits(beta, mset.bits, len(mset.universe)))
 
 
 def is_closed(beta: BooleanFn, mset: ModelSet) -> bool:
     """Single-pass fixpoint test, no closure materialized."""
-    return _closed_witness(beta, _key(mset), len(mset.universe)) is None
+    return _closed_witness(beta, mset.bits, len(mset.universe)) is None
 
 
 def closure_witness(beta: BooleanFn, mset: ModelSet):
@@ -474,7 +490,7 @@ def closure_witness(beta: BooleanFn, mset: ModelSet):
 
     Returns (args, image) as interpretations.
     """
-    hit = _closed_witness(beta, _key(mset), len(mset.universe))
+    hit = _closed_witness(beta, mset.bits, len(mset.universe))
     if hit is None:
         return None
     tup, img = hit
@@ -489,13 +505,8 @@ def closed_model_sets(beta: BooleanFn, universe: Universe, include_empty: bool =
     Cached per (beta, universe); the enumeration walks all 2^(2^|U|) subsets,
     so keep |U| small (the postulate search uses |U| <= 4).
     """
-    _check_enum_size(universe)
-    n_interps = 1 << len(universe)
     width = len(universe)
-    found = []
-    start = 0 if include_empty else 1
-    for code in range(start, 1 << n_interps):
-        masks = tuple(m for m in range(n_interps) if code >> m & 1)
-        if _closed_witness(beta, masks, width) is None:
-            found.append(ModelSet(universe, masks))
-    return tuple(found)
+    return tuple(
+        mset for mset in model_sets(universe, include_empty)
+        if _closed_witness(beta, mset.bits, width) is None
+    )

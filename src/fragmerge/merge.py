@@ -16,10 +16,11 @@ d(w, K) = g(k) because the gauge is nondecreasing.
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import total_ordering
+from functools import reduce, total_ordering
+from operator import and_
 
 from .interp import Interpretation, ModelSet, Universe, UniverseMismatchError
-from .interp import _atom_patterns, _from_bits, _to_bits
+from .interp import _atom_patterns, _from_bits
 
 
 class InconsistentBaseError(ValueError):
@@ -100,7 +101,7 @@ class Profile:
             if b.models.universe != universe:
                 raise UniverseMismatchError("bases over different universes")
         self.bases = bases
-        self._key = (universe, tuple(sorted(tuple(sorted(b.models.masks)) for b in bases)))
+        self._key = (universe, tuple(sorted(b.models.bits for b in bases)))
         self._hash = hash(self._key)
 
     @classmethod
@@ -134,11 +135,8 @@ class Profile:
 
     def common_models(self) -> ModelSet:
         """Intersection of all base model sets (models of the whole profile)."""
-        masks = frozenset.intersection(*(b.models.masks for b in self.bases))
-        return ModelSet(self.universe, masks)
-
-    def equivalent(self, other: "Profile") -> bool:
-        return self == other
+        bits = reduce(and_, (b.models.bits for b in self.bases))
+        return ModelSet.from_bits(self.universe, bits)
 
     def render(self) -> str:
         return "; ".join(b.models.compact() for b in self.bases)
@@ -203,7 +201,7 @@ def dist_base(d: CountingDistance, w: Interpretation, base: Base) -> int:
     if w.universe != base.models.universe:
         raise UniverseMismatchError("interpretation and base over different universes")
     mask = w.mask
-    return min(d.of((mask ^ m).bit_count()) for m in base.models.masks)
+    return min(d.of((mask ^ m).bit_count()) for m in _from_bits(base.models.bits))
 
 
 def _check_merge_inputs(profile: Profile, mu: ModelSet, d: CountingDistance):
@@ -228,10 +226,10 @@ def _distance_rows(profile: Profile, mu: ModelSet, gauge: tuple) -> dict:
     min_m g(|w xor m|) = g(min_m |w xor m|) = gauge[k]: one lookup per hit.
     """
     patterns = _atom_patterns(len(profile.universe))
-    targets = _to_bits(mu.masks)
-    rows = {w: [] for w in sorted(mu.masks)}
+    targets = mu.bits
+    rows = {w: [] for w in _from_bits(targets)}
     for base in profile.bases:
-        ring = _to_bits(base.models.masks)
+        ring = base.models.bits
         left = targets
         for g in gauge:
             hit = ring & left
@@ -257,15 +255,15 @@ def merge(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator) ->
     or descending lists (gmax) are compared, no AggValue is built.
     """
     _check_merge_inputs(profile, mu, d)
-    best, best_masks = None, []
+    best, best_bits = None, 0
     sigma = f is Aggregator.SIGMA
     for w, dists in _distance_rows(profile, mu, d.gauge).items():
         score = sum(dists) if sigma else sorted(dists, reverse=True)
         if best is None or score < best:
-            best, best_masks = score, [w]
+            best, best_bits = score, 1 << w
         elif score == best:
-            best_masks.append(w)
-    return ModelSet(profile.universe, best_masks)
+            best_bits |= 1 << w
+    return ModelSet.from_bits(profile.universe, best_bits)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .formula import HORN, KROM
-from .interp import AND2, MAJ3, Fragment, ModelSet, Universe, closed_model_sets
+from .interp import AND2, MAJ3, Fragment, ModelSet, Universe, closed_model_sets, model_sets
 from .merge import (
     Aggregator,
     Base,
@@ -247,10 +247,7 @@ class SearchSpace:
         if self.fragment is not None:
             sets = closed_model_sets(self.fragment.beta, self.universe)
         else:
-            sets = tuple(
-                ModelSet(self.universe, (m for m in range(1 << self.atoms) if code >> m & 1))
-                for code in range(1, 1 << (1 << self.atoms))
-            )
+            sets = tuple(model_sets(self.universe, include_empty=False))
         if self.max_bases is not None:
             sets = sets[: self.max_bases]
         return sets

@@ -1,13 +1,15 @@
 """Refinements: turning a merge result into one that fits a fragment.
 
-Three concrete refinements are shipped.  Closure-based replaces the result
-by its closure; lex-based keeps a closed result and otherwise collapses to
-the minimal model under a fixed total order; lex/closure-based picks the
-lex branch exactly when the result misses every base of the profile, which
-keeps the refinement fair.  Arbitrary refinements are expressed as mappings
-f(M, X) subject to four properties (closed output, output within the
-closure of M, identity on closed M, non-emptiness), validated here both
-per-call and by exhaustive enumeration on small universes.
+Every refinement is a mapping f(M, X), as in the paper's definition: a
+callable from the merged model set M and the profile's model sets X to a
+model set closed under the refinement's Boolean function `beta`.  Three are
+shipped.  Closure-based replaces M by its closure; lex-based keeps a closed
+M and otherwise collapses to the minimal model under a fixed total order;
+lex/closure-based takes the lex branch exactly when M misses every base of
+X, which keeps the refinement fair.  A user mapping, `BetaMapping`, must
+satisfy four properties (closed output, output within the closure of M,
+identity on closed M, non-emptiness); they are checked on every call and,
+for any refinement, by exhaustive enumeration on small universes.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from .interp import (
     UniverseMismatchError,
     closure,
     is_closed,
+    model_sets,
 )
 from .merge import Profile
 
@@ -41,46 +44,38 @@ class LexOrder:
     the rest follow by ascending value.
     """
 
-    __slots__ = ("universe", "first", "_rank")
+    __slots__ = ("universe", "first")
 
     def __init__(self, universe: Universe, first=()):
         self.universe = universe
         self.first = tuple(first)
-        rank = {}
+        seen = set()
         for w in self.first:
             if w.universe != universe:
                 raise ValueError("order entries must share the universe")
-            if w.mask in rank:
+            if w.mask in seen:
                 raise ValueError(f"duplicate entry {w} in order")
-            rank[w.mask] = len(rank)
-        self._rank = rank
+            seen.add(w.mask)
 
     @classmethod
     def default(cls, universe: Universe) -> "LexOrder":
         return cls(universe)
 
-    def key(self, mask: int):
-        pos = self._rank.get(mask)
-        return (0, pos) if pos is not None else (1, mask)
-
     def minimum(self, mset: ModelSet) -> Interpretation:
-        if not mset:
+        if mset.universe != self.universe:
+            raise UniverseMismatchError("model set and order over different universes")
+        bits = mset.bits
+        if not bits:
             raise ValueError("empty model set has no minimum")
-        return Interpretation(self.universe, min(mset.masks, key=self.key))
+        for w in self.first:
+            if bits >> w.mask & 1:
+                return w
+        return Interpretation(self.universe, (bits & -bits).bit_length() - 1)
 
     def __repr__(self):
         if not self.first:
             return "LexOrder(ascending)"
         return f"LexOrder({', '.join(str(w) for w in self.first)}, then ascending)"
-
-
-@dataclass(frozen=True)
-class BetaMapping:
-    """Refinement kernel f(M, X) for a fixed Boolean function."""
-
-    beta: BooleanFn
-    fn: object = field(compare=False)
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -90,6 +85,9 @@ class ClosureRefinement:
     @property
     def label(self):
         return f"closure({self.beta})"
+
+    def __call__(self, mset: ModelSet, profile_models) -> ModelSet:
+        return closure(self.beta, mset)
 
 
 @dataclass(frozen=True)
@@ -101,42 +99,62 @@ class LexRefinement:
     def label(self):
         return f"lex({self.beta})"
 
+    def __call__(self, mset: ModelSet, profile_models) -> ModelSet:
+        if is_closed(self.beta, mset):
+            return mset
+        order = self.order or LexOrder.default(mset.universe)
+        return ModelSet.of(order.minimum(mset))
+
 
 @dataclass(frozen=True)
-class LexClosureRefinement:
-    beta: BooleanFn
-    order: LexOrder = None
-
+class LexClosureRefinement(LexRefinement):
     @property
     def label(self):
         return f"lex-closure({self.beta})"
 
+    def __call__(self, mset: ModelSet, profile_models) -> ModelSet:
+        if any(mset.intersects(models) for models in profile_models):
+            return closure(self.beta, mset)
+        return super().__call__(mset, profile_models)
+
 
 @dataclass(frozen=True)
-class MappingRefinement:
-    mapping: BetaMapping
+class BetaMapping:
+    """User refinement f(M, X) for a fixed Boolean function, checked against
+    the four mapping properties on every call."""
+
+    beta: BooleanFn
+    fn: object = field(compare=False)
+    name: str = ""
 
     @property
     def label(self):
-        return f"mapping({self.mapping.name or self.mapping.beta})"
+        return f"mapping({self.name or self.beta})"
+
+    def __call__(self, mset: ModelSet, profile_models) -> ModelSet:
+        out = self.fn(mset, profile_models)
+        hit = _mapping_violation(self.beta, mset, out)
+        if hit:
+            prop, msg = hit
+            raise MappingViolationError(
+                f"mapping {self.name or self.beta} violates {prop}: {msg}",
+                prop,
+                mset,
+                profile_models,
+            )
+        return out
 
 
 def cardintersection(mset: ModelSet, profile: Profile) -> int:
     """Number of profile bases whose models meet `mset`."""
     if mset.universe != profile.universe:
         raise UniverseMismatchError("model set and profile over different universes")
-    return sum(1 for b in profile.bases if not mset.masks.isdisjoint(b.models.masks))
-
-
-def _lex_branch(kind, mset: ModelSet) -> ModelSet:
-    if is_closed(kind.beta, mset):
-        return mset
-    order = kind.order or LexOrder.default(mset.universe)
-    return ModelSet.of(order.minimum(mset))
+    bits = mset.bits
+    return sum(1 for b in profile.bases if bits & b.models.bits)
 
 
 def refine(kind, delta_out: ModelSet, profile: Profile, mu: ModelSet) -> ModelSet:
-    """Apply a refinement to an unrefined merge output.
+    """Apply a refinement f(M, X) to an unrefined merge output.
 
     `delta_out` must be contained in the constraint it was computed under;
     the output is always closed under the refinement's function and is empty
@@ -144,19 +162,7 @@ def refine(kind, delta_out: ModelSet, profile: Profile, mu: ModelSet) -> ModelSe
     """
     if not delta_out.issubset(mu):
         raise ValueError("merge output must be contained in the constraint")
-    if isinstance(kind, ClosureRefinement):
-        return closure(kind.beta, delta_out)
-    if isinstance(kind, LexRefinement):
-        return _lex_branch(kind, delta_out)
-    if isinstance(kind, LexClosureRefinement):
-        if cardintersection(delta_out, profile) == 0:
-            return _lex_branch(kind, delta_out)
-        return closure(kind.beta, delta_out)
-    if isinstance(kind, MappingRefinement):
-        out = kind.mapping.fn(delta_out, profile.mmod())
-        _check_mapping_output(kind.mapping, delta_out, profile.mmod(), out, strict=True)
-        return out
-    raise TypeError(f"unknown refinement kind: {kind!r}")
+    return kind(delta_out, profile.mmod())
 
 
 # The four mapping properties, by name.
@@ -168,8 +174,7 @@ MAPPING_PROPERTIES = (
 )
 
 
-def _mapping_violation(mapping, mset, profile_models, out):
-    beta = mapping.beta
+def _mapping_violation(beta, mset, out):
     if not is_closed(beta, out):
         return "closed_output", f"output {out!r} is not closed under {beta}"
     if not out.issubset(closure(beta, mset)):
@@ -179,39 +184,6 @@ def _mapping_violation(mapping, mset, profile_models, out):
     if mset and not out:
         return "preserves_nonempty", f"non-empty input {mset!r} mapped to the empty set"
     return None
-
-
-def _check_mapping_output(mapping, mset, profile_models, out, strict=False):
-    hit = _mapping_violation(mapping, mset, profile_models, out)
-    if hit and strict:
-        prop, msg = hit
-        raise MappingViolationError(
-            f"mapping {mapping.name or mapping.beta} violates {prop}: {msg}",
-            prop,
-            mset,
-            profile_models,
-        )
-    return hit
-
-
-def closure_mapping(beta: BooleanFn) -> BetaMapping:
-    return BetaMapping(beta, lambda mset, _x: closure(beta, mset), "closure")
-
-
-def lex_mapping(beta: BooleanFn, order: LexOrder = None) -> BetaMapping:
-    kind = LexRefinement(beta, order)
-    return BetaMapping(beta, lambda mset, _x: _lex_branch(kind, mset), "lex")
-
-
-def lex_closure_mapping(beta: BooleanFn, order: LexOrder = None) -> BetaMapping:
-    kind = LexRefinement(beta, order)
-
-    def fn(mset, profile_models):
-        if all(mset.masks.isdisjoint(m.masks) for m in profile_models):
-            return _lex_branch(kind, mset)
-        return closure(beta, mset)
-
-    return BetaMapping(beta, fn, "lex-closure")
 
 
 @dataclass
@@ -236,31 +208,27 @@ class MappingReport:
         return "\n".join(lines)
 
 
-def _all_subsets(universe: Universe, include_empty=True):
-    n_interps = 1 << len(universe)
-    start = 0 if include_empty else 1
-    for code in range(start, 1 << n_interps):
-        yield ModelSet(universe, (m for m in range(n_interps) if code >> m & 1))
-
-
 def _multisets(items, max_size):
     for size in range(1, max_size + 1):
         yield from itertools.combinations_with_replacement(items, size)
 
 
-def validate_mapping(mapping: BetaMapping, universe: Universe, max_profile_size: int = 2) -> MappingReport:
-    """Check the four mapping properties on every (M, X) pair of the bounded
-    space: all model sets M over `universe`, all multisets X of at most
-    `max_profile_size` non-empty model sets.  Intended for small universes.
+def validate_mapping(mapping, universe: Universe, max_profile_size: int = 2) -> MappingReport:
+    """Check the four mapping properties of a refinement f(M, X) on every
+    (M, X) pair of the bounded space: all model sets M over `universe`, all
+    multisets X of at most `max_profile_size` non-empty model sets.
+    Intended for small universes.
     """
     report = MappingReport()
-    all_sets = tuple(_all_subsets(universe))
+    all_sets = tuple(model_sets(universe))
     nonempty = tuple(s for s in all_sets if s)
     for mset in all_sets:
         for x in _multisets(nonempty, max_profile_size):
-            out = mapping.fn(mset, x)
             report.checked += 1
-            hit = _mapping_violation(mapping, mset, x, out)
+            try:
+                hit = _mapping_violation(mapping.beta, mset, mapping(mset, x))
+            except MappingViolationError as exc:
+                hit = exc.prop, str(exc)
             if hit:
                 prop, msg = hit
                 report.violations.setdefault(prop, (mset, x, msg))

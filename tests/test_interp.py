@@ -20,7 +20,6 @@ from fragmerge import (
     closure,
     closure_witness,
     is_closed,
-    validate_boolean_fn,
 )
 from fragmerge.interp import _atom_patterns, _from_bits, _to_bits
 from helpers import U2, U3, all_model_sets, brute_force_closure, ms
@@ -71,27 +70,27 @@ class TestInterpretation:
 
 class TestBooleanFnValidation:
     def test_and_is_valid(self):
-        fn = validate_boolean_fn((0, 0, 0, 1), 2)
+        fn = BooleanFn(2, (0, 0, 0, 1))
         assert fn(0, 1) == 0 and fn(1, 1) == 1
 
     def test_maj3_matches_two_of_three(self):
-        fn = validate_boolean_fn((0, 0, 0, 1, 0, 1, 1, 1), 3, "maj3")
+        fn = BooleanFn(3, (0, 0, 0, 1, 0, 1, 1, 1), "maj3")
         for bits in itertools.product((0, 1), repeat=3):
             assert fn(*bits) == (1 if sum(bits) >= 2 else 0)
 
     def test_xnor_rejected_not_reproducing(self):
         # all-zeros input maps to 1
         with pytest.raises(NotReproducingError):
-            validate_boolean_fn((1, 0, 0, 1), 2)
+            BooleanFn(2, (1, 0, 0, 1))
 
     def test_projection_rejected_not_symmetric(self):
         with pytest.raises(NotSymmetricError) as exc:
-            validate_boolean_fn((0, 1, 0, 1), 2)
+            BooleanFn(2, (0, 1, 0, 1))
         assert exc.value.witness is not None
 
     def test_wrong_table_length(self):
         with pytest.raises(ValueError):
-            validate_boolean_fn((0, 1), 2)
+            BooleanFn(2, (0, 1))
 
 
 class TestApplyPointwise:
@@ -281,3 +280,56 @@ class TestModelSetBasics:
     def test_full_and_empty(self):
         assert len(ModelSet.full(U2)) == 4
         assert not ModelSet.empty(U2)
+
+
+def assert_matches_reference(universe, left, ref_left, right, ref_right):
+    """`left`/`right` against frozensets of masks `ref_left`/`ref_right`."""
+    for mset, ref in ((left, ref_left), (right, ref_right)):
+        ordered = sorted(ref)
+        assert len(mset) == len(ref) and bool(mset) == bool(ref)
+        assert mset.masks == tuple(ordered)
+        assert mset.members == tuple(universe.from_mask(m) for m in ordered)
+        texts = [str(universe.from_mask(m)) for m in ordered]
+        assert mset.render() == ", ".join(texts) and mset.compact() == "|".join(texts)
+        for m in range(-1, (1 << len(universe)) + 1):
+            assert (m in mset) == (m in ref)
+        for m in universe.all_masks():
+            assert (universe.from_mask(m) in mset) == (m in ref)
+    assert (left & right).masks == tuple(sorted(ref_left & ref_right))
+    assert (left | right).masks == tuple(sorted(ref_left | ref_right))
+    assert (left - right).masks == tuple(sorted(ref_left - ref_right))
+    assert left.issubset(right) == (ref_left <= ref_right)
+    assert left.intersects(right) == (not ref_left.isdisjoint(ref_right))
+    assert (left == right) == (ref_left == ref_right)
+    if ref_left == ref_right:
+        assert hash(left) == hash(right)
+
+
+class TestModelSetAgainstFrozenset:
+    def test_every_pair_of_two_atom_sets(self):
+        refs = [frozenset(m for m in range(4) if code >> m & 1) for code in range(16)]
+        sets = list(all_model_sets(U2))
+        for left, ref_left in zip(sets, refs):
+            for right, ref_right in zip(sets, refs):
+                assert_matches_reference(U2, left, ref_left, right, ref_right)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 8))
+    def test_random_sets_up_to_eight_atoms(self, data, n):
+        universe = Universe("abcdefgh"[:n])
+        masks = st.frozensets(st.integers(0, (1 << n) - 1), max_size=80)
+        ref_left, ref_right = data.draw(masks), data.draw(masks)
+        left, right = ModelSet(universe, ref_left), ModelSet(universe, ref_right)
+        assert ModelSet.from_bits(universe, sum(1 << m for m in ref_left)) == left
+        assert_matches_reference(universe, left, ref_left, right, ref_right)
+
+    def test_out_of_range_masks_and_bits(self):
+        with pytest.raises(ValueError):
+            ModelSet(U2, [4])
+        with pytest.raises(ValueError):
+            ModelSet(U2, [0, -1])
+        with pytest.raises(ValueError):
+            ModelSet.from_bits(U2, 1 << 4)
+        with pytest.raises(ValueError):
+            ModelSet.from_bits(U2, -1)
+        assert ModelSet.from_bits(U2, (1 << 4) - 1) == ModelSet.full(U2)

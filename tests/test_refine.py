@@ -12,7 +12,6 @@ from fragmerge import (
     LexClosureRefinement,
     LexOrder,
     LexRefinement,
-    MappingRefinement,
     MappingViolationError,
     MergeOperator,
     ModelSet,
@@ -24,11 +23,8 @@ from fragmerge import (
     check_refinement_properties,
     closed_model_sets,
     closure,
-    closure_mapping,
     is_closed,
     is_fair,
-    lex_closure_mapping,
-    lex_mapping,
     refine,
     validate_mapping,
 )
@@ -64,6 +60,10 @@ class TestLexOrder:
     def test_empty_set_has_no_minimum(self):
         with pytest.raises(ValueError):
             LexOrder.default(U2).minimum(ModelSet(U2))
+
+    def test_minimum_rejects_another_universe(self):
+        with pytest.raises(UniverseMismatchError):
+            LexOrder(U3).minimum(ms(U2, "a", "b"))
 
 
 class TestCardintersection:
@@ -156,6 +156,12 @@ class TestRefine:
             if not is_closed(AND2, mset):
                 assert len(refine(LexRefinement(AND2), mset, e, mu)) == 1
 
+    def test_lex_order_over_another_universe(self):
+        e, mu = example_instance()
+        kind = LexRefinement(AND2, LexOrder(U3))
+        with pytest.raises(UniverseMismatchError):
+            refine(kind, SIG2(e, mu), e, mu)
+
     def test_containment_precondition(self):
         e, mu = example_instance()
         with pytest.raises(ValueError):
@@ -170,12 +176,12 @@ class TestRefine:
 class TestMappings:
     def test_closure_mapping_is_valid(self):
         for beta in (AND2, MAJ3):
-            report = validate_mapping(closure_mapping(beta), U2)
+            report = validate_mapping(ClosureRefinement(beta), U2)
             assert report.ok, report.render()
 
     def test_lex_and_lex_closure_mappings_are_valid(self):
-        assert validate_mapping(lex_mapping(AND2), U2).ok
-        assert validate_mapping(lex_closure_mapping(AND2), U2).ok
+        assert validate_mapping(LexRefinement(AND2), U2).ok
+        assert validate_mapping(LexClosureRefinement(AND2), U2).ok
 
     def test_constant_empty_mapping_violates_nonemptiness(self):
         bad = BetaMapping(AND2, lambda mset, x: ModelSet(mset.universe), "empty")
@@ -191,12 +197,13 @@ class TestMappings:
 
     def test_mapping_refinement_applies_the_function(self):
         e, mu = example_instance()
-        op = MappingRefinement(closure_mapping(AND2))
+        op = BetaMapping(AND2, lambda mset, x: closure(AND2, mset), "closure")
+        assert op.label == "mapping(closure)"
         assert refine(op, SIG2(e, mu), e, mu) == ms(U2, "", "a", "b")
 
     def test_violating_mapping_raises_on_use(self):
         e, mu = example_instance()
-        bad = MappingRefinement(BetaMapping(AND2, lambda mset, x: mset, "identity"))
+        bad = BetaMapping(AND2, lambda mset, x: mset, "identity")
         with pytest.raises(MappingViolationError) as exc:
             refine(bad, SIG2(e, mu), e, mu)
         assert exc.value.prop == "closed_output"
