@@ -16,6 +16,7 @@ also for a space in which the selected postulates have no instances.
 """
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -457,9 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first `main` call, not at import, and reused after.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -30,6 +30,7 @@ from .interp import (
     Universe,
     _atom_patterns,
     _check_enum_size,
+    _literal_falsifiers,
     closure_witness,
 )
 
@@ -446,26 +447,62 @@ HORN = Fragment("horn", AND2, is_horn_clause)
 KROM = Fragment("krom", MAJ3, is_krom_clause)
 
 
+def _clause_shapes(n: int, full: int, max_positive: int):
+    # (literals, falsifier) of every non-tautological clause over n atoms
+    # with at most `max_positive` positive literals, the empty clause
+    # included: each atom is absent, negative, or positive while positives
+    # remain.  Walked depth first, so the stack holds O(n) partial clauses.
+    literals = _literal_falsifiers(n)
+    stack = [((), full, 0, max_positive)]
+    while stack:
+        lits, falsifier, i, positives = stack.pop()
+        if i == n:
+            yield lits, falsifier
+            continue
+        (pos, pos_falsifier), (neg, neg_falsifier) = literals[2 * i:2 * i + 2]
+        stack.append((lits, falsifier, i + 1, positives))
+        stack.append((lits + (neg,), falsifier & neg_falsifier, i + 1, positives))
+        if positives:
+            stack.append((lits + (pos,), falsifier & pos_falsifier, i + 1, positives - 1))
+
+
+def _krom_clauses(n: int, full: int):
+    # (literals, falsifier) of every clause of at most two literals over n
+    # atoms, the empty clause included; a clause's falsifier is the AND of
+    # its literals' falsifiers.
+    yield (), full
+    literals = _literal_falsifiers(n)
+    for k, (lit, falsifier) in enumerate(literals):
+        yield (lit,), falsifier
+        for other, other_falsifier in literals[k + 1:]:
+            if other[0] != lit[0]:
+                yield (lit, other), falsifier & other_falsifier
+
+
 def _clause_pool(universe: Universe, predicate, target: int, full: int):
     # Yields ((size, text), truth table, clause) for every fragment clause
     # that all models in `target` satisfy; `text` equals str(clause), so the
-    # sort keys are unique.  Each atom is positive, negative or absent, so no
-    # clause is tautological; the empty clause has table 0 and fails the
-    # subset test for non-empty targets.
-    choices = []
-    for name, pos in zip(universe.atoms, _atom_patterns(len(universe))):
-        choices.append((((), 0), ((name, True), pos), ((name, False), full ^ pos)))
-    for shape in itertools.product(*choices):
-        bits = 0
-        for _, lit_bits in shape:
-            bits |= lit_bits
-        if target & ~bits:
+    # sort keys are unique.  A clause holds in `target` when `target` misses
+    # its falsifier.  Krom candidates are the 2n^2+1 clauses of at most two
+    # literals, Horn candidates the (n+2)*2^(n-1) shapes with at most one
+    # positive literal; any other predicate sees all 3^n shapes.  The empty
+    # clause (falsifier `full`) fails for non-empty targets.
+    n = len(universe)
+    if predicate is is_krom_clause:
+        shapes = _krom_clauses(n, full)
+    elif predicate is is_horn_clause:
+        shapes = _clause_shapes(n, full, 1)
+    else:
+        shapes = _clause_shapes(n, full, n)
+    atoms = universe.atoms
+    for lits, falsifier in shapes:
+        if target & falsifier:
             continue
-        lits = [lit for lit, _ in shape if lit]
-        clause = Clause(frozenset(lits))
+        named = sorted((atoms[i], pos) for i, pos in lits)
+        clause = Clause(frozenset(named))
         if predicate(clause):
-            text = " | ".join(name if pos else f"!{name}" for name, pos in sorted(lits))
-            yield (len(lits), text), bits, clause
+            text = " | ".join(name if pos else f"!{name}" for name, pos in named)
+            yield (len(named), text), full ^ falsifier, clause
 
 
 def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Formula:

@@ -8,7 +8,12 @@ integer order of interpretations is {} < {a} < {b} < {a,b}.
 A model set can be closed under a symmetric, 0/1-reproducing Boolean function
 (binary AND gives the Horn fragment, ternary majority gives Krom).  The
 closure operators here are the semantic backbone for fragment membership
-tests and for refining merge results into a fragment.
+tests and for refining merge results into a fragment.  The closure under
+majority is read off a clause theory: it is the set of models of every
+clause of at most two literals that the model set satisfies (Selman and
+Kautz's Krom LUB), found with O(|U|^2) truth-table operations.  The closure
+under AND is built member by member; any other function runs a semi-naive
+fixpoint.
 """
 
 import itertools
@@ -168,6 +173,18 @@ def _atom_patterns(n: int) -> tuple:
             period <<= 1
         patterns.append(pat)
     return tuple(patterns)
+
+
+@lru_cache(maxsize=None)
+def _literal_falsifiers(n: int) -> tuple:
+    """(literal, falsifier) of the 2n literals a, !a, b, !b, ... over n
+    atoms.  A literal is (atom index, positive?); its falsifier is the truth
+    table of the interpretations where it is false."""
+    full = (1 << (1 << n)) - 1
+    return tuple(
+        lit for i, pat in enumerate(_atom_patterns(n))
+        for lit in (((i, True), full ^ pat), ((i, False), pat))
+    )
 
 
 class Interpretation:
@@ -446,43 +463,118 @@ def apply_pointwise(beta: BooleanFn, args) -> Interpretation:
     return Interpretation(universe, mask)
 
 
-@lru_cache(maxsize=None)
-def _closed_witness(beta: BooleanFn, bits: int, width: int):
-    # Tuples may be drawn with repetition; since beta is symmetric, checking
-    # one ordering per multiset of arguments suffices.
-    for tup in itertools.combinations_with_replacement(_from_bits(bits), beta.arity):
-        img = _apply_masks(beta, tup, width)
-        if not bits >> img & 1:
-            return tup, img
-    return None
+def _and_closure(bits: int) -> int:
+    # Intersection closure, one member at a time.  The set found so far is
+    # closed after each step, so a member already in it adds nothing.
+    found = set()
+    for m in _from_bits(bits):
+        if m not in found:
+            found |= {m & c for c in found}
+            found.add(m)
+    return _to_bits(found)
+
+
+def _maj3_closure(bits: int, width: int) -> int:
+    # Models of every clause of at most two literals that all of `bits`
+    # satisfies (the Krom LUB): the interpretations no such clause excludes.
+    # A clause holds when `bits` misses the AND of its literals'
+    # falsifiers.  Once a unit clause holds, its two-literal clauses exclude
+    # nothing more; a literal paired with its own negation excludes nothing.
+    # For the empty set every unit clause holds and nothing is left.
+    literals = _literal_falsifiers(width)
+    excluded = 0
+    for k, (_, falsifier) in enumerate(literals):
+        rest = bits & falsifier
+        if not rest:
+            excluded |= falsifier
+            continue
+        for _, other in literals[k + 1:]:
+            if not rest & other:
+                excluded |= falsifier & other
+    return ((1 << (1 << width)) - 1) ^ excluded
+
+
+def _fixpoint(beta: BooleanFn, bits: int, width: int) -> int:
+    # Semi-naive: each round applies beta only to argument multisets with at
+    # least one element the previous round added; a multiset drawn from
+    # older elements alone was tried in an earlier round.  Each multiset is
+    # split into its new part (t >= 1 elements) and its old part.
+    done, added = [], _from_bits(bits)
+    known = set(added)
+    while added:
+        fresh = set()
+        for t in range(1, beta.arity + 1):
+            for new in itertools.combinations_with_replacement(added, t):
+                for old in itertools.combinations_with_replacement(done, beta.arity - t):
+                    img = _apply_masks(beta, new + old, width)
+                    if img not in known:
+                        fresh.add(img)
+        done += added
+        known |= fresh
+        added = sorted(fresh)
+    return _to_bits(known)
+
+
+# Image of an argument tuple under each builtin function, as one int
+# expression over whole masks.  Keys compare by truth table.
+_IMAGES = {
+    AND2: lambda a, b: a & b,
+    MAJ3: lambda a, b, c: a & b | c & (a | b),
+}
 
 
 @lru_cache(maxsize=None)
 def _closure_bits(beta: BooleanFn, bits: int, width: int) -> int:
-    current = set(_from_bits(bits))
-    while True:
-        fresh = set()
-        for tup in itertools.combinations_with_replacement(sorted(current), beta.arity):
-            img = _apply_masks(beta, tup, width)
-            if img not in current:
-                fresh.add(img)
-        if not fresh:
-            return _to_bits(current)
-        current |= fresh
+    if beta == AND2:
+        return _and_closure(bits)
+    if beta == MAJ3:
+        return _maj3_closure(bits, width)
+    return _fixpoint(beta, bits, width)
+
+
+def _is_closed(beta: BooleanFn, bits: int, width: int) -> bool:
+    if beta in _IMAGES:
+        return _closure_bits(beta, bits, width) == bits
+    return _closed_witness(beta, bits, width) is None
+
+
+@lru_cache(maxsize=None)
+def _closed_witness(beta: BooleanFn, bits: int, width: int):
+    # First argument tuple whose image escapes `bits`, scanning one ordering
+    # per multiset (beta is symmetric) in combinations_with_replacement
+    # order of the ascending members.  A builtin function's closure decides
+    # closedness first, so the scan runs only when a witness exists.
+    image = _IMAGES.get(beta)
+    if image is None:
+        def image(*tup):
+            return _apply_masks(beta, tup, width)
+    elif _closure_bits(beta, bits, width) == bits:
+        return None
+    masks = _from_bits(bits)
+    members = set(masks)
+    for tup in itertools.combinations_with_replacement(masks, beta.arity):
+        img = image(*tup)
+        if img not in members:
+            return tup, img
+    return None
 
 
 def closure(beta: BooleanFn, mset: ModelSet) -> ModelSet:
     """Least superset of `mset` closed under coordinate-wise `beta`.
 
-    Worklist fixpoint over argument tuples; worst case enumerates
-    C(|2^U|+k-1, k) tuples, fine at the universe sizes this library targets.
+    For AND (Horn) the intersection closure, built member by member in
+    O(|M| * |closure|); for ternary majority (Krom) the models of every
+    clause of at most two literals that `mset` satisfies, O(|U|^2) bitset
+    operations.  Any other function runs a semi-naive fixpoint over
+    argument multisets.
     """
     return ModelSet.from_bits(mset.universe, _closure_bits(beta, mset.bits, len(mset.universe)))
 
 
 def is_closed(beta: BooleanFn, mset: ModelSet) -> bool:
-    """Single-pass fixpoint test, no closure materialized."""
-    return _closed_witness(beta, mset.bits, len(mset.universe)) is None
+    """Whether `mset` is closed under `beta`: closure equality for the
+    builtin functions, a witness scan for any other."""
+    return _is_closed(beta, mset.bits, len(mset.universe))
 
 
 def closure_witness(beta: BooleanFn, mset: ModelSet):
@@ -508,5 +600,5 @@ def closed_model_sets(beta: BooleanFn, universe: Universe, include_empty: bool =
     width = len(universe)
     return tuple(
         mset for mset in model_sets(universe, include_empty)
-        if _closed_witness(beta, mset.bits, width) is None
+        if _is_closed(beta, mset.bits, width)
     )

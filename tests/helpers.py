@@ -62,6 +62,67 @@ def _index_of_weight(arity, ones):
     return (1 << ones) - 1
 
 
+def _image(beta, tup, width):
+    # Coordinate-wise beta, one bit at a time.
+    img = 0
+    for i in range(width):
+        if beta.by_weight[sum(m >> i & 1 for m in tup)]:
+            img |= 1 << i
+    return img
+
+
+def slow_closure(beta, mset):
+    """Oracle: the plain worklist fixpoint; every round applies beta to every
+    multiset of the elements found so far."""
+    width = len(mset.universe)
+    current = set(mset.masks)
+    while True:
+        fresh = set()
+        for tup in itertools.combinations_with_replacement(sorted(current), beta.arity):
+            img = _image(beta, tup, width)
+            if img not in current:
+                fresh.add(img)
+        if not fresh:
+            return ModelSet(mset.universe, current)
+        current |= fresh
+
+
+def slow_closed_witness(beta, mset):
+    """Oracle for `closure_witness`: the first argument multiset, in
+    combinations_with_replacement order of the ascending members, whose
+    image escapes `mset`, as (args, image) interpretations; None if closed."""
+    width = len(mset.universe)
+    members = set(mset.masks)
+    for tup in itertools.combinations_with_replacement(mset.masks, beta.arity):
+        img = _image(beta, tup, width)
+        if img not in members:
+            u = mset.universe
+            return tuple(u.from_mask(m) for m in tup), u.from_mask(img)
+    return None
+
+
+def slow_clause_pool(universe, predicate, target, full):
+    """Oracle for `formula._clause_pool`: every one of the 3^n clause shapes
+    (each atom absent, positive or negative), its truth table built from
+    per-interpretation literal tables."""
+    n = len(universe)
+    choices = []
+    for i, name in enumerate(universe.atoms):
+        pos = sum(1 << m for m in range(1 << n) if m >> i & 1)
+        choices.append((((), 0), ((name, True), pos), ((name, False), full ^ pos)))
+    for shape in itertools.product(*choices):
+        bits = 0
+        for _, lit_bits in shape:
+            bits |= lit_bits
+        if target & ~bits:
+            continue
+        lits = [lit for lit, _ in shape if lit]
+        clause = Clause(frozenset(lits))
+        if predicate(clause):
+            text = " | ".join(name if pos else f"!{name}" for name, pos in sorted(lits))
+            yield (len(lits), text), bits, clause
+
+
 def slow_score_rows(profile, mu, d, f):
     """(mask, per-base distances, aggregate) for each constraint model in
     ascending mask order; each distance is a minimum over every

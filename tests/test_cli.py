@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from fragmerge import Universe, models, parse
+from fragmerge import MAJ3, Universe, classify, is_closed, models, parse
 from fragmerge.cli import main, parse_problem_file
 from fragmerge.merge import InconsistentBaseError
 
@@ -206,6 +208,32 @@ class TestMergeCommand:
     def test_short_distance_table_is_rejected(self, capsys, example1):
         code, _, err = run(capsys, "merge", example1, "--distance", "table:1")
         assert code == 2
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestKromMergeAboveTenAtoms:
+    """12- and 16-atom Krom merges, each refined set closed under majority
+    and pinned exactly by the printed formula."""
+
+    @pytest.mark.parametrize("name", ["krom12.txt", "krom16.txt"])
+    @pytest.mark.parametrize("refinement", ["closure", "lex-closure"])
+    @pytest.mark.parametrize("distance", ["hamming", "drastic"])
+    def test_refined_set_is_closed_and_expressed(self, capsys, name, refinement, distance):
+        code, out, _ = run(
+            capsys, "merge", str(DATA / name), "--fragment", "krom", "--refinement", refinement,
+            "--distance", distance, "--format", "machine",
+        )
+        assert code == 0
+        records = dict(line.split("\t", 1) for line in out.splitlines())
+        u = Universe(records["universe"].split())
+        phi = parse(records["formula"], u)
+        refined = models(phi, u)
+        assert refined.compact() == records["refined"]
+        # A 2-CNF's model set is closed under majority.
+        assert classify(phi).krom and records["formula-class"] in ("krom", "both")
+        assert is_closed(MAJ3, refined)
 
 
 class TestCheckCommand:

@@ -27,8 +27,8 @@ from fragmerge import (
     synthesize,
     to_text,
 )
-from fragmerge.formula import And, Atom, Const, Iff, Implies, Not, Or, TOP, BOTTOM
-from helpers import U2, U3, fragment_clauses, ms, slow_synthesize
+from fragmerge.formula import And, Atom, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool
+from helpers import U2, U3, fragment_clauses, ms, slow_clause_pool, slow_synthesize
 
 
 def eval_formula(phi, assignment):
@@ -287,6 +287,48 @@ class TestSynthesize:
         assert len(classify(phi).clauses) == 1192
         assert models(phi, u) == target
         assert models(parse(to_text(phi), u), u) == target
+
+
+class TestClausePoolAgainstFullScan:
+    """The Krom pool from the clauses of at most two literals, the Horn pool
+    from the shapes with at most one positive literal, and the walk over
+    all shapes that any other predicate gets, against the 3^n scan: equal
+    key for key and table for table."""
+
+    @staticmethod
+    def pools(universe, predicate, bits):
+        full = (1 << (1 << len(universe))) - 1
+        fast = sorted(_clause_pool(universe, predicate, bits, full))
+        return fast, sorted(slow_clause_pool(universe, predicate, bits, full))
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM])
+    def test_every_closed_set_up_to_three_atoms(self, fragment):
+        for atoms in ("a", "ba", "cab"):
+            universe = Universe(atoms)
+            for mset in closed_model_sets(fragment.beta, universe, include_empty=True):
+                fast, slow = self.pools(universe, fragment.clause_predicate, mset.bits)
+                assert fast == slow
+
+    def test_other_predicate_sees_every_shape(self):
+        def at_most_one_negative(clause):
+            return sum(1 for _, pos in clause.literals if not pos) <= 1
+
+        for mset in list(closed_model_sets(AND2, Universe("cab"), include_empty=True))[::7]:
+            fast, slow = self.pools(mset.universe, at_most_one_negative, mset.bits)
+            assert fast == slow
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        fragment=st.sampled_from([HORN, KROM]),
+    )
+    def test_random_closed_sets_four_to_six_atoms(self, data, fragment):
+        n = data.draw(st.integers(4, 6))
+        universe = Universe(data.draw(st.permutations("abcdef"[:n])))
+        masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+        mset = closure(fragment.beta, ModelSet(universe, masks))
+        fast, slow = self.pools(universe, fragment.clause_predicate, mset.bits)
+        assert fast == slow
 
 
 def _conjoin_clauses(clauses):

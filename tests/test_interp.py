@@ -22,10 +22,21 @@ from fragmerge import (
     is_closed,
 )
 from fragmerge.interp import _atom_patterns, _from_bits, _to_bits
-from helpers import U2, U3, all_model_sets, brute_force_closure, ms
+from helpers import (
+    U2,
+    U3,
+    all_model_sets,
+    brute_force_closure,
+    ms,
+    slow_closed_witness,
+    slow_closure,
+)
 
 OR2 = BooleanFn(2, (0, 1, 1, 1), "or")
 XOR3 = BooleanFn(3, (0, 1, 1, 0, 1, 0, 0, 1), "xor3")
+AT_LEAST_2_OF_4 = BooleanFn(4, tuple(int(i.bit_count() >= 2) for i in range(16)), "atleast2of4")
+# The builtin functions, and three that run the semi-naive fixpoint.
+ORACLE_FNS = [AND2, MAJ3, OR2, AT_LEAST_2_OF_4, XOR3]
 
 
 class TestUniverse:
@@ -208,6 +219,48 @@ class TestIsClosed:
             assert is_closed(beta, mset) == (closure(beta, mset) == mset)
 
 
+class TestClosureAgainstSlowOracles:
+    """The clause-theory closures of AND2 and MAJ3, the semi-naive fixpoint
+    of other functions, and the closure-first witness scan against the plain
+    fixpoint and full scan in tests/helpers and against brute force."""
+
+    @pytest.mark.parametrize("beta", ORACLE_FNS, ids=str)
+    @pytest.mark.parametrize("atoms", ["a", "ba", "cab"])
+    def test_every_set_up_to_three_atoms(self, beta, atoms):
+        universe = Universe(atoms)
+        for mset in all_model_sets(universe):
+            closed = closure(beta, mset)
+            assert closed == slow_closure(beta, mset) == brute_force_closure(beta, mset)
+            witness = closure_witness(beta, mset)
+            assert witness == slow_closed_witness(beta, mset)
+            assert is_closed(beta, mset) == (witness is None) == (closed == mset)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), beta=st.sampled_from(ORACLE_FNS))
+    def test_random_sets_four_to_eight_atoms(self, data, beta):
+        n = data.draw(st.integers(4, 8))
+        universe = Universe(data.draw(st.permutations("abcdefgh"[:n])))
+        masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=5))
+        mset = ModelSet(universe, masks)
+        closed = closure(beta, mset)
+        assert closed == slow_closure(beta, mset)
+        assert closure_witness(beta, mset) == slow_closed_witness(beta, mset)
+        assert is_closed(beta, mset) == (closed == mset)
+        assert is_closed(beta, closed) and closure_witness(beta, closed) is None
+
+    def test_semi_naive_rounds_mix_new_and_old_elements(self):
+        # A later round here needs beta on a tuple of new and old elements:
+        # tuples of new elements alone miss part of the closure.
+        mset = ModelSet(Universe("abcde"), [11, 13, 14, 16, 23, 25])
+        assert closure(AT_LEAST_2_OF_4, mset) == slow_closure(AT_LEAST_2_OF_4, mset)
+
+    def test_empty_set_maps_to_empty_set(self):
+        for beta in ORACLE_FNS:
+            for n in (1, 4, 9):
+                empty = ModelSet(Universe("abcdefghi"[:n]))
+                assert closure(beta, empty) == empty
+
+
 class TestClosedModelSets:
     def test_counts_over_two_atoms(self):
         horn_sets = closed_model_sets(AND2, U2)
@@ -222,6 +275,12 @@ class TestClosedModelSets:
         )
         assert len(horn_sets) == 13
         assert len(krom_sets) == 15  # every non-empty set over 2 atoms
+
+    def test_counts_over_three_and_four_atoms(self):
+        u3, u4 = Universe("abc"), Universe("abcd")
+        assert len(closed_model_sets(AND2, u3)) == 121
+        assert len(closed_model_sets(MAJ3, u3)) == 165
+        assert len(closed_model_sets(AND2, u4)) == 4959
 
     def test_deterministic_and_cached(self):
         first = closed_model_sets(AND2, U2)
