@@ -10,7 +10,8 @@ import itertools
 import string
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from math import comb
+from operator import add
 
 from .formula import HORN, KROM
 from .interp import AND2, MAJ3, Fragment, ModelSet, Universe, closed_model_sets, model_sets
@@ -100,132 +101,205 @@ class Witness:
         return again is not None and again.details == self.details
 
 
-def _want(instance, n_profiles, n_constraints):
-    if len(instance.profiles) != n_profiles or len(instance.constraints) != n_constraints:
-        raise ShapeMismatchError(
-            f"need {n_profiles} profile(s) and {n_constraints} constraint(s), "
-            f"got {len(instance.profiles)} and {len(instance.constraints)}"
-        )
+class _Table(dict):
+    """Lazy answer table of one profile: self[mu_bits] = op(profile, mu).bits."""
+
+    def __init__(self, op, profile):
+        self.op, self.profile = op, profile
+        self.common = profile.common_models().bits
+
+    def __missing__(self, bits):
+        out = self[bits] = self.op(self.profile, ModelSet.from_bits(self.profile.universe, bits)).bits
+        return out
 
 
-@lru_cache(maxsize=None)
-def _union(e1: Profile, e2: Profile) -> Profile:
-    return e1.union(e2)
+class _Answers(dict):
+    """The answer tables of one operator by profile, and by pair (e1, e2)
+    the table of the multiset e1 + e2.  They live for one `search` or
+    `check_postulate` call."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def __missing__(self, key):
+        if isinstance(key, tuple):
+            table = self[key] = self[key[0].union(key[1])]
+        else:
+            table = self[key] = _Table(self.op, key)
+        return table
 
 
-def _set(ms: ModelSet) -> str:
-    return ms.compact() or "none"
+# Each shape: its instances over a space as (profiles, constraints), in
+# search order, and the ints its postulates read off the answer tables.
+def _each(profiles, constraints):
+    return (((e,), (mu,)) for e in profiles for mu in constraints)
+
+
+def _each_values(answers, profiles, constraints):
+    table, b = answers[profiles[0]], constraints[0].bits
+    return table[b], b, table.common & b
+
+
+def _flipped(profiles, constraints):
+    for e in profiles:
+        if len(e.bases) > 1:
+            pair = (e, Profile(e.bases[::-1]))
+            yield from ((pair, (mu, mu)) for mu in constraints)
+
+
+def _flipped_values(answers, profiles, constraints):
+    # Profiles compare as multisets, so the flipped side's table would be the
+    # first side's: ask the operator itself.
+    return answers[profiles[0]][constraints[0].bits], answers.op(profiles[1], constraints[1]).bits
+
+
+def _two_bases(profiles, constraints):
+    bases = tuple(Base(s) for s in constraints)
+    for mu in constraints:
+        inside = [b for b in bases if b.models.issubset(mu)]
+        for pair in itertools.combinations_with_replacement(inside, 2):
+            yield (Profile(pair),), (mu,)
+
+
+def _two_bases_values(answers, profiles, constraints):
+    k1, k2 = profiles[0].bases
+    out = answers[profiles[0]][constraints[0].bits]
+    return out, bool(out & k1.models.bits), bool(out & k2.models.bits)
+
+
+def _two_bases_problem(profiles, constraints):
+    if len(profiles[0].bases) != 2:
+        return "ic4 needs a two-base profile"
+    if not all(k.models.issubset(constraints[0]) for k in profiles[0].bases):
+        return "ic4 needs both bases to entail the constraint"
+    return None
+
+
+def _two_bases_count(k, p, bits, width):
+    # inside[mu] = bases within mu, by a subset sum over all 2^width sets
+    inside = [0] * (1 << width)
+    for b in bits:
+        inside[b] = 1
+    for i in range(width):
+        step = 1 << i
+        for hi in range(step, len(inside), 2 * step):
+            inside[hi:hi + step] = map(add, inside[hi:hi + step], inside[hi - step:hi])
+    return sum(inside[mu] * (inside[mu] + 1) // 2 for mu in bits)
+
+
+def _pairs(profiles, constraints):
+    # Symmetric in the two profiles, so unordered pairs suffice.
+    pairs = itertools.combinations_with_replacement(profiles, 2)
+    return ((pair, (mu,)) for pair in pairs for mu in constraints)
+
+
+def _pairs_values(answers, profiles, constraints):
+    b = constraints[0].bits
+    return answers[profiles[0]][b] & answers[profiles[1]][b], answers[profiles][b]
+
+
+def _constraint_pairs(profiles, constraints):
+    return (((e,), (mu1, mu2)) for e in profiles for mu1 in constraints for mu2 in constraints)
+
+
+def _constraint_pairs_values(answers, profiles, constraints):
+    # Horn and Krom sets are closed under intersection: each key is a constraint or empty.
+    table, b1, b2 = answers[profiles[0]], constraints[0].bits, constraints[1].bits
+    return table[b1] & b2, table[b1 & b2]
+
+
+class _Shape:
+    """(profiles, constraints) of one instance, the two functions above, the
+    count from (bases, profiles, base bits, interpretations), and what is
+    wrong with an instance checked on its own."""
+
+    def __init__(self, sizes, instances, values, count, problem=None):
+        self.sizes, self.instances, self.values, self.count = sizes, instances, values, count
+        self.problem = problem
+
+
+_EACH = _Shape((1, 1), _each, _each_values, lambda k, p, bits, width: p * k)
+_FLIPPED = _Shape(
+    (2, 2), _flipped, _flipped_values, lambda k, p, bits, width: (p - k) * k,
+    lambda ps, cs: (ps[0] != ps[1] or cs[0] != cs[1])
+    and "ic3 needs equivalent profiles and constraints",
+)
+_TWO_BASES = _Shape((1, 1), _two_bases, _two_bases_values, _two_bases_count, _two_bases_problem)
+_PAIRS = _Shape((2, 1), _pairs, _pairs_values, lambda k, p, bits, width: p * (p + 1) // 2 * k)
+_CONSTRAINT_PAIRS = _Shape(
+    (1, 2), _constraint_pairs, _constraint_pairs_values, lambda k, p, bits, width: p * k * k
+)
+
+
+class Row:
+    """One postulate: its shape, a test over the shape's values that is true
+    on a violation, and the witness message with a detail name per value
+    (None leaves the value out)."""
+
+    def __init__(self, shape, violated, message, details):
+        self.shape, self.violated, self.message, self.details = shape, violated, message, details
+
+    def count(self, space) -> int:
+        """Instances `search` checks for this postulate, without enumerating them."""
+        bits = [s.bits for s in space.base_sets()]
+        return self.shape.count(len(bits), space.profile_count, bits, 1 << space.atoms)
+
+
+ROWS = {
+    PostulateId.IC0: Row(_EACH, lambda out, mu, joint: out & ~mu,
+                         "output does not entail the constraint", ("output", "constraint", None)),
+    PostulateId.IC1: Row(_EACH, lambda out, mu, joint: mu and not out,
+                         "consistent constraint but inconsistent output", (None, "constraint", None)),
+    PostulateId.IC2: Row(_EACH, lambda out, mu, joint: joint and out != joint,
+                         "profile agrees with the constraint but output differs",
+                         ("output", None, "profile-and-constraint")),
+    PostulateId.IC3: Row(_FLIPPED, lambda first, second: first != second,
+                         "equivalent presentations give different outputs", ("first", "second")),
+    PostulateId.IC4: Row(_TWO_BASES, lambda out, with1, with2: with1 != with2,
+                         "output is consistent with exactly one of the two bases",
+                         ("output", "meets-first", "meets-second")),
+    PostulateId.IC5: Row(_PAIRS, lambda lhs, rhs: lhs & ~rhs,
+                         "joint outputs do not entail the union output", ("joint", "union-output")),
+    PostulateId.IC6: Row(_PAIRS, lambda lhs, rhs: lhs and rhs & ~lhs,
+                         "union output does not entail the consistent joint outputs",
+                         ("joint", "union-output")),
+    PostulateId.IC7: Row(_CONSTRAINT_PAIRS, lambda lhs, rhs: lhs & ~rhs,
+                         "restricted output does not entail the conjoined-constraint output",
+                         ("restricted", "conjoined")),
+    PostulateId.IC8: Row(_CONSTRAINT_PAIRS, lambda lhs, rhs: lhs and rhs & ~lhs,
+                         "conjoined-constraint output does not entail the restricted output",
+                         ("restricted", "conjoined")),
+}
+
+# The most instances one `search` checks.  The largest space the tests and
+# the benchmark search is Krom ic5 + ic7 at 2 atoms, 137,700 + 30,375.
+MAX_INSTANCES = 1_000_000
+
+
+def _witness(pid, op, instance, values):
+    universe = instance.profiles[0].universe
+    details = tuple(
+        (name, str(v) if isinstance(v, bool) else ModelSet.from_bits(universe, v).compact() or "none")
+        for name, v in zip(ROWS[pid].details, values)
+        if name
+    )
+    return Witness(pid, instance, getattr(op, "label", repr(op)), ROWS[pid].message, details)
 
 
 def check_postulate(pid: PostulateId, op, instance: Instance):
     """Evaluate one postulate on one instance; None on pass, else a Witness."""
-    label = getattr(op, "label", repr(op))
-
-    def witness(message, details):
-        return Witness(pid, instance, label, message, tuple(details))
-
-    if pid in (PostulateId.IC0, PostulateId.IC1, PostulateId.IC2):
-        _want(instance, 1, 1)
-        (e,), (mu,) = instance.profiles, instance.constraints
-        out = op(e, mu)
-        if pid is PostulateId.IC0:
-            if not out.issubset(mu):
-                return witness(
-                    "output does not entail the constraint",
-                    [("output", _set(out)), ("constraint", _set(mu))],
-                )
-        elif pid is PostulateId.IC1:
-            if mu and not out:
-                return witness(
-                    "consistent constraint but inconsistent output",
-                    [("constraint", _set(mu))],
-                )
-        else:
-            joint = e.common_models() & mu
-            if joint and out != joint:
-                return witness(
-                    "profile agrees with the constraint but output differs",
-                    [("output", _set(out)), ("profile-and-constraint", _set(joint))],
-                )
-        return None
-
-    if pid is PostulateId.IC3:
-        _want(instance, 2, 2)
-        e1, e2 = instance.profiles
-        mu1, mu2 = instance.constraints
-        if e1 != e2 or mu1 != mu2:
-            raise ShapeMismatchError("ic3 needs equivalent profiles and constraints")
-        out1, out2 = op(e1, mu1), op(e2, mu2)
-        if out1 != out2:
-            return witness(
-                "equivalent presentations give different outputs",
-                [("first", _set(out1)), ("second", _set(out2))],
-            )
-        return None
-
-    if pid is PostulateId.IC4:
-        _want(instance, 1, 1)
-        (e,), (mu,) = instance.profiles, instance.constraints
-        if len(e.bases) != 2:
-            raise ShapeMismatchError("ic4 needs a two-base profile")
-        k1, k2 = e.bases
-        if not (k1.models.issubset(mu) and k2.models.issubset(mu)):
-            raise ShapeMismatchError("ic4 needs both bases to entail the constraint")
-        out = op(e, mu)
-        with1 = out.intersects(k1.models)
-        with2 = out.intersects(k2.models)
-        if with1 != with2:
-            return witness(
-                "output is consistent with exactly one of the two bases",
-                [
-                    ("output", _set(out)),
-                    ("meets-first", str(with1)),
-                    ("meets-second", str(with2)),
-                ],
-            )
-        return None
-
-    if pid in (PostulateId.IC5, PostulateId.IC6):
-        _want(instance, 2, 1)
-        e1, e2 = instance.profiles
-        (mu,) = instance.constraints
-        lhs = op(e1, mu) & op(e2, mu)
-        rhs = op(_union(e1, e2), mu)
-        if pid is PostulateId.IC5:
-            if not lhs.issubset(rhs):
-                return witness(
-                    "joint outputs do not entail the union output",
-                    [("joint", _set(lhs)), ("union-output", _set(rhs))],
-                )
-        else:
-            if lhs and not rhs.issubset(lhs):
-                return witness(
-                    "union output does not entail the consistent joint outputs",
-                    [("joint", _set(lhs)), ("union-output", _set(rhs))],
-                )
-        return None
-
-    if pid in (PostulateId.IC7, PostulateId.IC8):
-        _want(instance, 1, 2)
-        (e,) = instance.profiles
-        mu1, mu2 = instance.constraints
-        lhs = op(e, mu1) & mu2
-        rhs = op(e, mu1 & mu2)
-        if pid is PostulateId.IC7:
-            if not lhs.issubset(rhs):
-                return witness(
-                    "restricted output does not entail the conjoined-constraint output",
-                    [("restricted", _set(lhs)), ("conjoined", _set(rhs))],
-                )
-        else:
-            if lhs and not rhs.issubset(lhs):
-                return witness(
-                    "conjoined-constraint output does not entail the restricted output",
-                    [("restricted", _set(lhs)), ("conjoined", _set(rhs))],
-                )
-        return None
-
-    raise ShapeMismatchError(f"unknown postulate {pid!r}")
+    if pid not in ROWS:
+        raise ShapeMismatchError(f"unknown postulate {pid!r}")
+    shape, profiles, constraints = ROWS[pid].shape, instance.profiles, instance.constraints
+    if (len(profiles), len(constraints)) != shape.sizes:
+        n_profiles, n_constraints = shape.sizes
+        raise ShapeMismatchError(f"need {n_profiles} profile(s) and {n_constraints} constraint(s), "
+                                 f"got {len(profiles)} and {len(constraints)}")
+    problem = shape.problem and shape.problem(profiles, constraints)
+    if problem:
+        raise ShapeMismatchError(problem)
+    values = shape.values(_Answers(op), profiles, constraints)
+    return _witness(pid, op, instance, values) if ROWS[pid].violated(*values) else None
 
 
 @dataclass(frozen=True)
@@ -252,6 +326,12 @@ class SearchSpace:
             sets = sets[: self.max_bases]
         return sets
 
+    @property
+    def profile_count(self) -> int:
+        """Number of profiles: multisets of 1 to max_profile_size bases."""
+        k = len(self.base_sets())
+        return comb(k + self.max_profile_size, k) - 1 if self.max_profile_size > 0 else 0
+
     def profiles(self) -> tuple:
         bases = tuple(Base(s) for s in self.base_sets())
         out = []
@@ -262,20 +342,14 @@ class SearchSpace:
 
     def instances(self):
         """Plain (profile, constraint) pairs over the space."""
-        profiles = self.profiles()
-        constraints = self.base_sets()
-        for e in profiles:
-            for mu in constraints:
-                yield e, mu
+        return itertools.product(self.profiles(), self.base_sets())
 
 
 def _guard(space: SearchSpace):
     if space.atoms < 1:
         raise SpaceTooLargeError(f"the universe needs at least 1 atom, got {space.atoms}")
     if space.atoms > 4:
-        raise SpaceTooLargeError(
-            f"exhaustive mode caps the universe at 4 atoms, got {space.atoms}"
-        )
+        raise SpaceTooLargeError(f"exhaustive mode caps the universe at 4 atoms, got {space.atoms}")
     if space.max_profile_size < 1:
         raise SpaceTooLargeError("profile size cap must be at least 1")
 
@@ -283,77 +357,30 @@ def _guard(space: SearchSpace):
 def search(space: SearchSpace, op, limit: int = None):
     """Enumerate all instances of the selected postulates over the space, in
     deterministic order, and return the witnesses found (all, or the first
-    `limit`).  Raises EmptySpaceError when no instance was checked, since
-    finding no witness in an empty space shows nothing."""
+    `limit`).  Lazy answer tables ask the operator once per (profile,
+    constraint), bar ic3's flipped side.  Before any instance is built, raises
+    SpaceTooLargeError over MAX_INSTANCES instances and EmptySpaceError for
+    none, since finding no witness in an empty space shows nothing."""
     _guard(space)
+    pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]
+    total = sum(ROWS[pid].count(space) for pid in pids)
+    if total > MAX_INSTANCES:
+        raise SpaceTooLargeError(f"the selected postulates have {total:,} instances in this "
+                                 f"space, over the budget of {MAX_INSTANCES:,}")
+    if not total:
+        raise EmptySpaceError("the selected postulates have no instances in this space")
     profiles = space.profiles()
     constraints = space.base_sets()
+    answers = _Answers(op)
     witnesses = []
-    checked = 0
-
-    def run(pid, instances):
-        nonlocal checked
-        for instance in instances:
-            checked += 1
-            hit = check_postulate(pid, op, instance)
-            if hit is not None:
-                witnesses.append(hit)
+    for pid in pids:
+        shape, violated = ROWS[pid].shape, ROWS[pid].violated
+        for instance in shape.instances(profiles, constraints):
+            values = shape.values(answers, *instance)
+            if violated(*values):
+                witnesses.append(_witness(pid, op, Instance(*instance), values))
                 if limit is not None and len(witnesses) >= limit:
-                    return True
-        return False
-
-    def simple_instances():
-        for e in profiles:
-            for mu in constraints:
-                yield Instance((e,), (mu,))
-
-    def ic3_instances():
-        for e in profiles:
-            if len(e.bases) < 2:
-                continue
-            flipped = Profile(tuple(reversed(e.bases)))
-            for mu in constraints:
-                yield Instance((e, flipped), (mu, mu))
-
-    def ic4_instances():
-        bases = tuple(Base(s) for s in constraints)
-        for mu in constraints:
-            inside = [b for b in bases if b.models.issubset(mu)]
-            for i, k1 in enumerate(inside):
-                for k2 in inside[i:]:
-                    yield Instance((Profile((k1, k2)),), (mu,))
-
-    def pair_instances():
-        # Symmetric in the two profiles, so unordered pairs suffice.
-        for i, e1 in enumerate(profiles):
-            for e2 in profiles[i:]:
-                for mu in constraints:
-                    yield Instance((e1, e2), (mu,))
-
-    def constraint_pair_instances():
-        for e in profiles:
-            for mu1 in constraints:
-                for mu2 in constraints:
-                    yield Instance((e,), (mu1, mu2))
-
-    shapes = {
-        PostulateId.IC0: simple_instances,
-        PostulateId.IC1: simple_instances,
-        PostulateId.IC2: simple_instances,
-        PostulateId.IC3: ic3_instances,
-        PostulateId.IC4: ic4_instances,
-        PostulateId.IC5: pair_instances,
-        PostulateId.IC6: pair_instances,
-        PostulateId.IC7: constraint_pair_instances,
-        PostulateId.IC8: constraint_pair_instances,
-    }
-    for pid in ALL_POSTULATES:
-        if pid not in space.postulates:
-            continue
-        if run(pid, shapes[pid]()):
-            break
-    if not checked:
-        raise EmptySpaceError("the selected postulates have no instances in this space")
+                    return witnesses
     return witnesses
 
 

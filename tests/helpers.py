@@ -13,6 +13,7 @@ from fragmerge.formula import (
     models,
 )
 from fragmerge.interp import closure_witness
+from fragmerge.postulates import Instance, PostulateId, ShapeMismatchError, Witness
 
 U2 = Universe("ab")
 U3 = Universe("abc")
@@ -206,3 +207,171 @@ def _conjoin(clauses, universe):
     for clause in clauses[1:]:
         node = And(node, clause.to_formula(universe))
     return node
+
+
+def _set(mset):
+    return mset.compact() or "none"
+
+
+def slow_check_postulate(pid, op, instance):
+    """Oracle for `check_postulate`: the per-postulate if-chain on ModelSets
+    that the postulate table replaced."""
+    label = getattr(op, "label", repr(op))
+
+    def witness(message, details):
+        return Witness(pid, instance, label, message, tuple(details))
+
+    def want(n_profiles, n_constraints):
+        if len(instance.profiles) != n_profiles or len(instance.constraints) != n_constraints:
+            raise ShapeMismatchError(
+                f"need {n_profiles} profile(s) and {n_constraints} constraint(s), "
+                f"got {len(instance.profiles)} and {len(instance.constraints)}"
+            )
+
+    if pid in (PostulateId.IC0, PostulateId.IC1, PostulateId.IC2):
+        want(1, 1)
+        (e,), (mu,) = instance.profiles, instance.constraints
+        out = op(e, mu)
+        if pid is PostulateId.IC0:
+            if not out.issubset(mu):
+                return witness(
+                    "output does not entail the constraint",
+                    [("output", _set(out)), ("constraint", _set(mu))],
+                )
+        elif pid is PostulateId.IC1:
+            if mu and not out:
+                return witness(
+                    "consistent constraint but inconsistent output",
+                    [("constraint", _set(mu))],
+                )
+        else:
+            joint = e.common_models() & mu
+            if joint and out != joint:
+                return witness(
+                    "profile agrees with the constraint but output differs",
+                    [("output", _set(out)), ("profile-and-constraint", _set(joint))],
+                )
+        return None
+
+    if pid is PostulateId.IC3:
+        want(2, 2)
+        e1, e2 = instance.profiles
+        mu1, mu2 = instance.constraints
+        if e1 != e2 or mu1 != mu2:
+            raise ShapeMismatchError("ic3 needs equivalent profiles and constraints")
+        out1, out2 = op(e1, mu1), op(e2, mu2)
+        if out1 != out2:
+            return witness(
+                "equivalent presentations give different outputs",
+                [("first", _set(out1)), ("second", _set(out2))],
+            )
+        return None
+
+    if pid is PostulateId.IC4:
+        want(1, 1)
+        (e,), (mu,) = instance.profiles, instance.constraints
+        if len(e.bases) != 2:
+            raise ShapeMismatchError("ic4 needs a two-base profile")
+        k1, k2 = e.bases
+        if not (k1.models.issubset(mu) and k2.models.issubset(mu)):
+            raise ShapeMismatchError("ic4 needs both bases to entail the constraint")
+        out = op(e, mu)
+        with1 = out.intersects(k1.models)
+        with2 = out.intersects(k2.models)
+        if with1 != with2:
+            return witness(
+                "output is consistent with exactly one of the two bases",
+                [("output", _set(out)), ("meets-first", str(with1)), ("meets-second", str(with2))],
+            )
+        return None
+
+    if pid in (PostulateId.IC5, PostulateId.IC6):
+        want(2, 1)
+        e1, e2 = instance.profiles
+        (mu,) = instance.constraints
+        lhs = op(e1, mu) & op(e2, mu)
+        rhs = op(e1.union(e2), mu)
+        if pid is PostulateId.IC5:
+            if not lhs.issubset(rhs):
+                return witness(
+                    "joint outputs do not entail the union output",
+                    [("joint", _set(lhs)), ("union-output", _set(rhs))],
+                )
+        elif lhs and not rhs.issubset(lhs):
+            return witness(
+                "union output does not entail the consistent joint outputs",
+                [("joint", _set(lhs)), ("union-output", _set(rhs))],
+            )
+        return None
+
+    if pid in (PostulateId.IC7, PostulateId.IC8):
+        want(1, 2)
+        (e,) = instance.profiles
+        mu1, mu2 = instance.constraints
+        lhs = op(e, mu1) & mu2
+        rhs = op(e, mu1 & mu2)
+        if pid is PostulateId.IC7:
+            if not lhs.issubset(rhs):
+                return witness(
+                    "restricted output does not entail the conjoined-constraint output",
+                    [("restricted", _set(lhs)), ("conjoined", _set(rhs))],
+                )
+        elif lhs and not rhs.issubset(lhs):
+            return witness(
+                "conjoined-constraint output does not entail the restricted output",
+                [("restricted", _set(lhs)), ("conjoined", _set(rhs))],
+            )
+        return None
+
+    raise ShapeMismatchError(f"unknown postulate {pid!r}")
+
+
+def slow_instances(pid, space):
+    """The instances of one postulate over `space`, in search order, built
+    one `Instance` at a time as the search did before the postulate table."""
+    profiles = space.profiles()
+    constraints = space.base_sets()
+    if pid in (PostulateId.IC0, PostulateId.IC1, PostulateId.IC2):
+        for e in profiles:
+            for mu in constraints:
+                yield Instance((e,), (mu,))
+    elif pid is PostulateId.IC3:
+        for e in profiles:
+            if len(e.bases) < 2:
+                continue
+            flipped = Profile(tuple(reversed(e.bases)))
+            for mu in constraints:
+                yield Instance((e, flipped), (mu, mu))
+    elif pid is PostulateId.IC4:
+        bases = tuple(Base(s) for s in constraints)
+        for mu in constraints:
+            inside = [b for b in bases if b.models.issubset(mu)]
+            for i, k1 in enumerate(inside):
+                for k2 in inside[i:]:
+                    yield Instance((Profile((k1, k2)),), (mu,))
+    elif pid in (PostulateId.IC5, PostulateId.IC6):
+        for i, e1 in enumerate(profiles):
+            for e2 in profiles[i:]:
+                for mu in constraints:
+                    yield Instance((e1, e2), (mu,))
+    else:
+        for e in profiles:
+            for mu1 in constraints:
+                for mu2 in constraints:
+                    yield Instance((e,), (mu1, mu2))
+
+
+def slow_search(space, op, limit=None):
+    """Oracle for `search`: every instance through `slow_check_postulate`,
+    postulates in declaration order, stopping after `limit` witnesses."""
+    witnesses = []
+    for pid in PostulateId:
+        if pid not in space.postulates:
+            continue
+        for instance in slow_instances(pid, space):
+            hit = slow_check_postulate(pid, op, instance)
+            if hit is not None:
+                witnesses.append(hit)
+                if limit is not None and len(witnesses) >= limit:
+                    return witnesses
+    return witnesses

@@ -271,6 +271,15 @@ class TestCheckCommand:
         )
         assert code == 2
 
+    def test_space_over_the_instance_budget_exits_two(self, capsys):
+        code, out, err = run(
+            capsys, "check", "--op", "hamming,sigma,lex", "--fragment", "krom",
+            "--postulates", "ic5", "--atoms", "3",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("bad arguments: ") and "over the budget" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_zero_atoms(self, capsys):
         code, _, err = run(capsys, "check", "--op", "hamming,sigma,none", "--atoms", "0")
         assert code == 2 and err.startswith("bad arguments: ")

@@ -7,6 +7,7 @@ from fragmerge import (
     Aggregator,
     ClosureRefinement,
     CountingDistance,
+    EmptySpaceError,
     Instance,
     LexClosureRefinement,
     LexRefinement,
@@ -24,7 +25,16 @@ from fragmerge import (
     reproduce,
     search,
 )
-from helpers import U2, EchoConstraintOperator, ms, prof
+from fragmerge.postulates import MAX_INSTANCES, ROWS
+from helpers import (
+    U2,
+    EchoConstraintOperator,
+    ms,
+    prof,
+    slow_check_postulate,
+    slow_instances,
+    slow_search,
+)
 
 SIG2 = MergeOperator(CountingDistance.hamming(2), Aggregator.SIGMA)
 GMAX2 = MergeOperator(CountingDistance.hamming(2), Aggregator.GMAX)
@@ -267,3 +277,152 @@ class TestFixtures:
         assert cells["row {} gmax"] == "(1,1)"
         assert cells["row {a} gmax"] == "(1,0)"
         assert cells["merge sigma"] == "{a}, {b}"
+
+
+FRAGMENTS = {"horn": HORN, "krom": KROM, "none": None}
+REFINEMENTS = {
+    "none": None,
+    "closure": ClosureRefinement,
+    "lex": LexRefinement,
+    "lex-closure": LexClosureRefinement,
+}
+OPERATORS = [
+    (distance, aggregator, refinement)
+    for distance in ("hamming", "drastic")
+    for aggregator in Aggregator
+    for refinement in REFINEMENTS
+]
+
+
+def cli_operator(fragment, distance, aggregator, refinement):
+    """One of the 16 `check --op` operators at 2 atoms; the unrestricted
+    space gets the Horn refinements."""
+    op = MergeOperator(getattr(CountingDistance, distance)(2), aggregator)
+    kind = REFINEMENTS[refinement]
+    return op if kind is None else RefinedOperator(op, kind((fragment or HORN).beta))
+
+
+class TestEngineAgainstSlowOracle:
+    """The table engine gives the witnesses of the per-instance if-chain,
+    in the same order and with the same text."""
+
+    @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
+    @pytest.mark.parametrize("distance,aggregator,refinement", OPERATORS,
+                             ids=["-".join((d, a.value, r)) for d, a, r in OPERATORS])
+    def test_witnesses_match(self, fragment, distance, aggregator, refinement):
+        frag = FRAGMENTS[fragment]
+        op = cli_operator(frag, distance, aggregator, refinement)
+        # ic4 instances do not depend on the profile size, and ic3 has none
+        # at size 1.
+        spaces = (
+            SearchSpace(atoms=2, fragment=frag, max_profile_size=1),
+            SearchSpace(atoms=2, fragment=frag, max_profile_size=2, postulates=(PostulateId.IC3,)),
+            SearchSpace(atoms=2, fragment=frag, max_profile_size=2, max_bases=3),
+        )
+        for space in spaces:
+            want = [w.render() for w in slow_search(space, op)]
+            found = search(space, op)
+            assert isinstance(found, list)
+            assert [w.render() for w in found] == want
+            assert all(w.recheck(op) for w in found)
+            for limit in (1, 3):
+                assert [w.render() for w in search(space, op, limit=limit)] == want[:limit]
+
+    @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
+    def test_check_postulate_and_instance_order_match(self, fragment):
+        frag = FRAGMENTS[fragment]
+        space = SearchSpace(atoms=2, fragment=frag, max_profile_size=2, max_bases=3)
+        profiles, constraints = space.profiles(), space.base_sets()
+        for spec in OPERATORS:
+            op = cli_operator(frag, *spec)
+            for pid in PostulateId:
+                slow = list(slow_instances(pid, space))
+                fast = [Instance(*i) for i in ROWS[pid].shape.instances(profiles, constraints)]
+                assert [i.encode() for i in fast] == [i.encode() for i in slow]
+                for instance in slow:
+                    assert check_postulate(pid, op, instance) == slow_check_postulate(pid, op, instance)
+
+    def test_ic3_asks_the_operator_for_the_flipped_profile(self):
+        # A plain callable that reads the first base: an answer table shared by
+        # both presentations would hide every ic3 violation.
+        def first_base(profile, mu):
+            return profile.bases[0].models & mu
+
+        space = SearchSpace(atoms=2, fragment=HORN, postulates=(PostulateId.IC3,))
+        found = search(space, first_base)
+        assert found
+        assert [w.render() for w in found] == [w.render() for w in slow_search(space, first_base)]
+        assert all(w.recheck(first_base) for w in found)
+
+    def test_operator_is_asked_once_per_profile_and_constraint(self):
+        calls = []
+
+        def counting(profile, mu):
+            calls.append((profile, mu))
+            return SIG2(profile, mu)
+
+        space = SearchSpace(atoms=2, fragment=KROM, postulates=(PostulateId.IC7, PostulateId.IC8))
+        assert search(space, counting) == search(space, SIG2)
+        assert len(calls) == len(set(calls))
+
+
+class TestInstanceCounts:
+    @pytest.mark.parametrize("atoms", [1, 2])
+    @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("max_bases", [None, 3])
+    def test_count_matches_enumeration(self, atoms, fragment, size, max_bases):
+        space = SearchSpace(atoms=atoms, fragment=FRAGMENTS[fragment],
+                            max_profile_size=size, max_bases=max_bases)
+        profiles, constraints = space.profiles(), space.base_sets()
+        assert space.profile_count == len(profiles)
+        enumerated = {}
+        for pid in PostulateId:
+            shape = ROWS[pid].shape
+            if shape not in enumerated:
+                if shape.sizes == (2, 1) and size == 3 and max_bases is None:
+                    # millions of pairs: count the engine's tuples, not Instances
+                    instances = shape.instances(profiles, constraints)
+                else:
+                    instances = slow_instances(pid, space)
+                enumerated[shape] = sum(1 for _ in instances)
+            assert ROWS[pid].count(space) == enumerated[shape], pid
+
+    @pytest.mark.parametrize(
+        "fragment, profiles, ic0, ic7",
+        [(HORN, 7_502, 907_742, 109_836_782), (KROM, 13_860, 2_286_900, 377_338_500)],
+        ids=["horn", "krom"],
+    )
+    def test_three_atom_counts(self, fragment, profiles, ic0, ic7):
+        space = SearchSpace(atoms=3, fragment=fragment)
+        assert space.profile_count == profiles
+        assert ROWS[PostulateId.IC0].count(space) == ic0
+        assert ROWS[PostulateId.IC7].count(space) == ic7
+
+
+class TestInstanceBudget:
+    @staticmethod
+    def refuse(profile, mu):
+        raise AssertionError("the operator ran on a refused space")
+
+    def test_largest_tested_space_fits(self):
+        space = SearchSpace(atoms=2, fragment=KROM)
+        assert ROWS[PostulateId.IC5].count(space) + ROWS[PostulateId.IC7].count(space) == 168_075
+        assert MAX_INSTANCES >= 168_075
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            SearchSpace(atoms=3, fragment=KROM, postulates=(PostulateId.IC5,)),
+            SearchSpace(atoms=4, fragment=None, postulates=(PostulateId.IC4,)),
+        ],
+        ids=["krom-3-ic5", "none-4-ic4"],
+    )
+    def test_space_over_budget_is_refused_before_any_instance(self, space):
+        with pytest.raises(SpaceTooLargeError, match="over the budget"):
+            search(space, self.refuse)
+
+    def test_empty_space_is_refused_before_any_instance(self):
+        space = SearchSpace(atoms=2, fragment=HORN, max_profile_size=1, postulates=(PostulateId.IC3,))
+        with pytest.raises(EmptySpaceError):
+            search(space, self.refuse)
