@@ -3,6 +3,14 @@
 Distance-based merging of belief-base profiles under integrity constraints,
 refinements that keep results inside closure-characterized fragments such as
 Horn and Krom, and exhaustive checking of the merging postulates ic0..ic8.
+
+Package attributes are the public re-exports.  Where a module shares its
+name with a function it defines, the attribute is the function:
+`fragmerge.merge` and `fragmerge.refine` (and so `import fragmerge.refine as
+r`) are the functions `merge` and `refine`.  Reach those modules through
+`importlib.import_module("fragmerge.refine")` or
+`sys.modules["fragmerge.refine"]`; `from fragmerge.refine import X` works as
+usual.
 """
 
 from .formula import (

@@ -93,18 +93,17 @@ class ProblemFile:
 _MODEL_RE = re.compile(r"\{([^{}]*)\}")
 
 
-def _parse_model_list(text, universe, lineno):
+def _parse_interpretations(text, universe, error, prefix, shape):
+    """The interpretations of a list like '{} {a} {a,b}'; a bad list raises
+    `error` with a message that starts with `prefix` and names `shape`."""
     chunks = _MODEL_RE.findall(text)
     if not chunks or _MODEL_RE.sub("", text).strip():
-        raise ProblemFileError(f"line {lineno}: expected model sets like {{a,b}}")
-    masks = []
-    for chunk in chunks:
-        names = [n.strip() for n in chunk.split(",") if n.strip()]
-        try:
-            masks.append(universe.interpretation(names).mask)
-        except KeyError as exc:
-            raise ProblemFileError(f"line {lineno}: {exc.args[0]}") from None
-    return ModelSet(universe, masks)
+        raise error(f"{prefix}: expected {shape}")
+    try:
+        return [universe.interpretation([n.strip() for n in chunk.split(",") if n.strip()])
+                for chunk in chunks]
+    except KeyError as exc:
+        raise error(f"{prefix}: {exc.args[0]}") from None
 
 
 def parse_problem_file(text: str) -> ProblemFile:
@@ -140,7 +139,9 @@ def parse_problem_file(text: str) -> ProblemFile:
                 raise ProblemFileError(f"line {lineno}: malformed base line")
             name, body = m.group(1), m.group(2).strip()
             if body.startswith("models"):
-                mset = _parse_model_list(body[len("models"):], universe, lineno)
+                found = _parse_interpretations(body[len("models"):], universe, ProblemFileError,
+                                               f"line {lineno}", "model sets like {a,b}")
+                mset = ModelSet(universe, [w.mask for w in found])
                 source = None
             else:
                 try:
@@ -206,16 +207,8 @@ def _build_refinement(name: str, fragment, order):
 
 
 def _parse_lex_order(text, universe) -> LexOrder:
-    chunks = _MODEL_RE.findall(text)
-    if not chunks or _MODEL_RE.sub("", text).strip():
-        raise ValueError("bad --lex-order: expected interpretations like {} {a} {a,b}")
-    ordered = []
-    for chunk in chunks:
-        names = [n.strip() for n in chunk.split(",") if n.strip()]
-        try:
-            ordered.append(universe.interpretation(names))
-        except KeyError as exc:
-            raise ValueError(f"bad --lex-order: {exc.args[0]}") from None
+    ordered = _parse_interpretations(text, universe, ValueError, "bad --lex-order",
+                                     "interpretations like {} {a} {a,b}")
     try:
         return LexOrder(universe, ordered)
     except ValueError as exc:
@@ -309,9 +302,6 @@ def cmd_merge(args, out=None, err=None) -> int:
     return code
 
 
-_POSTULATE_ALIASES = {p.value: (p,) for p in PostulateId}
-
-
 def _parse_postulates(listing: str):
     if listing == "all":
         return tuple(PostulateId)
@@ -319,18 +309,16 @@ def _parse_postulates(listing: str):
     for part in listing.split(","):
         part = part.strip()
         m = re.fullmatch(r"(ic\d)-(ic\d)", part)
+        try:
+            ids = [PostulateId(name) for name in (m.groups() if m else (part,))]
+        except ValueError:
+            raise ValueError(f"unknown postulate{' range' if m else ''} {part!r}") from None
         if m:
-            lo, hi = m.group(1), m.group(2)
-            if lo not in _POSTULATE_ALIASES or hi not in _POSTULATE_ALIASES:
-                raise ValueError(f"unknown postulate range {part!r}")
-            ids = [p for p in PostulateId if lo <= p.value <= hi]
+            lo, hi = ids
+            ids = [p for p in PostulateId if lo.value <= p.value <= hi.value]
             if not ids:
                 raise ValueError(f"empty postulate range {part!r}")
-            out.extend(ids)
-            continue
-        if part not in _POSTULATE_ALIASES:
-            raise ValueError(f"unknown postulate {part!r}")
-        out.extend(_POSTULATE_ALIASES[part])
+        out.extend(ids)
     return tuple(dict.fromkeys(out))
 
 

@@ -365,8 +365,7 @@ class ClauseKind(Enum):
 
 
 def _clause_kind(clause: Clause) -> ClauseKind:
-    horn = clause.positive_count <= 1
-    krom = len(clause.literals) <= 2
+    horn, krom = is_horn_clause(clause), is_krom_clause(clause)
     if horn and krom:
         return ClauseKind.BOTH
     if horn:

@@ -115,9 +115,6 @@ class Universe:
         _check_enum_size(self)
         return range(1 << len(self.atoms))
 
-    def all_interpretations(self):
-        return tuple(Interpretation(self, m) for m in self.all_masks())
-
     def _mask_texts(self, masks) -> list:
         """`str(Interpretation)` of each mask, e.g. '{a,c}', without building
         the interpretations: each half of a mask indexes a table of its

@@ -9,6 +9,7 @@ conjunction is intersection, consistency is non-emptiness.
 import itertools
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from math import comb
 from operator import add
@@ -318,13 +319,18 @@ class SearchSpace:
         return Universe(string.ascii_lowercase[: self.atoms])
 
     def base_sets(self) -> tuple:
+        """The non-empty closed sets of the fragment (all non-empty sets when
+        there is none), cut to max_bases: the pool of bases and constraints."""
+        return self._base_sets
+
+    @cached_property
+    def _base_sets(self) -> tuple:
+        # Built once per space: counting, profiles and search all read it.
         if self.fragment is not None:
             sets = closed_model_sets(self.fragment.beta, self.universe)
         else:
             sets = tuple(model_sets(self.universe, include_empty=False))
-        if self.max_bases is not None:
-            sets = sets[: self.max_bases]
-        return sets
+        return sets[: self.max_bases]
 
     @property
     def profile_count(self) -> int:
@@ -385,7 +391,9 @@ def search(space: SearchSpace, op, limit: int = None):
 
 
 # ---------------------------------------------------------------------------
-# Fixture catalog
+# Fixture catalog.  FIXTURES maps each id to (title, builder, spec), and
+# `reproduce` runs builder(rows, **spec), which appends the fixture's cells
+# in order.  A spec writes each model as the string of its true atoms.
 
 
 @dataclass(frozen=True)
@@ -421,442 +429,243 @@ class FixtureReport:
         return "\n".join(lines)
 
     def records(self):
-        out = []
-        for r in self.rows:
-            out.append(
-                (
-                    "check",
-                    self.fixture,
-                    r.label,
-                    r.expected,
-                    r.actual,
-                    "pass" if r.ok else "fail",
-                )
-            )
-        return out
+        return [("check", self.fixture, r.label, r.expected, r.actual, "pass" if r.ok else "fail")
+                for r in self.rows]
 
 
-class _Rows:
-    def __init__(self):
-        self.rows = []
+class _Rows(list):
+    """The cells of one fixture, in order."""
 
     def add(self, label, expected, actual):
-        self.rows.append(CheckRow(label, str(expected), str(actual)))
+        self.append(CheckRow(label, str(expected), str(actual)))
 
-    def verdict(self, label, witness_or_report, expect_violation=True):
-        if isinstance(witness_or_report, bool):
-            violated = witness_or_report
-        elif witness_or_report is None:
-            violated = False
-        elif hasattr(witness_or_report, "ok"):
-            violated = not witness_or_report.ok
-        else:
-            violated = True
-        self.add(label, "violated" if expect_violation else "satisfied",
-                 "violated" if violated else "satisfied")
+    def verdict(self, label, violated: bool):
+        """A postulate or fairness result that the fixture expects violated."""
+        self.add(label, "violated", "violated" if violated else "satisfied")
 
-    def done(self, fixture, title):
-        return FixtureReport(fixture, title, tuple(self.rows))
+    def scores(self, e, mu, op, table, note=""):
+        """The score table of `op` on (e, mu) against `table`, whose rows are
+        (interpretation, distances, score), or (interpretation, score) to
+        leave the per-base distances out."""
+        for got, (w, *dists, score) in zip(score_table(e, mu, op.distance, op.aggregator), table):
+            if dists:
+                self.add(f"row {w} distances", dists[0], ",".join(map(str, got.per_base)))
+            self.add(f"row {w} {op.aggregator.value}{note}", score, got.value)
 
-
-def _table_rows(rows, tag, profile, mu, distance, aggregator, expected):
-    """expected: list of (interp-label, per-base dists tuple, agg string)."""
-    table = score_table(profile, mu, distance, aggregator)
-    for score_row, (label, dists, agg) in zip(table, expected):
-        rows.add(f"{tag} {label} distances", ",".join(map(str, dists)),
-                 ",".join(map(str, score_row.per_base)))
-        rows.add(f"{tag} {label} {aggregator.value}", agg, score_row.value)
+    def pair(self, pid, ref, e1, e2, mu, expected, note=""):
+        """`ref` on e1, e2 and their union against `expected`, then the
+        verdict of ic5 or ic6 (`pid`) on the pair."""
+        parts = {"first profile": e1, "second profile": e2, "union": e1.union(e2)}
+        for (part, e), want in zip(parts.items(), expected):
+            self.add(f"{ref.label} {part}", want, ref(e, mu))
+        self.verdict(f"{pid.value} for {ref.label}{note}", _violated(pid, ref, (e1, e2), (mu,)))
 
 
-def _ops(universe_size, distance_name="hamming"):
-    dist = (
-        CountingDistance.hamming(universe_size)
-        if distance_name == "hamming"
-        else CountingDistance.drastic(universe_size)
-    )
-    sig = MergeOperator(dist, Aggregator.SIGMA)
-    gmax = MergeOperator(dist, Aggregator.GMAX)
-    return sig, gmax
+def _violated(pid, op, profiles, constraints) -> bool:
+    return check_postulate(pid, op, Instance(profiles, constraints)) is not None
 
 
-def _fx_ex1():
-    u = Universe("ab")
-    e = Profile.from_model_sets(
-        ModelSet.from_sets(u, "a", "ab"), ModelSet.from_sets(u, "b", "ab")
-    )
-    mu = ModelSet.from_sets(u, "", "a", "b")
-    sig, gmax = _ops(2)
-    rows = _Rows()
-    _table_rows(rows, "row", e, mu, sig.distance, Aggregator.SIGMA, [
-        ("{}", (1, 1), "2"),
-        ("{a}", (0, 1), "1"),
-        ("{b}", (1, 0), "1"),
-    ])
-    gm = score_table(e, mu, gmax.distance, Aggregator.GMAX)
-    for score_row, agg in zip(gm, ("(1,1)", "(1,0)", "(1,0)")):
-        rows.add(f"row {score_row.interpretation} gmax", agg, score_row.value)
+def _problem(atoms, bases, mu):
+    """A spec's profile and constraint, and the sum and gmax operators under
+    the hamming distance."""
+    u = Universe(atoms)
+    e = Profile.from_model_sets(*(ModelSet.from_sets(u, *b) for b in bases))
+    sig, gmax = (MergeOperator(CountingDistance.hamming(len(atoms)), agg) for agg in Aggregator)
+    return e, ModelSet.from_sets(u, *mu), sig, gmax
+
+
+def _fx_ex1(rows, atoms, bases, mu):
+    e, mu, sig, gmax = _problem(atoms, bases, mu)
+    rows.scores(e, mu, sig, (("{}", "1,1", "2"), ("{a}", "0,1", "1"), ("{b}", "1,0", "1")))
+    rows.scores(e, mu, gmax, (("{}", "(1,1)"), ("{a}", "(1,0)"), ("{b}", "(1,0)")))
     rows.add("merge sigma", "{a}, {b}", sig(e, mu))
     rows.add("merge gmax", "{a}, {b}", gmax(e, mu))
-    return rows.done("ex1", "hamming distances with sum and gmax on a two-base profile")
 
 
-def _fx_ex3():
-    u = Universe("ab")
-    e = Profile.from_model_sets(
-        ModelSet.from_sets(u, "a", "ab"), ModelSet.from_sets(u, "b", "ab")
-    )
-    mu = ModelSet.from_sets(u, "", "a", "b")
-    sig, _ = _ops(2)
-    rows = _Rows()
+def _fx_ex3(rows, atoms, bases, mu):
+    e, mu, sig, _ = _problem(atoms, bases, mu)
     merged = sig(e, mu)
     rows.add("merge sigma", "{a}, {b}", merged)
-    lex = RefinedOperator(sig, LexRefinement(AND2))
-    clo = RefinedOperator(sig, ClosureRefinement(AND2))
-    both = RefinedOperator(sig, LexClosureRefinement(AND2))
-    rows.add("lex refinement", "{a}", lex(e, mu))
-    rows.add("closure refinement", "{}, {a}, {b}", clo(e, mu))
-    rows.add("lex-closure refinement", "{}, {a}, {b}", both(e, mu))
+    for name, kind, expected in (("lex", LexRefinement, "{a}"),
+                                 ("closure", ClosureRefinement, "{}, {a}, {b}"),
+                                 ("lex-closure", LexClosureRefinement, "{}, {a}, {b}")):
+        rows.add(f"{name} refinement", expected, RefinedOperator(sig, kind(AND2))(e, mu))
     rows.add("bases met by merge", 2, cardintersection(merged, e))
-    return rows.done("ex3", "the three refinements on a non-closed merge result")
 
 
-def _fx_prop3_horn():
-    u = Universe("ab")
-    e = Profile.from_model_sets(
-        ModelSet.from_sets(u, "", "a", "b"), ModelSet.from_sets(u, "ab")
-    )
-    mu = ModelSet.full(u)
-    sig, gmax = _ops(2)
-    rows = _Rows()
-    rows.add("merge sigma", "{a}, {b}, {a,b}", sig(e, mu))
-    rows.add("merge gmax", "{a}, {b}, {a,b}", gmax(e, mu))
+def _fx_prop3(rows, atoms, bases, mu, beta, table, merged, lex):
+    e, mu, sig, gmax = _problem(atoms, bases, mu)
+    rows.scores(e, mu, sig, table)
+    rows.add("merge sigma", merged, sig(e, mu))
+    rows.add("merge gmax", merged, gmax(e, mu))
     for base_op in (sig, gmax):
-        ref = RefinedOperator(base_op, LexRefinement(AND2))
+        ref = RefinedOperator(base_op, LexRefinement(beta))
         out = ref(e, mu)
-        rows.add(f"lex of {base_op.label}", "{a}", out)
+        rows.add(f"lex of {base_op.label}", lex, out)
         rows.add(f"bases met ({base_op.label})", 1, cardintersection(out, e))
-        rows.verdict(
-            f"ic4 for lex of {base_op.label}",
-            check_postulate(PostulateId.IC4, ref, Instance((e,), (mu,))),
-        )
-    return rows.done("prop3-horn", "lex refinement breaks base symmetry (ic4), and-fragment")
+        rows.verdict(f"ic4 for lex of {base_op.label}", _violated(PostulateId.IC4, ref, (e,), (mu,)))
 
 
-def _fx_prop3_krom():
-    u = Universe("abcd")
-    k1 = ModelSet.from_sets(u, "", "a", "b", "c", "d")
-    k2 = ModelSet.from_sets(u, "ab", "cd")
-    e = Profile.from_model_sets(k1, k2)
-    mu = ModelSet.from_sets(u, "", "a", "b", "c", "d", "ab", "cd")
-    sig, gmax = _ops(4)
-    rows = _Rows()
-    _table_rows(rows, "row", e, mu, sig.distance, Aggregator.SIGMA, [
-        ("{}", (0, 2), "2"),
-        ("{a}", (0, 1), "1"),
-        ("{b}", (0, 1), "1"),
-        ("{a,b}", (1, 0), "1"),
-        ("{c}", (0, 1), "1"),
-        ("{d}", (0, 1), "1"),
-        ("{c,d}", (1, 0), "1"),
-    ])
-    expected_merge = "{a}, {b}, {a,b}, {c}, {d}, {c,d}"
-    rows.add("merge sigma", expected_merge, sig(e, mu))
-    rows.add("merge gmax", expected_merge, gmax(e, mu))
-    for base_op in (sig, gmax):
-        ref = RefinedOperator(base_op, LexRefinement(MAJ3))
-        out = ref(e, mu)
-        rows.add(f"lex of {base_op.label}", "{a}", out)
-        rows.add(f"bases met ({base_op.label})", 1, cardintersection(out, e))
-        rows.verdict(
-            f"ic4 for lex of {base_op.label}",
-            check_postulate(PostulateId.IC4, ref, Instance((e,), (mu,))),
-        )
-    return rows.done("prop3-krom", "lex refinement breaks base symmetry (ic4), maj3-fragment")
-
-
-def _fx_prop4_horn():
-    u = Universe("ab")
-    e = Profile.from_model_sets(ModelSet.from_sets(u, ""), ModelSet.from_sets(u, "ab"))
-    mu = ModelSet.full(u)
-    _, gmax = _ops(2)
-    rows = _Rows()
-    _table_rows(rows, "row", e, mu, gmax.distance, Aggregator.GMAX, [
-        ("{}", (0, 2), "(2,0)"),
-        ("{a}", (1, 1), "(1,1)"),
-        ("{b}", (1, 1), "(1,1)"),
-        ("{a,b}", (2, 0), "(2,0)"),
-    ])
-    rows.add("merge gmax", "{a}, {b}", gmax(e, mu))
-    ref = RefinedOperator(gmax, ClosureRefinement(AND2))
+def _fx_prop4(rows, atoms, bases, mu, beta, table, merged, closed):
+    e, mu, _, gmax = _problem(atoms, bases, mu)
+    rows.scores(e, mu, gmax, table)
+    rows.add("merge gmax", merged, gmax(e, mu))
+    ref = RefinedOperator(gmax, ClosureRefinement(beta))
     out = ref(e, mu)
-    rows.add("closure refinement", "{}, {a}, {b}", out)
+    rows.add("closure refinement", closed, out)
     rows.add("bases met", 1, cardintersection(out, e))
-    rows.verdict("ic4", check_postulate(PostulateId.IC4, ref, Instance((e,), (mu,))))
-    return rows.done("prop4-horn", "closure of a gmax merge breaks base symmetry (ic4), and-fragment")
+    rows.verdict("ic4", _violated(PostulateId.IC4, ref, (e,), (mu,)))
 
 
-def _fx_prop4_krom():
-    u = Universe("abcd")
-    e = Profile.from_model_sets(
-        ModelSet.from_sets(u, ""), ModelSet.from_sets(u, "ab", "cd")
-    )
-    mu = ModelSet.from_sets(u, "", "a", "b", "c", "d", "ab", "cd")
-    _, gmax = _ops(4)
-    rows = _Rows()
-    _table_rows(rows, "row", e, mu, gmax.distance, Aggregator.GMAX, [
-        ("{}", (0, 2), "(2,0)"),
-        ("{a}", (1, 1), "(1,1)"),
-        ("{b}", (1, 1), "(1,1)"),
-        ("{a,b}", (2, 0), "(2,0)"),
-        ("{c}", (1, 1), "(1,1)"),
-        ("{d}", (1, 1), "(1,1)"),
-        ("{c,d}", (2, 0), "(2,0)"),
-    ])
-    rows.add("merge gmax", "{a}, {b}, {c}, {d}", gmax(e, mu))
-    ref = RefinedOperator(gmax, ClosureRefinement(MAJ3))
-    out = ref(e, mu)
-    rows.add("closure refinement", "{}, {a}, {b}, {c}, {d}", out)
-    rows.add("bases met", 1, cardintersection(out, e))
-    rows.verdict("ic4", check_postulate(PostulateId.IC4, ref, Instance((e,), (mu,))))
-    return rows.done("prop4-krom", "closure of a gmax merge breaks base symmetry (ic4), maj3-fragment")
-
-
-def _fairness_suite():
-    """(label, base op, refinement, fragment) for the fairness fixture."""
-    jobs = []
+def _fx_prop6_fairness(rows):
     for fragment in (HORN, KROM):
-        beta = fragment.beta
-        for agg in (Aggregator.SIGMA, Aggregator.GMAX):
+        instances = list(SearchSpace(atoms=2, fragment=fragment).instances())
+        for agg in Aggregator:
+            hamming = MergeOperator(CountingDistance.hamming(2), agg)
             drastic = MergeOperator(CountingDistance.drastic(2), agg)
-            jobs.append((fragment, RefinedOperator(drastic, ClosureRefinement(beta))))
-            for dist in (CountingDistance.hamming(2), CountingDistance.drastic(2)):
-                base = MergeOperator(dist, agg)
-                jobs.append((fragment, RefinedOperator(base, LexClosureRefinement(beta))))
-    return jobs
+            for base_op, kind in ((drastic, ClosureRefinement), (hamming, LexClosureRefinement),
+                                  (drastic, LexClosureRefinement)):
+                ref = RefinedOperator(base_op, kind(fragment.beta))
+                found = is_fair(base_op, ref, instances).witnesses
+                rows.add(f"fairness of {ref.label} on {fragment.name} space", "0 violations",
+                         f"{len(found)} violations")
 
 
-def _fx_prop6_fairness():
-    rows = _Rows()
-    for fragment, refined in _fairness_suite():
-        space = SearchSpace(atoms=2, fragment=fragment)
-        report = is_fair(refined.base, refined, space.instances())
-        rows.add(
-            f"fairness of {refined.label} on {fragment.name} space",
-            "0 violations",
-            f"{len(report.witnesses)} violations",
-        )
-    return rows.done(
-        "prop6-fairness",
-        "drastic-closure and lex-closure refinements are fair on exhaustive 2-atom spaces",
-    )
-
-
-def _fx_prop8_ic5():
-    u = Universe("abc")
-    k1 = ModelSet.from_sets(u, "a", "ab", "ac")
-    k2 = ModelSet.from_sets(u, "b", "ab", "bc")
-    k3 = ModelSet.from_sets(u, "c", "ac", "bc")
-    k4 = ModelSet.from_sets(u, "", "b")
-    e1 = Profile.from_model_sets(k1, k2, k3)
-    e2 = Profile.from_model_sets(k4)
-    mu = ModelSet.from_sets(u, "", "a", "b", "c")
-    sig, gmax = _ops(3)
-    rows = _Rows()
-    _table_rows(rows, "row", e1.union(e2), mu, sig.distance, Aggregator.SIGMA, [
-        ("{}", (1, 1, 1, 0), "3"),
-        ("{a}", (0, 1, 1, 1), "3"),
-        ("{b}", (1, 0, 1, 0), "2"),
-        ("{c}", (1, 1, 0, 1), "3"),
-    ])
-    sig_e1 = score_table(e1, mu, sig.distance, Aggregator.SIGMA)
-    for score_row, agg in zip(sig_e1, ("3", "2", "2", "2")):
-        rows.add(f"row {score_row.interpretation} sigma (first profile)", agg, score_row.value)
-    instance = Instance((e1, e2), (mu,))
-    for beta, tag in ((AND2, "and"), (MAJ3, "maj3")):
+def _fx_prop8_ic5(rows, atoms, bases, mu):
+    union, mu, sig, gmax = _problem(atoms, bases, mu)
+    e1, e2 = Profile(union.bases[:3]), Profile(union.bases[3:])
+    rows.scores(union, mu, sig, (("{}", "1,1,1,0", "3"), ("{a}", "0,1,1,1", "3"), ("{b}", "1,0,1,0", "2"),
+                                 ("{c}", "1,1,0,1", "3")))
+    rows.scores(e1, mu, sig, (("{}", "3"), ("{a}", "2"), ("{b}", "2"), ("{c}", "2")), " (first profile)")
+    for beta in (AND2, MAJ3):
         for base_op in (sig, gmax):
             for kind in (ClosureRefinement(beta), LexClosureRefinement(beta)):
-                ref = RefinedOperator(base_op, kind)
-                rows.add(f"{ref.label} first profile", "{}, {a}, {b}, {c}", ref(e1, mu))
-                rows.add(f"{ref.label} second profile", "{}, {b}", ref(e2, mu))
-                rows.add(f"{ref.label} union", "{b}", ref(e1.union(e2), mu))
-                rows.verdict(
-                    f"ic5 for {ref.label} ({tag})",
-                    check_postulate(PostulateId.IC5, ref, instance),
-                )
-    return rows.done("prop8-ic5", "closure-style refinements break conjunction splitting (ic5)")
+                rows.pair(PostulateId.IC5, RefinedOperator(base_op, kind), e1, e2, mu,
+                          ("{}, {a}, {b}, {c}", "{}, {b}", "{b}"), f" ({beta})")
 
 
-def _fx_prop8_ic7_horn():
-    u = Universe("ab")
-    e = Profile.from_model_sets(
-        ModelSet.from_sets(u, "a"), ModelSet.from_sets(u, "b"), ModelSet.from_sets(u, "ab")
-    )
-    mu1 = ModelSet.from_sets(u, "", "a", "b")
-    mu2 = ModelSet.from_sets(u, "", "a")
-    sig, gmax = _ops(2)
-    rows = _Rows()
-    _table_rows(rows, "row", e, mu1, sig.distance, Aggregator.SIGMA, [
-        ("{}", (1, 1, 2), "4"),
-        ("{a}", (0, 2, 1), "3"),
-        ("{b}", (2, 0, 1), "3"),
-    ])
-    rows.add("merge sigma", "{a}, {b}", sig(e, mu1))
-    instance = Instance((e,), (mu1, mu2))
+def _fx_prop8_ic7(rows, atoms, bases, mu, beta, table, merged, first):
+    e, mu1, sig, gmax = _problem(atoms, bases, mu)
+    mu2 = ModelSet.from_sets(e.universe, "", "a")
+    rows.scores(e, mu1, sig, table)
+    if merged:
+        rows.add("merge sigma", merged, sig(e, mu1))
     for base_op in (sig, gmax):
-        for kind in (ClosureRefinement(AND2), LexClosureRefinement(AND2)):
+        for kind in (ClosureRefinement(beta), LexClosureRefinement(beta)):
             ref = RefinedOperator(base_op, kind)
-            rows.add(f"{ref.label} under first constraint", "{}, {a}, {b}", ref(e, mu1))
-            rows.add(
-                f"{ref.label} restricted to second constraint",
-                "{}, {a}",
-                ref(e, mu1) & mu2,
-            )
+            rows.add(f"{ref.label} under first constraint", first, ref(e, mu1))
+            rows.add(f"{ref.label} restricted to second constraint", "{}, {a}", ref(e, mu1) & mu2)
             rows.add(f"{ref.label} under conjoined constraint", "{a}", ref(e, mu1 & mu2))
-            rows.verdict(
-                f"ic7 for {ref.label}", check_postulate(PostulateId.IC7, ref, instance)
-            )
-    return rows.done(
-        "prop8-ic7-horn", "closure-style refinements break constraint conjunction (ic7), and-fragment"
-    )
+            rows.verdict(f"ic7 for {ref.label}", _violated(PostulateId.IC7, ref, (e,), (mu1, mu2)))
 
 
-def _fx_prop8_ic7_krom():
-    u = Universe("abc")
-    e = Profile.from_model_sets(
-        ModelSet.from_sets(u, "a"),
-        ModelSet.from_sets(u, "b"),
-        ModelSet.from_sets(u, "c"),
-        ModelSet.from_sets(u, "ab", "ac"),
-        ModelSet.from_sets(u, "ab", "bc"),
-    )
-    mu1 = ModelSet.from_sets(u, "", "a", "b", "c")
-    mu2 = ModelSet.from_sets(u, "", "a")
-    sig, gmax = _ops(3)
-    rows = _Rows()
-    _table_rows(rows, "row", e, mu1, sig.distance, Aggregator.SIGMA, [
-        ("{}", (1, 1, 1, 2, 2), "7"),
-        ("{a}", (0, 2, 2, 1, 1), "6"),
-        ("{b}", (2, 0, 2, 1, 1), "6"),
-        ("{c}", (2, 2, 0, 1, 1), "6"),
-    ])
-    instance = Instance((e,), (mu1, mu2))
-    for base_op in (sig, gmax):
-        for kind in (ClosureRefinement(MAJ3), LexClosureRefinement(MAJ3)):
-            ref = RefinedOperator(base_op, kind)
-            rows.add(f"{ref.label} under first constraint", "{}, {a}, {b}, {c}", ref(e, mu1))
-            rows.add(
-                f"{ref.label} restricted to second constraint",
-                "{}, {a}",
-                ref(e, mu1) & mu2,
-            )
-            rows.add(f"{ref.label} under conjoined constraint", "{a}", ref(e, mu1 & mu2))
-            rows.verdict(
-                f"ic7 for {ref.label}", check_postulate(PostulateId.IC7, ref, instance)
-            )
-    return rows.done(
-        "prop8-ic7-krom", "closure-style refinements break constraint conjunction (ic7), maj3-fragment"
-    )
-
-
-def _fx_prop9_ic4():
-    rows = _Rows()
-    for fragment, beta in ((HORN, AND2), (KROM, MAJ3)):
+def _fx_prop9_ic4(rows):
+    for fragment in (HORN, KROM):
         sig = MergeOperator(CountingDistance.hamming(2), Aggregator.SIGMA)
-        ref = RefinedOperator(sig, ClosureRefinement(beta))
-        space = SearchSpace(atoms=2, fragment=fragment, postulates=(PostulateId.IC4,))
-        found = search(space, ref)
-        rows.add(
-            f"ic4 witnesses for {ref.label} on {fragment.name} space",
-            "0",
-            len(found),
-        )
-    return rows.done(
-        "prop9-ic4", "closure of a sum/hamming merge keeps base symmetry (ic4): exhaustive search"
-    )
+        ref = RefinedOperator(sig, ClosureRefinement(fragment.beta))
+        found = search(SearchSpace(atoms=2, fragment=fragment, postulates=(PostulateId.IC4,)), ref)
+        rows.add(f"ic4 witnesses for {ref.label} on {fragment.name} space", "0", len(found))
 
 
-def _fx_prop10_nonfair():
-    u = Universe("abcdefg")
-    k1 = ModelSet.from_sets(u, "a", "ab", "ad", "af")
-    k2 = ModelSet.from_sets(u, "abcdefg")
-    e = Profile.from_model_sets(k1, k2)
-    mu = ModelSet.from_sets(u, "a", "abc", "ade", "afg")
-    sig = MergeOperator(CountingDistance.hamming(7), Aggregator.SIGMA)
-    rows = _Rows()
-    _table_rows(rows, "row", e, mu, sig.distance, Aggregator.SIGMA, [
-        ("{a}", (0, 6), "6"),
-        ("{a,b,c}", (1, 4), "5"),
-        ("{a,d,e}", (1, 4), "5"),
-        ("{a,f,g}", (1, 4), "5"),
-    ])
+def _fx_prop10_nonfair(rows, atoms, bases, mu):
+    e, mu, sig, _ = _problem(atoms, bases, mu)
+    rows.scores(e, mu, sig, (("{a}", "0,6", "6"), ("{a,b,c}", "1,4", "5"), ("{a,d,e}", "1,4", "5"),
+                             ("{a,f,g}", "1,4", "5")))
     merged = sig(e, mu)
     rows.add("merge sigma", "{a,b,c}, {a,d,e}, {a,f,g}", merged)
     rows.add("bases met by merge", 0, cardintersection(merged, e))
-    for beta, tag in ((AND2, "and"), (MAJ3, "maj3")):
-        ref = RefinedOperator(sig, ClosureRefinement(beta))
+    for kind in (ClosureRefinement(AND2), ClosureRefinement(MAJ3)):
+        ref = RefinedOperator(sig, kind)
         out = ref(e, mu)
-        rows.add(f"closure({tag}) refinement", "{a}, {a,b,c}, {a,d,e}, {a,f,g}", out)
-        rows.add(f"bases met by closure({tag})", 1, cardintersection(out, e))
-        report = is_fair(sig, ref, [(e, mu)])
-        rows.verdict(f"fairness of closure({tag})", report)
-    return rows.done(
-        "prop10-nonfair", "closure of a sum/hamming merge is not fair: seven-atom witness"
-    )
+        rows.add(f"{kind.label} refinement", "{a}, {a,b,c}, {a,d,e}, {a,f,g}", out)
+        rows.add(f"bases met by {kind.label}", 1, cardintersection(out, e))
+        rows.verdict(f"fairness of {kind.label}", not is_fair(sig, ref, [(e, mu)]).ok)
 
 
-def _fx_prop11_ic6():
-    u = Universe("ab")
-    k1 = ModelSet.from_sets(u, "a", "ab")
-    k2 = ModelSet.from_sets(u, "b", "ab")
-    k3 = ModelSet.from_sets(u, "", "a", "b")
-    k4 = ModelSet.from_sets(u, "")
-    e1 = Profile.from_model_sets(k1, k2, k3)
-    mu = ModelSet.full(u)
-    _, gmax = _ops(2)
-    rows = _Rows()
-    _table_rows(rows, "row", e1, mu, gmax.distance, Aggregator.GMAX, [
-        ("{}", (1, 1, 0), "(1,1,0)"),
-        ("{a}", (0, 1, 0), "(1,0,0)"),
-        ("{b}", (1, 0, 0), "(1,0,0)"),
-        ("{a,b}", (0, 0, 1), "(1,0,0)"),
-    ])
+def _fx_prop11_ic6(rows, atoms, bases, mu):
+    e1, mu, _, gmax = _problem(atoms, bases, mu)
+    rows.scores(e1, mu, gmax, (("{}", "1,1,0", "(1,1,0)"), ("{a}", "0,1,0", "(1,0,0)"),
+                               ("{b}", "1,0,0", "(1,0,0)"), ("{a,b}", "0,0,1", "(1,0,0)")))
     rows.add("merge gmax", "{a}, {b}, {a,b}", gmax(e1, mu))
-    branches = (
-        (ClosureRefinement(AND2), Profile.from_model_sets(k4),
-         "{}, {a}, {b}, {a,b}", "{}", "{}, {a}, {b}"),
-        (LexRefinement(AND2), Profile.from_model_sets(k1),
-         "{a}", "{a}, {a,b}", "{a}, {a,b}"),
-        (LexClosureRefinement(AND2), Profile.from_model_sets(k4),
-         "{}, {a}, {b}, {a,b}", "{}", "{}, {a}, {b}"),
-    )
-    for kind, e2, first, second, union_out in branches:
-        ref = RefinedOperator(gmax, kind)
-        rows.add(f"{ref.label} first profile", first, ref(e1, mu))
-        rows.add(f"{ref.label} second profile", second, ref(e2, mu))
-        rows.add(f"{ref.label} union", union_out, ref(e1.union(e2), mu))
-        rows.verdict(
-            f"ic6 for {ref.label}",
-            check_postulate(PostulateId.IC6, ref, Instance((e1, e2), (mu,))),
-        )
-    return rows.done(
-        "prop11-ic6", "every refinement style of a gmax merge breaks conjunction covering (ic6)"
-    )
+    at_empty = Profile.from_model_sets(ModelSet.from_sets(mu.universe, ""))
+    first_base = Profile(e1.bases[:1])
+    for kind, e2, expected in (
+        (ClosureRefinement(AND2), at_empty, ("{}, {a}, {b}, {a,b}", "{}", "{}, {a}, {b}")),
+        (LexRefinement(AND2), first_base, ("{a}", "{a}, {a,b}", "{a}, {a,b}")),
+        (LexClosureRefinement(AND2), at_empty, ("{}, {a}, {b}, {a,b}", "{}", "{}, {a}, {b}")),
+    ):
+        rows.pair(PostulateId.IC6, RefinedOperator(gmax, kind), e1, e2, mu, expected)
 
+
+_EX = dict(atoms="ab", bases=(("a", "ab"), ("b", "ab")), mu=("", "a", "b"))
+_HORN_ALL = ("", "a", "b", "ab")
+_KROM_MU = ("", "a", "b", "c", "d", "ab", "cd")
 
 FIXTURES = {
-    "ex1": _fx_ex1,
-    "ex3": _fx_ex3,
-    "prop3-horn": _fx_prop3_horn,
-    "prop3-krom": _fx_prop3_krom,
-    "prop4-horn": _fx_prop4_horn,
-    "prop4-krom": _fx_prop4_krom,
-    "prop6-fairness": _fx_prop6_fairness,
-    "prop8-ic5": _fx_prop8_ic5,
-    "prop8-ic7-horn": _fx_prop8_ic7_horn,
-    "prop8-ic7-krom": _fx_prop8_ic7_krom,
-    "prop9-ic4": _fx_prop9_ic4,
-    "prop10-nonfair": _fx_prop10_nonfair,
-    "prop11-ic6": _fx_prop11_ic6,
+    "ex1": ("hamming distances with sum and gmax on a two-base profile", _fx_ex1, _EX),
+    "ex3": ("the three refinements on a non-closed merge result", _fx_ex3, _EX),
+    "prop3-horn": (
+        "lex refinement breaks base symmetry (ic4), and-fragment", _fx_prop3,
+        dict(atoms="ab", bases=(("", "a", "b"), ("ab",)), mu=_HORN_ALL, beta=AND2, table=(),
+             merged="{a}, {b}, {a,b}", lex="{a}"),
+    ),
+    "prop3-krom": (
+        "lex refinement breaks base symmetry (ic4), maj3-fragment", _fx_prop3,
+        dict(atoms="abcd", bases=(("", "a", "b", "c", "d"), ("ab", "cd")), mu=_KROM_MU, beta=MAJ3,
+             table=(("{}", "0,2", "2"), ("{a}", "0,1", "1"), ("{b}", "0,1", "1"), ("{a,b}", "1,0", "1"),
+                    ("{c}", "0,1", "1"), ("{d}", "0,1", "1"), ("{c,d}", "1,0", "1")),
+             merged="{a}, {b}, {a,b}, {c}, {d}, {c,d}", lex="{a}"),
+    ),
+    "prop4-horn": (
+        "closure of a gmax merge breaks base symmetry (ic4), and-fragment", _fx_prop4,
+        dict(atoms="ab", bases=(("",), ("ab",)), mu=_HORN_ALL, beta=AND2,
+             table=(("{}", "0,2", "(2,0)"), ("{a}", "1,1", "(1,1)"), ("{b}", "1,1", "(1,1)"),
+                    ("{a,b}", "2,0", "(2,0)")),
+             merged="{a}, {b}", closed="{}, {a}, {b}"),
+    ),
+    "prop4-krom": (
+        "closure of a gmax merge breaks base symmetry (ic4), maj3-fragment", _fx_prop4,
+        dict(atoms="abcd", bases=(("",), ("ab", "cd")), mu=_KROM_MU, beta=MAJ3,
+             table=(("{}", "0,2", "(2,0)"), ("{a}", "1,1", "(1,1)"), ("{b}", "1,1", "(1,1)"),
+                    ("{a,b}", "2,0", "(2,0)"), ("{c}", "1,1", "(1,1)"), ("{d}", "1,1", "(1,1)"),
+                    ("{c,d}", "2,0", "(2,0)")),
+             merged="{a}, {b}, {c}, {d}", closed="{}, {a}, {b}, {c}, {d}"),
+    ),
+    "prop6-fairness": (
+        "drastic-closure and lex-closure refinements are fair on exhaustive 2-atom spaces",
+        _fx_prop6_fairness, {},
+    ),
+    "prop8-ic5": (
+        "closure-style refinements break conjunction splitting (ic5)", _fx_prop8_ic5,
+        # The first three bases are the first profile, the fourth the second.
+        dict(atoms="abc", bases=(("a", "ab", "ac"), ("b", "ab", "bc"), ("c", "ac", "bc"), ("", "b")),
+             mu=("", "a", "b", "c")),
+    ),
+    "prop8-ic7-horn": (
+        "closure-style refinements break constraint conjunction (ic7), and-fragment", _fx_prop8_ic7,
+        dict(atoms="ab", bases=(("a",), ("b",), ("ab",)), mu=("", "a", "b"), beta=AND2,
+             table=(("{}", "1,1,2", "4"), ("{a}", "0,2,1", "3"), ("{b}", "2,0,1", "3")),
+             merged="{a}, {b}", first="{}, {a}, {b}"),
+    ),
+    "prop8-ic7-krom": (
+        "closure-style refinements break constraint conjunction (ic7), maj3-fragment", _fx_prop8_ic7,
+        dict(atoms="abc", bases=(("a",), ("b",), ("c",), ("ab", "ac"), ("ab", "bc")),
+             mu=("", "a", "b", "c"), beta=MAJ3, table=(("{}", "1,1,1,2,2", "7"), ("{a}", "0,2,2,1,1", "6"),
+                               ("{b}", "2,0,2,1,1", "6"), ("{c}", "2,2,0,1,1", "6")),
+             merged=None, first="{}, {a}, {b}, {c}"),
+    ),
+    "prop9-ic4": (
+        "closure of a sum/hamming merge keeps base symmetry (ic4): exhaustive search", _fx_prop9_ic4, {},
+    ),
+    "prop10-nonfair": (
+        "closure of a sum/hamming merge is not fair: seven-atom witness", _fx_prop10_nonfair,
+        dict(atoms="abcdefg", bases=(("a", "ab", "ad", "af"), ("abcdefg",)),
+             mu=("a", "abc", "ade", "afg")),
+    ),
+    "prop11-ic6": (
+        "every refinement style of a gmax merge breaks conjunction covering (ic6)", _fx_prop11_ic6,
+        dict(atoms="ab", bases=(("a", "ab"), ("b", "ab"), ("", "a", "b")), mu=_HORN_ALL),
+    ),
 }
 
 
@@ -868,9 +677,11 @@ def reproduce(fixture_id: str) -> FixtureReport:
     """Recompute a shipped fixture and compare every cell against its
     hard-coded expected value."""
     try:
-        builder = FIXTURES[fixture_id]
+        title, builder, spec = FIXTURES[fixture_id]
     except KeyError:
         raise UnknownFixtureError(
             f"unknown fixture {fixture_id!r}; known: {', '.join(FIXTURES)}"
         ) from None
-    return builder()
+    rows = _Rows()
+    builder(rows, **spec)
+    return FixtureReport(fixture_id, title, tuple(rows))

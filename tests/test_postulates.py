@@ -1,5 +1,8 @@
+import contextlib
+
 import pytest
 
+import fragmerge.postulates as postulates
 from fragmerge import (
     AND2,
     HORN,
@@ -20,12 +23,13 @@ from fragmerge import (
     SpaceTooLargeError,
     Universe,
     UnknownFixtureError,
+    cli,
     check_postulate,
     fixture_ids,
     reproduce,
     search,
 )
-from fragmerge.postulates import MAX_INSTANCES, ROWS
+from fragmerge.postulates import FIXTURES, MAX_INSTANCES, ROWS
 from helpers import (
     U2,
     EchoConstraintOperator,
@@ -278,6 +282,24 @@ class TestFixtures:
         assert cells["row {a} gmax"] == "(1,0)"
         assert cells["merge sigma"] == "{a}, {b}"
 
+    @pytest.mark.parametrize(
+        "pair, key, patch, label",
+        [
+            ("prop3", "table", lambda t: (("{}", "0,3", "2"),) + t[1:], "row {} distances"),
+            ("prop4", "closed", lambda s: "{}, {a}", "closure refinement"),
+            ("prop8-ic7", "table", lambda t: t[:-1] + (("{c}", "2,2,0,1,1", "5"),), "row {c} sigma"),
+        ],
+    )
+    def test_twin_spec_cells_are_compared(self, monkeypatch, capsys, pair, key, patch, label):
+        (_, horn_builder, _), (_, builder, spec) = FIXTURES[f"{pair}-horn"], FIXTURES[f"{pair}-krom"]
+        assert horn_builder is builder
+        monkeypatch.setitem(spec, key, patch(spec[key]))
+        report = reproduce(f"{pair}-krom")
+        assert [r.label for r in report.rows if not r.ok] == [label]
+        assert cli.main(["reproduce", f"{pair}-krom"]) == 1
+        assert capsys.readouterr().out.count("FAIL") == 1
+        assert reproduce(f"{pair}-horn").ok
+
 
 FRAGMENTS = {"horn": HORN, "krom": KROM, "none": None}
 REFINEMENTS = {
@@ -426,3 +448,28 @@ class TestInstanceBudget:
         space = SearchSpace(atoms=2, fragment=HORN, max_profile_size=1, postulates=(PostulateId.IC3,))
         with pytest.raises(EmptySpaceError):
             search(space, self.refuse)
+
+    @pytest.mark.parametrize(
+        "space, refusal",
+        [
+            (dict(atoms=2, fragment=HORN, postulates=(PostulateId.IC0, PostulateId.IC4)), None),
+            (dict(atoms=2, fragment=None, postulates=(PostulateId.IC0, PostulateId.IC7)), None),
+            (dict(atoms=3, fragment=None), SpaceTooLargeError),
+            (dict(atoms=2, fragment=KROM, max_profile_size=1, postulates=(PostulateId.IC3,)), EmptySpaceError),
+        ],
+        ids=["horn", "none", "none-3-over-budget", "krom-empty"],
+    )
+    def test_base_sets_are_built_once_per_search(self, monkeypatch, space, refusal):
+        builds = []
+
+        def counted(build):
+            def wrapper(*args, **kwargs):
+                builds.append(args)
+                return build(*args, **kwargs)
+            return wrapper
+
+        for name in ("model_sets", "closed_model_sets"):
+            monkeypatch.setattr(postulates, name, counted(getattr(postulates, name)))
+        with pytest.raises(refusal) if refusal else contextlib.nullcontext():
+            search(SearchSpace(**space), SIG2)
+        assert len(builds) == 1
