@@ -43,6 +43,7 @@ from .merge import (
     InconsistentBaseError,
     MergeOperator,
     Profile,
+    merge,
 )
 from .postulates import (
     EmptySpaceError,
@@ -60,6 +61,7 @@ from .refine import (
     LexRefinement,
     RefinedOperator,
     cardintersection,
+    refine,
 )
 
 EXIT_OK = 0
@@ -221,7 +223,7 @@ def cmd_merge(args, out=None, err=None) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             problem = parse_problem_file(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read problem file: {exc}", file=err)
         return EXIT_USAGE
     except InconsistentBaseError as exc:
@@ -244,8 +246,7 @@ def cmd_merge(args, out=None, err=None) -> int:
     aggregator = Aggregator(args.aggregator)
     profile = problem.profile
     mu = problem.constraint()
-    base_op = MergeOperator(distance, aggregator)
-    merged = base_op(profile, mu)
+    merged = merge(profile, mu, distance, aggregator)
 
     records = [("universe", " ".join(universe.atoms))]
     for name, b in problem.bases:
@@ -256,7 +257,7 @@ def cmd_merge(args, out=None, err=None) -> int:
 
     final = merged
     if refinement is not None:
-        refined = RefinedOperator(base_op, refinement)(profile, mu)
+        refined = refine(refinement, merged, profile, mu)
         records.append(("refined", refined.compact() or "none"))
         records.append(("refined-overlap", cardintersection(refined, profile)))
         final = refined
@@ -326,6 +327,8 @@ def cmd_check(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     try:
+        if args.atoms < 1:
+            raise ValueError(f"the universe needs at least 1 atom, got {args.atoms}")
         parts = args.op.split(",")
         if len(parts) != 3:
             raise ValueError("--op needs distance,aggregator,refinement")

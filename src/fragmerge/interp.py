@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-# Enumeration over all 2^|U| interpretations is capped.  ENUM_CAP may be
-# raised by callers willing to pay the cost, never above HARD_ATOM_CAP.
+# Enumeration over all 2^|U| interpretations is capped at ENUM_CAP atoms;
+# no universe may exceed HARD_ATOM_CAP.
 ENUM_CAP = 16
 HARD_ATOM_CAP = 24
 
@@ -51,10 +51,9 @@ class NotReproducingError(ValueError):
 
 
 def _check_enum_size(universe):
-    cap = min(ENUM_CAP, HARD_ATOM_CAP)
-    if len(universe) > cap:
+    if len(universe) > ENUM_CAP:
         raise UniverseTooLargeError(
-            f"universe has {len(universe)} atoms, enumeration cap is {cap}"
+            f"universe has {len(universe)} atoms, enumeration cap is {ENUM_CAP}"
         )
 
 
@@ -535,7 +534,6 @@ def _is_closed(beta: BooleanFn, bits: int, width: int) -> bool:
     return _closed_witness(beta, bits, width) is None
 
 
-@lru_cache(maxsize=None)
 def _closed_witness(beta: BooleanFn, bits: int, width: int):
     # First argument tuple whose image escapes `bits`, scanning one ordering
     # per multiset (beta is symmetric) in combinations_with_replacement

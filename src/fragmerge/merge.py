@@ -285,23 +285,19 @@ def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregat
 
 
 class MergeOperator:
-    """Callable (profile, constraint) -> model set, with memoized results."""
+    """Callable (profile, constraint) -> model set.  Results are not cached:
+    `search` and `check_postulate` ask each (profile, constraint) once."""
 
     def __init__(self, distance: CountingDistance, aggregator: Aggregator):
         self.distance = distance
         self.aggregator = aggregator
-        self._memo = {}
 
     @property
     def label(self) -> str:
         return f"merge({self.distance.name},{self.aggregator.value})"
 
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
-        key = (profile, mu)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = merge(profile, mu, self.distance, self.aggregator)
-        return hit
+        return merge(profile, mu, self.distance, self.aggregator)
 
     def __repr__(self):
         return f"<{self.label}>"

@@ -358,6 +358,8 @@ def _guard(space: SearchSpace):
         raise SpaceTooLargeError(f"exhaustive mode caps the universe at 4 atoms, got {space.atoms}")
     if space.max_profile_size < 1:
         raise SpaceTooLargeError("profile size cap must be at least 1")
+    if space.max_bases is not None and space.max_bases < 0:
+        raise SpaceTooLargeError(f"base cap must be at least 0, got {space.max_bases}")
 
 
 def search(space: SearchSpace, op, limit: int = None):

@@ -361,23 +361,18 @@ def is_fair(base_op, refined_op, instances, limit: int = None) -> FairnessReport
 
 
 class RefinedOperator:
-    """Composition of a merge operator with a refinement, memoized."""
+    """Composition of a merge operator with a refinement, not cached."""
 
     def __init__(self, base, kind):
         self.base = base
         self.kind = kind
-        self._memo = {}
 
     @property
     def label(self) -> str:
         return f"{self.base.label}+{self.kind.label}"
 
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
-        key = (profile, mu)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._memo[key] = refine(self.kind, self.base(profile, mu), profile, mu)
-        return hit
+        return refine(self.kind, self.base(profile, mu), profile, mu)
 
     def __repr__(self):
         return f"<{self.label}>"

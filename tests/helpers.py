@@ -38,6 +38,24 @@ class EchoConstraintOperator:
         return mu
 
 
+class PresentationCache:
+    """An operator whose answers are cached by presentation: the ordered
+    base bits and the constraint bits.  The flipped side of an ic3 instance
+    is another key, so the operator is still asked for it."""
+
+    def __init__(self, op):
+        self.op = op
+        self.label = op.label
+        self._answers = {}
+
+    def __call__(self, profile, mu):
+        key = (tuple(b.models.bits for b in profile.bases), mu.bits)
+        out = self._answers.get(key)
+        if out is None:
+            out = self._answers[key] = self.op(profile, mu)
+        return out
+
+
 def brute_force_closure(beta, mset):
     """Oracle: saturate by applying beta to every argument tuple, restarting
     from scratch each round (independent of the library's worklist)."""

@@ -147,6 +147,14 @@ class TestMergeCommand:
         missing = tmp_path / "missing.txt"
         assert run(capsys, "merge", str(missing))[0] == 2
 
+    def test_problem_file_that_is_not_utf8_exits_two(self, capsys, tmp_path):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"atoms: a b\nbase K1: a\n# caf\xe9\n")
+        code, out, err = run(capsys, "merge", str(latin1))
+        assert code == 2 and out == ""
+        assert err.startswith("cannot read problem file: ")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -290,8 +298,11 @@ class TestCheckCommand:
             (["--limit", "0"], "--limit must be at least 1"),
             (["--postulates", "ic3", "--max-profile-size", "1"], "no instances"),
             (["--max-bases", "0"], "no instances"),
+            (["--max-bases", "-1"], "base cap must be at least 0"),
+            (["--atoms", "-3"], "needs at least 1 atom"),
         ],
-        ids=["limit-0", "ic3-single-base-profiles", "no-bases"],
+        ids=["limit-0", "ic3-single-base-profiles", "no-bases", "negative-base-cap",
+             "negative-atoms"],
     )
     def test_rejected_search_exits_two(self, capsys, extra, message):
         code, out, err = run(capsys, "check", "--op", "hamming,sigma,none", "--atoms", "2", *extra)

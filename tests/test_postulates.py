@@ -8,6 +8,7 @@ from fragmerge import (
     HORN,
     KROM,
     Aggregator,
+    BetaMapping,
     ClosureRefinement,
     CountingDistance,
     EmptySpaceError,
@@ -25,7 +26,9 @@ from fragmerge import (
     UnknownFixtureError,
     cli,
     check_postulate,
+    closure,
     fixture_ids,
+    is_closed,
     reproduce,
     search,
 )
@@ -33,6 +36,7 @@ from fragmerge.postulates import FIXTURES, MAX_INSTANCES, ROWS
 from helpers import (
     U2,
     EchoConstraintOperator,
+    PresentationCache,
     ms,
     prof,
     slow_check_postulate,
@@ -333,7 +337,7 @@ class TestEngineAgainstSlowOracle:
                              ids=["-".join((d, a.value, r)) for d, a, r in OPERATORS])
     def test_witnesses_match(self, fragment, distance, aggregator, refinement):
         frag = FRAGMENTS[fragment]
-        op = cli_operator(frag, distance, aggregator, refinement)
+        op = PresentationCache(cli_operator(frag, distance, aggregator, refinement))
         # ic4 instances do not depend on the profile size, and ic3 has none
         # at size 1.
         spaces = (
@@ -356,7 +360,7 @@ class TestEngineAgainstSlowOracle:
         space = SearchSpace(atoms=2, fragment=frag, max_profile_size=2, max_bases=3)
         profiles, constraints = space.profiles(), space.base_sets()
         for spec in OPERATORS:
-            op = cli_operator(frag, *spec)
+            op = PresentationCache(cli_operator(frag, *spec))
             for pid in PostulateId:
                 slow = list(slow_instances(pid, space))
                 fast = [Instance(*i) for i in ROWS[pid].shape.instances(profiles, constraints)]
@@ -375,6 +379,21 @@ class TestEngineAgainstSlowOracle:
         assert found
         assert [w.render() for w in found] == [w.render() for w in slow_search(space, first_base)]
         assert all(w.recheck(first_base) for w in found)
+
+    def test_ic3_finds_witnesses_of_an_order_dependent_refinement(self):
+        # Closure when the merge is closed or meets the first base, else its
+        # least model: two presentations of one profile can refine apart.
+        def first_base_closure(mset, profile_models):
+            if is_closed(AND2, mset) or mset.intersects(profile_models[0]):
+                return closure(AND2, mset)
+            return ModelSet.from_bits(mset.universe, mset.bits & -mset.bits)
+
+        op = RefinedOperator(SIG2, BetaMapping(AND2, first_base_closure))
+        space = SearchSpace(atoms=2, fragment=HORN, postulates=(PostulateId.IC3,))
+        found = search(space, op)
+        assert len(found) == 2
+        assert [w.render() for w in found] == [w.render() for w in slow_search(space, op)]
+        assert all(w.recheck(op) for w in found)
 
     def test_operator_is_asked_once_per_profile_and_constraint(self):
         calls = []

@@ -308,4 +308,4 @@ class TestRefinedOperator:
         refined = RefinedOperator(SIG2, ClosureRefinement(AND2))
         assert refined.label == "merge(hamming,sigma)+closure(and)"
         e, mu = example_instance()
-        assert refined(e, mu) is refined(e, mu)
+        assert refined(e, mu) == refined(e, mu)
