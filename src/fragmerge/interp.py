@@ -198,12 +198,6 @@ class Interpretation:
     def true_atoms(self) -> tuple:
         return tuple(a for i, a in enumerate(self.universe.atoms) if self.mask >> i & 1)
 
-    def value(self, name: str) -> int:
-        return self.mask >> self.universe.index(name) & 1
-
-    def __int__(self):
-        return self.mask
-
     def __eq__(self, other):
         return (
             isinstance(other, Interpretation)
@@ -253,16 +247,6 @@ class ModelSet:
         mset.universe = universe
         mset.bits = bits
         return mset
-
-    @classmethod
-    def of(cls, *interps) -> "ModelSet":
-        if not interps:
-            raise ValueError("use ModelSet(universe) for the empty set")
-        universe = interps[0].universe
-        for w in interps:
-            if w.universe != universe:
-                raise UniverseMismatchError("interpretations over different universes")
-        return cls(universe, (w.mask for w in interps))
 
     @classmethod
     def from_sets(cls, universe, *atom_sets) -> "ModelSet":
@@ -519,8 +503,7 @@ _IMAGES = {
 }
 
 
-@lru_cache(maxsize=None)
-def _closure_bits(beta: BooleanFn, bits: int, width: int) -> int:
+def _closure_of(beta: BooleanFn, bits: int, width: int) -> int:
     if beta == AND2:
         return _and_closure(bits)
     if beta == MAJ3:
@@ -528,9 +511,15 @@ def _closure_bits(beta: BooleanFn, bits: int, width: int) -> int:
     return _fixpoint(beta, bits, width)
 
 
-def _is_closed(beta: BooleanFn, bits: int, width: int) -> bool:
+# Closures asked for again (refinements, closedness checks) come from here;
+# the walk of `closed_model_sets` tests each set once and bypasses it.
+CLOSURE_CACHE_SIZE = 1024
+_closure_bits = lru_cache(maxsize=CLOSURE_CACHE_SIZE)(_closure_of)
+
+
+def _is_closed(beta: BooleanFn, bits: int, width: int, close=_closure_bits) -> bool:
     if beta in _IMAGES:
-        return _closure_bits(beta, bits, width) == bits
+        return close(beta, bits, width) == bits
     return _closed_witness(beta, bits, width) is None
 
 
@@ -595,5 +584,5 @@ def closed_model_sets(beta: BooleanFn, universe: Universe, include_empty: bool =
     width = len(universe)
     return tuple(
         mset for mset in model_sets(universe, include_empty)
-        if _is_closed(beta, mset.bits, width)
+        if _is_closed(beta, mset.bits, width, _closure_of)
     )

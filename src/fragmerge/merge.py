@@ -7,16 +7,16 @@ are aggregated by sum or by the descending-sorted vector compared
 lexicographically, and merging keeps the constraint models with minimal
 aggregate.  Distances are integer-valued, so comparisons are exact.
 
-One kernel, `_distance_rows`, gives `merge` and `score_table` every
-distance d(w, K) without scanning (w, model) pairs: per base, a breadth-first
-search over the hypercube on truth-table bitsets (ints with bit m for
-interpretation m) reaches w at step k = min over models m of |w xor m|, and
-d(w, K) = g(k) because the gauge is nondecreasing.
+One kernel, `_rings`, gives `merge`, `MergeOperator.answers` and
+`score_table` every distance d(w, K) without scanning (w, model) pairs: per
+base, a breadth-first search over the hypercube on truth-table bitsets (ints
+with bit m for interpretation m) reaches w at step k = min over models m of
+|w xor m|, and d(w, K) = g(k) because the gauge is nondecreasing.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce, total_ordering
+from functools import partial, reduce, total_ordering
 from operator import and_
 
 from .interp import Interpretation, ModelSet, Universe, UniverseMismatchError
@@ -214,28 +214,25 @@ def _check_merge_inputs(profile: Profile, mu: ModelSet, d: CountingDistance):
         )
 
 
-def _distance_rows(profile: Profile, mu: ModelSet, gauge: tuple) -> dict:
-    """Map each model w of `mu`, in ascending mask order, to the list of its
-    distances to the bases, in base order.
+def _rings(profile: Profile, mu: ModelSet, gauge: tuple) -> list:
+    """Per base, in base order, the models of `mu` at each distance from it:
+    a list of (distance, bitset) pairs, nearest first, that partitions `mu`.
 
     Ring 0 is a base's bitset and ring k+1 is every interpretation one atom
     flip from ring k: flipping atom i moves the bits under its pattern down
     by 2^i and the others up.  So ring k holds every w at Hamming distance k
     from the base and none farther; those of `mu` leave the search when first
     hit.  The gauge g is nondecreasing (CountingDistance enforces it), so
-    min_m g(|w xor m|) = g(min_m |w xor m|) = gauge[k]: one lookup per hit.
+    min_m g(|w xor m|) = g(min_m |w xor m|) = gauge[k] for a hit in ring k.
     """
     patterns = _atom_patterns(len(profile.universe))
-    targets = mu.bits
-    rows = {w: [] for w in _from_bits(targets)}
+    out = []
     for base in profile.bases:
-        ring = base.models.bits
-        left = targets
+        ring, left, hits = base.models.bits, mu.bits, []
         for g in gauge:
             hit = ring & left
             if hit:
-                for w in _from_bits(hit):
-                    rows[w].append(g)
+                hits.append((g, hit))
                 left ^= hit
             if not left:
                 break
@@ -244,26 +241,41 @@ def _distance_rows(profile: Profile, mu: ModelSet, gauge: tuple) -> dict:
                 down = ring & pattern
                 grown |= down >> (1 << i) | (ring ^ down) << (1 << i)
             ring = grown
-    return rows
+        out.append(hits)
+    return out
+
+
+def _levels(profile: Profile, mu: ModelSet, gauge: tuple, f: Aggregator) -> list:
+    """The models of `mu` grouped by aggregate, as bitsets in ascending
+    order of aggregate: the sum of the distances (sigma) or their descending
+    tuple (gmax).  Built on bitsets, base by base: a group of the first j
+    bases meets each ring of base j + 1 in the group of the combined key."""
+    sigma = f is Aggregator.SIGMA
+    groups = {0 if sigma else (): mu.bits}
+    for hits in _rings(profile, mu, gauge):
+        grown = {}
+        for key, bits in groups.items():
+            for g, hit in hits:
+                both = bits & hit
+                if both:
+                    new = key + g if sigma else tuple(sorted(key + (g,), reverse=True))
+                    grown[new] = grown.get(new, 0) | both
+        groups = grown
+    return [groups[key] for key in sorted(groups)]
+
+
+def _least(levels: list, bits: int) -> int:
+    """The constraint `bits`' part of the first level that meets it: its
+    models of least aggregate, ties all kept (none for an empty constraint)."""
+    return next((level & bits for level in levels if level & bits), 0)
 
 
 def merge(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator) -> ModelSet:
-    """Constraint models at minimal aggregated distance from the profile.
-
-    Ties are all retained; an empty constraint yields an empty result.
-    Distances come from the ring kernel `_distance_rows`; raw sums (sigma)
-    or descending lists (gmax) are compared, no AggValue is built.
-    """
+    """Constraint models at minimal aggregated distance from the profile:
+    the least of `_levels` that meets mu, as in `MergeOperator.answers`.
+    Ties are all retained; an empty constraint yields an empty result."""
     _check_merge_inputs(profile, mu, d)
-    best, best_bits = None, 0
-    sigma = f is Aggregator.SIGMA
-    for w, dists in _distance_rows(profile, mu, d.gauge).items():
-        score = sum(dists) if sigma else sorted(dists, reverse=True)
-        if best is None or score < best:
-            best, best_bits = score, 1 << w
-        elif score == best:
-            best_bits |= 1 << w
-    return ModelSet.from_bits(profile.universe, best_bits)
+    return ModelSet.from_bits(profile.universe, _least(_levels(profile, mu, d.gauge, f), mu.bits))
 
 
 @dataclass(frozen=True)
@@ -275,18 +287,21 @@ class ScoreRow:
 
 def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator):
     """Per-interpretation distance rows in ascending mask order, from the
-    ring kernel `_distance_rows` that `merge` reads."""
+    ring kernel `_rings` that `merge` reads."""
     _check_merge_inputs(profile, mu, d)
+    rows = {w: [] for w in _from_bits(mu.bits)}
+    for hits in _rings(profile, mu, d.gauge):
+        for g, hit in hits:
+            for w in _from_bits(hit):
+                rows[w].append(g)
     universe = profile.universe
-    return tuple(
-        ScoreRow(Interpretation(universe, w), tuple(dists), aggregate(f, dists))
-        for w, dists in _distance_rows(profile, mu, d.gauge).items()
-    )
+    return tuple(ScoreRow(Interpretation(universe, w), tuple(dists), aggregate(f, dists))
+                 for w, dists in rows.items())
 
 
 class MergeOperator:
-    """Callable (profile, constraint) -> model set.  Results are not cached:
-    `search` and `check_postulate` ask each (profile, constraint) once."""
+    """Callable (profile, constraint) -> model set.  Results are not cached;
+    `answers` serves every constraint of one profile from one ring search."""
 
     def __init__(self, distance: CountingDistance, aggregator: Aggregator):
         self.distance = distance
@@ -299,5 +314,20 @@ class MergeOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return merge(profile, mu, self.distance, self.aggregator)
 
+    def answers(self, profile: Profile, within: ModelSet):
+        """mu.bits -> self(profile, mu).bits for every mu inside `within`:
+        one ring search groups the models of `within` by aggregate, and each
+        answer is `merge`'s least level that meets mu."""
+        _check_merge_inputs(profile, within, self.distance)
+        return partial(_least, _levels(profile, within, self.distance.gauge, self.aggregator))
+
     def __repr__(self):
         return f"<{self.label}>"
+
+
+def answer_fn(op, profile: Profile, within: ModelSet):
+    """bits -> op(profile, mu).bits for the constraints mu inside `within`:
+    `op.answers` when the operator has it, else one call of `op` per mu."""
+    if hasattr(op, "answers"):
+        return op.answers(profile, within)
+    return lambda bits: op(profile, ModelSet.from_bits(within.universe, bits)).bits

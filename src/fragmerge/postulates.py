@@ -9,10 +9,10 @@ conjunction is intersection, consistency is non-emptiness.
 import itertools
 import string
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from enum import Enum
 from math import comb
-from operator import add
+from operator import add, or_
 
 from .formula import HORN, KROM
 from .interp import AND2, MAJ3, Fragment, ModelSet, Universe, closed_model_sets, model_sets
@@ -22,6 +22,7 @@ from .merge import (
     CountingDistance,
     MergeOperator,
     Profile,
+    answer_fn,
     score_table,
 )
 from .refine import (
@@ -103,63 +104,71 @@ class Witness:
 
 
 class _Table(dict):
-    """Lazy answer table of one profile: self[mu_bits] = op(profile, mu).bits."""
+    """Lazy answer table of one profile presentation: self[mu.bits] =
+    op(profile, mu).bits for mu inside `within`, read off `answer_fn`."""
 
-    def __init__(self, op, profile):
-        self.op, self.profile = op, profile
-        self.common = profile.common_models().bits
+    def __init__(self, op, profile, within):
+        self.answer = answer_fn(op, profile, within)
 
     def __missing__(self, bits):
-        out = self[bits] = self.op(self.profile, ModelSet.from_bits(self.profile.universe, bits)).bits
+        out = self[bits] = self.answer(bits)
         return out
 
 
 class _Answers(dict):
-    """The answer tables of one operator by profile, and by pair (e1, e2)
-    the table of the multiset e1 + e2.  They live for one `search` or
-    `check_postulate` call."""
+    """Answer tables by profile (a multiset) over the union `within` of the
+    constraints asked about, for one `search` or `check_postulate` call.
+    ic3's flipped presentation gets a `_Table` of its own, under no key."""
 
-    def __init__(self, op):
-        self.op = op
+    def __init__(self, op, within):
+        self.op, self.within = op, within
 
-    def __missing__(self, key):
-        if isinstance(key, tuple):
-            table = self[key] = self[key[0].union(key[1])]
-        else:
-            table = self[key] = _Table(self.op, key)
+    def __missing__(self, profile):
+        table = self[profile] = _Table(self.op, profile, self.within)
         return table
 
 
-# Each shape: its instances over a space as (profiles, constraints), in
-# search order, and the ints its postulates read off the answer tables.
-def _each(profiles, constraints):
-    return (((e,), (mu,)) for e in profiles for mu in constraints)
+# Each shape's scan walks its instances over a space in search order and
+# yields (profiles, constraints, values) for those `violated(*values)` flags;
+# its `values` reads the same ints for one instance.
+def _each_scan(answers, profiles, constraints, violated):
+    keyed = [(mu, mu.bits) for mu in constraints]
+    for e in profiles:
+        table, common = answers[e], e.common_models().bits
+        for mu, b in keyed:
+            if violated(table[b], b, common & b):
+                yield (e,), (mu,), (table[b], b, common & b)
 
 
 def _each_values(answers, profiles, constraints):
-    table, b = answers[profiles[0]], constraints[0].bits
-    return table[b], b, table.common & b
+    b = constraints[0].bits
+    return answers[profiles[0]][b], b, profiles[0].common_models().bits & b
 
 
-def _flipped(profiles, constraints):
+def _flipped_scan(answers, profiles, constraints, violated):
+    keyed = [(mu, mu.bits) for mu in constraints]
     for e in profiles:
         if len(e.bases) > 1:
-            pair = (e, Profile(e.bases[::-1]))
-            yield from ((pair, (mu, mu)) for mu in constraints)
+            flipped = Profile(e.bases[::-1])
+            first, second = answers[e], _Table(answers.op, flipped, answers.within)
+            for mu, b in keyed:
+                if violated(first[b], second[b]):
+                    yield (e, flipped), (mu, mu), (first[b], second[b])
 
 
 def _flipped_values(answers, profiles, constraints):
-    # Profiles compare as multisets, so the flipped side's table would be the
-    # first side's: ask the operator itself.
-    return answers[profiles[0]][constraints[0].bits], answers.op(profiles[1], constraints[1]).bits
+    b = constraints[0].bits
+    return answers[profiles[0]][b], _Table(answers.op, profiles[1], answers.within)[b]
 
 
-def _two_bases(profiles, constraints):
+def _two_bases_scan(answers, profiles, constraints, violated):
     bases = tuple(Base(s) for s in constraints)
     for mu in constraints:
-        inside = [b for b in bases if b.models.issubset(mu)]
-        for pair in itertools.combinations_with_replacement(inside, 2):
-            yield (Profile(pair),), (mu,)
+        inside = [k for k in bases if k.models.issubset(mu)]
+        for e in map(Profile, itertools.combinations_with_replacement(inside, 2)):
+            values = _two_bases_values(answers, (e,), (mu,))
+            if violated(*values):
+                yield (e,), (mu,), values
 
 
 def _two_bases_values(answers, profiles, constraints):
@@ -188,47 +197,58 @@ def _two_bases_count(k, p, bits, width):
     return sum(inside[mu] * (inside[mu] + 1) // 2 for mu in bits)
 
 
-def _pairs(profiles, constraints):
+def _pairs_scan(answers, profiles, constraints, violated):
     # Symmetric in the two profiles, so unordered pairs suffice.
-    pairs = itertools.combinations_with_replacement(profiles, 2)
-    return ((pair, (mu,)) for pair in pairs for mu in constraints)
+    keyed = [(mu, mu.bits) for mu in constraints]
+    for i, e1 in enumerate(profiles):
+        for e2 in profiles[i:]:
+            first, second, union = answers[e1], answers[e2], answers[e1.union(e2)]
+            for mu, b in keyed:
+                if violated(first[b] & second[b], union[b]):
+                    yield (e1, e2), (mu,), (first[b] & second[b], union[b])
 
 
 def _pairs_values(answers, profiles, constraints):
-    b = constraints[0].bits
-    return answers[profiles[0]][b] & answers[profiles[1]][b], answers[profiles][b]
+    e1, e2, b = *profiles, constraints[0].bits
+    return answers[e1][b] & answers[e2][b], answers[e1.union(e2)][b]
 
 
-def _constraint_pairs(profiles, constraints):
-    return (((e,), (mu1, mu2)) for e in profiles for mu1 in constraints for mu2 in constraints)
+def _constraint_pairs_scan(answers, profiles, constraints, violated):
+    # Every key is inside `within`, the union of the constraints.
+    keyed = [(mu, mu.bits) for mu in constraints]
+    for e in profiles:
+        table = answers[e]
+        for mu1, b1 in keyed:
+            out = table[b1]
+            for mu2, b2 in keyed:
+                if violated(out & b2, table[b1 & b2]):
+                    yield (e,), (mu1, mu2), (out & b2, table[b1 & b2])
 
 
 def _constraint_pairs_values(answers, profiles, constraints):
-    # Horn and Krom sets are closed under intersection: each key is a constraint or empty.
     table, b1, b2 = answers[profiles[0]], constraints[0].bits, constraints[1].bits
     return table[b1] & b2, table[b1 & b2]
 
 
 class _Shape:
-    """(profiles, constraints) of one instance, the two functions above, the
-    count from (bases, profiles, base bits, interpretations), and what is
-    wrong with an instance checked on its own."""
+    """(profiles, constraints) of one instance, the scan and values above,
+    the count from (bases, profiles, base bits, interpretations), and what
+    is wrong with an instance checked on its own."""
 
-    def __init__(self, sizes, instances, values, count, problem=None):
-        self.sizes, self.instances, self.values, self.count = sizes, instances, values, count
-        self.problem = problem
+    def __init__(self, sizes, scan, values, count, problem=None):
+        self.sizes, self.scan, self.values, self.count, self.problem = sizes, scan, values, count, problem
 
 
-_EACH = _Shape((1, 1), _each, _each_values, lambda k, p, bits, width: p * k)
+_EACH = _Shape((1, 1), _each_scan, _each_values, lambda k, p, bits, width: p * k)
 _FLIPPED = _Shape(
-    (2, 2), _flipped, _flipped_values, lambda k, p, bits, width: (p - k) * k,
+    (2, 2), _flipped_scan, _flipped_values, lambda k, p, bits, width: (p - k) * k,
     lambda ps, cs: (ps[0] != ps[1] or cs[0] != cs[1])
     and "ic3 needs equivalent profiles and constraints",
 )
-_TWO_BASES = _Shape((1, 1), _two_bases, _two_bases_values, _two_bases_count, _two_bases_problem)
-_PAIRS = _Shape((2, 1), _pairs, _pairs_values, lambda k, p, bits, width: p * (p + 1) // 2 * k)
+_TWO_BASES = _Shape((1, 1), _two_bases_scan, _two_bases_values, _two_bases_count, _two_bases_problem)
+_PAIRS = _Shape((2, 1), _pairs_scan, _pairs_values, lambda k, p, bits, width: p * (p + 1) // 2 * k)
 _CONSTRAINT_PAIRS = _Shape(
-    (1, 2), _constraint_pairs, _constraint_pairs_values, lambda k, p, bits, width: p * k * k
+    (1, 2), _constraint_pairs_scan, _constraint_pairs_values, lambda k, p, bits, width: p * k * k
 )
 
 
@@ -299,7 +319,7 @@ def check_postulate(pid: PostulateId, op, instance: Instance):
     problem = shape.problem and shape.problem(profiles, constraints)
     if problem:
         raise ShapeMismatchError(problem)
-    values = shape.values(_Answers(op), profiles, constraints)
+    values = shape.values(_Answers(op, reduce(or_, constraints)), profiles, constraints)
     return _witness(pid, op, instance, values) if ROWS[pid].violated(*values) else None
 
 
@@ -365,10 +385,12 @@ def _guard(space: SearchSpace):
 def search(space: SearchSpace, op, limit: int = None):
     """Enumerate all instances of the selected postulates over the space, in
     deterministic order, and return the witnesses found (all, or the first
-    `limit`).  Lazy answer tables ask the operator once per (profile,
-    constraint), bar ic3's flipped side.  Before any instance is built, raises
-    SpaceTooLargeError over MAX_INSTANCES instances and EmptySpaceError for
-    none, since finding no witness in an empty space shows nothing."""
+    `limit`).  Each profile, profile union (ic5/ic6) and flipped presentation
+    (ic3) gets one lazy answer table over the union of the constraints, from
+    `op.answers` if the operator has it; each shape's `scan` then walks its
+    instances as loops over ints and yields only the violations.  Before any
+    table is built, raises SpaceTooLargeError over MAX_INSTANCES instances
+    and EmptySpaceError for none: finding no witness there shows nothing."""
     _guard(space)
     pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]
     total = sum(ROWS[pid].count(space) for pid in pids)
@@ -377,18 +399,15 @@ def search(space: SearchSpace, op, limit: int = None):
                                  f"space, over the budget of {MAX_INSTANCES:,}")
     if not total:
         raise EmptySpaceError("the selected postulates have no instances in this space")
-    profiles = space.profiles()
-    constraints = space.base_sets()
-    answers = _Answers(op)
+    profiles, constraints = space.profiles(), space.base_sets()
+    answers = _Answers(op, reduce(or_, constraints))
     witnesses = []
     for pid in pids:
-        shape, violated = ROWS[pid].shape, ROWS[pid].violated
-        for instance in shape.instances(profiles, constraints):
-            values = shape.values(answers, *instance)
-            if violated(*values):
-                witnesses.append(_witness(pid, op, Instance(*instance), values))
-                if limit is not None and len(witnesses) >= limit:
-                    return witnesses
+        row = ROWS[pid]
+        for ps, cs, values in row.shape.scan(answers, profiles, constraints, row.violated):
+            witnesses.append(_witness(pid, op, Instance(ps, cs), values))
+            if limit is not None and len(witnesses) >= limit:
+                return witnesses
     return witnesses
 
 

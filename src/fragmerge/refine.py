@@ -25,7 +25,7 @@ from .interp import (
     is_closed,
     model_sets,
 )
-from .merge import Profile
+from .merge import Profile, answer_fn
 
 
 class MappingViolationError(ValueError):
@@ -103,7 +103,7 @@ class LexRefinement:
         if is_closed(self.beta, mset):
             return mset
         order = self.order or LexOrder.default(mset.universe)
-        return ModelSet.of(order.minimum(mset))
+        return ModelSet.from_bits(mset.universe, 1 << order.minimum(mset).mask)
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,9 @@ def cardintersection(mset: ModelSet, profile: Profile) -> int:
     return sum(1 for b in profile.bases if bits & b.models.bits)
 
 
+_OUTSIDE = "merge output must be contained in the constraint"
+
+
 def refine(kind, delta_out: ModelSet, profile: Profile, mu: ModelSet) -> ModelSet:
     """Apply a refinement f(M, X) to an unrefined merge output.
 
@@ -161,7 +164,7 @@ def refine(kind, delta_out: ModelSet, profile: Profile, mu: ModelSet) -> ModelSe
     exactly when `delta_out` is.
     """
     if not delta_out.issubset(mu):
-        raise ValueError("merge output must be contained in the constraint")
+        raise ValueError(_OUTSIDE)
     return kind(delta_out, profile.mmod())
 
 
@@ -373,6 +376,25 @@ class RefinedOperator:
 
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return refine(self.kind, self.base(profile, mu), profile, mu)
+
+    def answers(self, profile: Profile, within: ModelSet):
+        """mu.bits -> self(profile, mu).bits for every mu inside `within`, on
+        this presentation of `profile`.  A refinement f(M, X) sees only the
+        base output M and the profile X, so it runs once per distinct M; the
+        containment check of `refine` runs for every mu."""
+        base = answer_fn(self.base, profile, within)
+        kind, universe, models = self.kind, profile.universe, profile.mmod()
+        refined = {}
+
+        def answer(bits):
+            out = base(bits)
+            if out & ~bits:
+                raise ValueError(_OUTSIDE)
+            if out not in refined:
+                refined[out] = kind(ModelSet.from_bits(universe, out), models).bits
+            return refined[out]
+
+        return answer
 
     def __repr__(self):
         return f"<{self.label}>"

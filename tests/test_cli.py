@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from fragmerge import MAJ3, Universe, classify, is_closed, models, parse
+from fragmerge import MAJ3, MergeOperator, RefinedOperator, Universe, classify, is_closed, models, parse
 from fragmerge.cli import main, parse_problem_file
 from fragmerge.merge import InconsistentBaseError
 
@@ -89,6 +89,19 @@ class TestMergeCommand:
         assert "merged models: {a}, {b}" in out
         assert "refined models: {}, {a}, {b}" in out
         assert "fragment formula: !a | !b" in out
+
+    def test_merge_builds_no_answer_tables(self, capsys, monkeypatch, example1):
+        # One (profile, constraint) needs one merge, not a table of them.
+        def refuse(*args):
+            raise AssertionError("merge built an answer table")
+
+        for op in (MergeOperator, RefinedOperator):
+            monkeypatch.setattr(op, "answers", refuse)
+        for aggregator in ("sigma", "gmax"):
+            code, out, _ = run(capsys, "merge", example1, "--refinement", "lex-closure",
+                               "--fragment", "horn", "--aggregator", aggregator)
+            assert code == 0
+            assert "refined models: {}, {a}, {b}" in out
 
     def test_unrefined_result_is_not_horn(self, capsys, example1):
         code, _, err = run(capsys, "merge", example1, "--fragment", "horn")

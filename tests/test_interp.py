@@ -21,7 +21,7 @@ from fragmerge import (
     closure_witness,
     is_closed,
 )
-from fragmerge.interp import _atom_patterns, _from_bits, _to_bits
+from fragmerge.interp import CLOSURE_CACHE_SIZE, _atom_patterns, _closure_bits, _from_bits, _to_bits
 from helpers import (
     U2,
     U3,
@@ -281,6 +281,19 @@ class TestClosedModelSets:
         assert len(closed_model_sets(AND2, u3)) == 121
         assert len(closed_model_sets(MAJ3, u3)) == 165
         assert len(closed_model_sets(AND2, u4)) == 4959
+
+    def test_walk_leaves_the_closure_cache_alone(self):
+        # The walk tests each of the 65,536 sets over 4 atoms once; caching
+        # them would fill the closure cache with entries never asked again.
+        closed_model_sets.cache_clear()
+        _closure_bits.cache_clear()
+        assert len(closed_model_sets(MAJ3, Universe("abcd"))) > 0
+        info = _closure_bits.cache_info()
+        assert info.maxsize == CLOSURE_CACHE_SIZE
+        assert info.currsize == 0
+        for mset in itertools.islice(all_model_sets(Universe("abcd")), CLOSURE_CACHE_SIZE + 100):
+            closure(MAJ3, mset)
+        assert _closure_bits.cache_info().currsize == CLOSURE_CACHE_SIZE
 
     def test_deterministic_and_cached(self):
         first = closed_model_sets(AND2, U2)

@@ -1,13 +1,18 @@
 import contextlib
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fragmerge.postulates as postulates
 from fragmerge import (
     AND2,
     HORN,
     KROM,
+    MAJ3,
     Aggregator,
+    Base,
     BetaMapping,
     ClosureRefinement,
     CountingDistance,
@@ -17,6 +22,7 @@ from fragmerge import (
     LexRefinement,
     MergeOperator,
     ModelSet,
+    Profile,
     PostulateId,
     RefinedOperator,
     SearchSpace,
@@ -37,6 +43,7 @@ from helpers import (
     U2,
     EchoConstraintOperator,
     PresentationCache,
+    all_model_sets,
     ms,
     prof,
     slow_check_postulate,
@@ -328,25 +335,71 @@ def cli_operator(fragment, distance, aggregator, refinement):
     return op if kind is None else RefinedOperator(op, kind((fragment or HORN).beta))
 
 
+def engine_spaces(fragment):
+    """The spaces the engine is compared on.  ic4 instances do not depend on
+    the profile size, and ic3 has none at size 1."""
+    return (
+        SearchSpace(atoms=2, fragment=fragment, max_profile_size=1),
+        SearchSpace(atoms=2, fragment=fragment, max_profile_size=2, postulates=(PostulateId.IC3,)),
+        SearchSpace(atoms=2, fragment=fragment, max_profile_size=2, max_bases=3),
+    )
+
+
+@functools.cache
+def slow_witnesses(fragment, spec):
+    """Rendered `slow_search` witnesses of one operator on each engine space."""
+    op = PresentationCache(cli_operator(FRAGMENTS[fragment], *spec))
+    return [[w.render() for w in slow_search(space, op)] for space in engine_spaces(FRAGMENTS[fragment])]
+
+
+def always(*values):
+    return True
+
+
+def scanned(shape, answers, profiles, constraints):
+    """Every instance a shape's scan walks, in order: its test always holds."""
+    return [Instance(ps, cs) for ps, cs, _ in shape.scan(answers, profiles, constraints, always)]
+
+
+def checks_made(shape, answers, profiles, constraints):
+    """How many instances a shape's scan tests, with a test that flags none."""
+    calls = [0]
+
+    def count(*values):
+        calls[0] += 1
+
+    assert not list(shape.scan(answers, profiles, constraints, count))
+    return calls[0]
+
+
+class BlankTable(dict):
+    """An answer table that reads 0 for every constraint."""
+
+    def __missing__(self, bits):
+        self[bits] = 0
+        return 0
+
+
+class BlankAnswers(dict):
+    """One blank table for every profile, for walking a scan without an
+    operator."""
+
+    def __init__(self):
+        self.table = BlankTable()
+
+    def __missing__(self, key):
+        return self.table
+
+
 class TestEngineAgainstSlowOracle:
     """The table engine gives the witnesses of the per-instance if-chain,
     in the same order and with the same text."""
 
     @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
-    @pytest.mark.parametrize("distance,aggregator,refinement", OPERATORS,
-                             ids=["-".join((d, a.value, r)) for d, a, r in OPERATORS])
-    def test_witnesses_match(self, fragment, distance, aggregator, refinement):
-        frag = FRAGMENTS[fragment]
-        op = PresentationCache(cli_operator(frag, distance, aggregator, refinement))
-        # ic4 instances do not depend on the profile size, and ic3 has none
-        # at size 1.
-        spaces = (
-            SearchSpace(atoms=2, fragment=frag, max_profile_size=1),
-            SearchSpace(atoms=2, fragment=frag, max_profile_size=2, postulates=(PostulateId.IC3,)),
-            SearchSpace(atoms=2, fragment=frag, max_profile_size=2, max_bases=3),
-        )
-        for space in spaces:
-            want = [w.render() for w in slow_search(space, op)]
+    @pytest.mark.parametrize("spec", OPERATORS, ids=["-".join((d, a.value, r)) for d, a, r in OPERATORS])
+    def test_witnesses_match(self, fragment, spec):
+        op = PresentationCache(cli_operator(FRAGMENTS[fragment], *spec))
+        for space, want in zip(engine_spaces(FRAGMENTS[fragment]), slow_witnesses(fragment, spec)):
             found = search(space, op)
             assert isinstance(found, list)
             assert [w.render() for w in found] == want
@@ -355,15 +408,30 @@ class TestEngineAgainstSlowOracle:
                 assert [w.render() for w in search(space, op, limit=limit)] == want[:limit]
 
     @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
+    @pytest.mark.parametrize("spec", OPERATORS, ids=["-".join((d, a.value, r)) for d, a, r in OPERATORS])
+    def test_builtin_operators_match_on_the_fast_path(self, fragment, spec):
+        # Unwrapped, the shipped operators answer through `answers`: one
+        # ring search per profile and refined outputs memoized on the base
+        # output.  The oracle asks them one (profile, constraint) at a time.
+        op = cli_operator(FRAGMENTS[fragment], *spec)
+        assert hasattr(op, "answers")
+        for space, want in zip(engine_spaces(FRAGMENTS[fragment]), slow_witnesses(fragment, spec)):
+            found = search(space, op)
+            assert [w.render() for w in found] == want
+            assert all(w.recheck(op) for w in found)
+            assert [w.render() for w in search(space, op, limit=1)] == want[:1]
+
+    @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
     def test_check_postulate_and_instance_order_match(self, fragment):
         frag = FRAGMENTS[fragment]
         space = SearchSpace(atoms=2, fragment=frag, max_profile_size=2, max_bases=3)
         profiles, constraints = space.profiles(), space.base_sets()
         for spec in OPERATORS:
             op = PresentationCache(cli_operator(frag, *spec))
+            answers = postulates._Answers(op, ModelSet.full(space.universe))
             for pid in PostulateId:
                 slow = list(slow_instances(pid, space))
-                fast = [Instance(*i) for i in ROWS[pid].shape.instances(profiles, constraints)]
+                fast = scanned(ROWS[pid].shape, answers, profiles, constraints)
                 assert [i.encode() for i in fast] == [i.encode() for i in slow]
                 for instance in slow:
                     assert check_postulate(pid, op, instance) == slow_check_postulate(pid, op, instance)
@@ -407,6 +475,62 @@ class TestEngineAgainstSlowOracle:
         assert len(calls) == len(set(calls))
 
 
+class TestAnswers:
+    """`answers(e, within)` gives, for every constraint inside `within`, the
+    bits the operator's own call gives."""
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
+    def test_every_two_atom_profile_and_constraint(self, fragment):
+        space = SearchSpace(atoms=2, fragment=None, max_profile_size=2)
+        full = ModelSet.full(U2)
+        constraints = list(all_model_sets(U2))
+        for spec in OPERATORS:
+            op = cli_operator(fragment, *spec)
+            for e in space.profiles():
+                answer = op.answers(e, full)
+                assert [answer(mu.bits) for mu in constraints] == [op(e, mu).bits for mu in constraints]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_within_three_to_six_atoms(self, data):
+        n = data.draw(st.integers(3, 6))
+        universe = Universe("abcdef"[:n])
+        masks = st.integers(0, (1 << n) - 1)
+        bases = data.draw(st.lists(st.frozensets(masks, min_size=1, max_size=8), min_size=1, max_size=4))
+        e = Profile(tuple(Base(ModelSet(universe, b)) for b in bases))
+        within = data.draw(st.frozensets(masks, max_size=24))
+        subsets = st.lists(st.sampled_from(sorted(within)), unique=True) if within else st.just([])
+        constraints = [ModelSet(universe, data.draw(subsets)) for _ in range(4)] + [ModelSet(universe, within)]
+        distance = data.draw(st.sampled_from(("hamming", "drastic")))
+        merge_op = MergeOperator(getattr(CountingDistance, distance)(n), data.draw(st.sampled_from(list(Aggregator))))
+        kind = REFINEMENTS[data.draw(st.sampled_from(list(REFINEMENTS)))]
+        beta = data.draw(st.sampled_from([AND2, MAJ3]))
+        op = merge_op if kind is None else RefinedOperator(merge_op, kind(beta))
+        answer = op.answers(e, ModelSet(universe, within))
+        for mu in constraints:
+            assert answer(mu.bits) == op(e, mu).bits
+
+    def test_refinement_runs_once_per_base_output(self):
+        calls = []
+
+        def closure_of(mset, profile_models):
+            calls.append(mset.bits)
+            return closure(AND2, mset)
+
+        op = RefinedOperator(SIG2, BetaMapping(AND2, closure_of))
+        e, constraints = prof(U2, ("a",), ("b",)), list(all_model_sets(U2))
+        answer = op.answers(e, ModelSet.full(U2))
+        outputs = [answer(mu.bits) for mu in constraints]
+        assert sorted(calls) == sorted({SIG2(e, mu).bits for mu in constraints})
+        assert outputs == [op(e, mu).bits for mu in constraints]
+
+    def test_base_output_outside_the_constraint_is_refused(self):
+        op = RefinedOperator(lambda e, mu: ms(U2, "a", "b"), ClosureRefinement(AND2))
+        answer = op.answers(prof(U2, ("a",)), ms(U2, "a", "b"))
+        with pytest.raises(ValueError, match="contained in the constraint"):
+            answer(ms(U2, "a").bits)
+
+
 class TestInstanceCounts:
     @pytest.mark.parametrize("atoms", [1, 2])
     @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
@@ -422,11 +546,10 @@ class TestInstanceCounts:
             shape = ROWS[pid].shape
             if shape not in enumerated:
                 if shape.sizes == (2, 1) and size == 3 and max_bases is None:
-                    # millions of pairs: count the engine's tuples, not Instances
-                    instances = shape.instances(profiles, constraints)
+                    # millions of pairs: count the scan's tests, without an operator
+                    enumerated[shape] = checks_made(shape, BlankAnswers(), profiles, constraints)
                 else:
-                    instances = slow_instances(pid, space)
-                enumerated[shape] = sum(1 for _ in instances)
+                    enumerated[shape] = sum(1 for _ in slow_instances(pid, space))
             assert ROWS[pid].count(space) == enumerated[shape], pid
 
     @pytest.mark.parametrize(
