@@ -96,16 +96,27 @@ _MODEL_RE = re.compile(r"\{([^{}]*)\}")
 
 
 def _parse_interpretations(text, universe, error, prefix, shape):
-    """The interpretations of a list like '{} {a} {a,b}'; a bad list raises
-    `error` with a message that starts with `prefix` and names `shape`."""
+    """The masks of the interpretations of a list like '{} {a} {a,b}'; a bad
+    list raises `error` with a message that starts with `prefix` and names
+    `shape`."""
     chunks = _MODEL_RE.findall(text)
     if not chunks or _MODEL_RE.sub("", text).strip():
         raise error(f"{prefix}: expected {shape}")
-    try:
-        return [universe.interpretation([n.strip() for n in chunk.split(",") if n.strip()])
-                for chunk in chunks]
-    except KeyError as exc:
-        raise error(f"{prefix}: {exc.args[0]}") from None
+    weights = {name: 1 << i for i, name in enumerate(universe.atoms)}
+    weights[""] = 0
+    masks = []
+    for chunk in chunks:
+        mask = 0
+        for name in chunk.split(","):
+            weight = weights.get(name.strip())
+            if weight is None:
+                try:
+                    universe.index(name.strip())
+                except KeyError as exc:
+                    raise error(f"{prefix}: {exc.args[0]}") from None
+            mask |= weight
+        masks.append(mask)
+    return masks
 
 
 def parse_problem_file(text: str) -> ProblemFile:
@@ -143,7 +154,7 @@ def parse_problem_file(text: str) -> ProblemFile:
             if body.startswith("models"):
                 found = _parse_interpretations(body[len("models"):], universe, ProblemFileError,
                                                f"line {lineno}", "model sets like {a,b}")
-                mset = ModelSet(universe, [w.mask for w in found])
+                mset = ModelSet(universe, found)
                 source = None
             else:
                 try:
@@ -209,10 +220,10 @@ def _build_refinement(name: str, fragment, order):
 
 
 def _parse_lex_order(text, universe) -> LexOrder:
-    ordered = _parse_interpretations(text, universe, ValueError, "bad --lex-order",
-                                     "interpretations like {} {a} {a,b}")
+    masks = _parse_interpretations(text, universe, ValueError, "bad --lex-order",
+                                   "interpretations like {} {a} {a,b}")
     try:
-        return LexOrder(universe, ordered)
+        return LexOrder(universe, [universe.from_mask(m) for m in masks])
     except ValueError as exc:
         raise ValueError(f"bad --lex-order: {exc}") from exc
 

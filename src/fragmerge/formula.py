@@ -1,7 +1,8 @@
 """Propositional formulas: parsing, printing, models, clause classification,
 and synthesis of a fragment formula from a closed model set.
 
-Grammar (ASCII, whitespace-insensitive):
+Grammar (ASCII; spaces, tabs and line breaks may separate tokens, and any
+whitespace may follow the last one):
 
     atoms       [a-z][a-z0-9_]*
     constants   T  F
@@ -10,9 +11,12 @@ Grammar (ASCII, whitespace-insensitive):
 
 `&` and `|` associate to the left, `->` and `<->` to the right.  The printer
 emits minimal parentheses with single spaces around binary operators, and
-printing then re-parsing yields an equal tree.  Chains of one connective and
-runs of `!` are read, printed and evaluated with loops, so their length is
-not limited by the recursion limit; parentheses may nest MAX_NESTING deep.
+printing then re-parsing yields an equal tree.  `parse` checks the text with
+one regular expression and builds the tree in one operator-precedence loop
+on explicit stacks; `models` evaluates it with an explicit post-order stack.
+Neither recurses, so only MAX_NESTING bounds how deep parentheses nest, and
+chains of one connective and runs of `!` may be any length.  The printer
+loops along chains and runs and recurses once per pair of parentheses.
 """
 
 import functools
@@ -61,170 +65,177 @@ class NoSyntacticFragmentError(ValueError):
     """Fragment has no clause language, or it cannot express the given set."""
 
 
-class Formula:
+class Formula(tuple):
+    """Immutable formula node: a tuple of its class and its fields, so nodes
+    compare and hash by (type, fields) without Python-level methods."""
+
     __slots__ = ()
+    _fields = ()
 
     def __str__(self):
         return to_text(self)
 
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(frozen=True)
+    def __getnewargs__(self):
+        return self[1:]
+
+
 class Atom(Formula):
-    name: str
+    __slots__ = ()
+    _fields = ("name",)
+    name = property(operator.itemgetter(1))
+
+    def __new__(cls, name):
+        return tuple.__new__(cls, (cls, name))
 
 
-@dataclass(frozen=True)
 class Const(Formula):
-    value: bool
+    __slots__ = ()
+    _fields = ("value",)
+    value = property(operator.itemgetter(1))
+
+    def __new__(cls, value):
+        return tuple.__new__(cls, (cls, value))
 
 
 TOP = Const(True)
 BOTTOM = Const(False)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ()
+    _fields = ("operand",)
+    operand = property(operator.itemgetter(1))
+
+    def __new__(cls, operand):
+        return tuple.__new__(cls, (cls, operand))
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ()
+    _fields = ("left", "right")
+    left = property(operator.itemgetter(1))
+    right = property(operator.itemgetter(2))
+
+    def __new__(cls, left, right):
+        return tuple.__new__(cls, (cls, left, right))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
-_TOKEN_RE = re.compile(
-    rf"[ \t\r\n]*(?:(?P<atom>{_ATOM_RE.pattern})|(?P<const>[TF])|(?P<op><->|->|[!&|()]))"
-)
-
-
-def _tokenize(text):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-        if m.lastgroup == "atom":
-            tokens.append(("atom", m.group("atom"), m.start("atom")))
-        elif m.lastgroup == "const":
-            tokens.append(("const", m.group("const"), m.start("const")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
+class Iff(_Binary):
+    __slots__ = ()
 
 
 MAX_NESTING = 64
 
+# Each character can be matched in one way only: an atom must end where no
+# atom character follows, and the whitespace before a token is not also
+# whitespace after the last one.  So a text that does not match fails in
+# linear time, without trying other splits.
+_TOKEN = r"[a-z][a-z0-9_]*(?![a-z0-9_])|[TF]|<->|->|[!&|()]"
+_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
+_TOKEN_RE = re.compile(_TOKEN)
+_TOKENS = rf"(?:[ \t\r\n]*(?:{_TOKEN}))*"
+_PREFIX_RE = re.compile(rf"{_TOKENS}[ \t\r\n]*")
+_TEXT_RE = re.compile(rf"{_TOKENS}\s*")
 
-class _Parser:
-    def __init__(self, tokens, universe, length):
-        self.tokens = tokens
-        self.universe = universe
-        self.length = length
-        self.i = 0
-        self.depth = 0
+# Connective -> (class, rank, threshold).  Before a connective is pushed,
+# pending connectives of rank >= its threshold are applied, so & and | group
+# to the left and -> and <-> to the right.  An open parenthesis, and the
+# bottom of the stack, have rank 0 and are never applied.
+_CONNECTIVES = {"&": (And, 4, 4), "|": (Or, 3, 3), "->": (Implies, 2, 3), "<->": (Iff, 1, 2)}
+_OPEN = (None, 0, 0)
+# What the node constructors do, without their Python-level frame.
+_new = tuple.__new__
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.length)
 
-    def take_op(self, symbol):
-        kind, text, _ = self.peek()
-        if kind == "op" and text == symbol:
-            self.i += 1
-            return True
-        return False
+@functools.lru_cache(maxsize=64)
+def _leaves(universe):
+    # Token -> node for the constants and the universe's atoms.
+    leaves = {name: Atom(name) for name in universe.atoms if _ATOM_RE.fullmatch(name)}
+    return {**leaves, "T": TOP, "F": BOTTOM}
 
-    def iff(self):
-        return self.right_chain(Iff, "<->", self.implies)
 
-    def implies(self):
-        return self.right_chain(Implies, "->", self.disjunction)
-
-    def right_chain(self, kind, symbol, operand):
-        operands = [operand()]
-        while self.take_op(symbol):
-            operands.append(operand())
-        node = operands.pop()
-        for left in reversed(operands):
-            node = kind(left, node)
-        return node
-
-    def disjunction(self):
-        node = self.conjunction()
-        while self.take_op("|"):
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self):
-        node = self.unary()
-        while self.take_op("&"):
-            node = And(node, self.unary())
-        return node
-
-    def unary(self):
-        negations = 0
-        while self.take_op("!"):
-            negations += 1
-        node = self.primary()
-        for _ in range(negations):
-            node = Not(node)
-        return node
-
-    def primary(self):
-        kind, text, pos = self.peek()
-        if kind == "atom":
-            self.i += 1
-            if text not in self.universe:
-                raise UnknownAtomError(text, pos)
-            return Atom(text)
-        if kind == "const":
-            self.i += 1
-            return TOP if text == "T" else BOTTOM
-        if kind == "op" and text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep", pos)
-            self.i += 1
-            self.depth += 1
-            node = self.iff()
-            if not self.take_op(")"):
-                raise ParseError("expected ')'", self.peek()[2])
-            self.depth -= 1
-            return node
-        raise ParseError(f"expected a formula, found {text!r}" if kind else "unexpected end of input", pos)
+def _position(text, k):
+    # Start of token k, or the end of the text for the token after the last;
+    # only errors need positions.
+    return ([m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)])[k]
 
 
 def parse(text: str, universe: Universe) -> Formula:
     """Parse `text` into an AST; atom names must belong to `universe`."""
-    parser = _Parser(_tokenize(text), universe, len(text))
-    node = parser.iff()
-    kind, text_, pos = parser.peek()
-    if kind is not None:
-        raise ParseError(f"trailing input {text_!r}", pos)
-    return node
+    if _TEXT_RE.fullmatch(text) is None:
+        pos = _PREFIX_RE.match(text).end()
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    leaves = _leaves(universe)
+    operands, pending, groups = [], [_OPEN], []  # groups: '!' count before each open '('
+    negations = 0
+    want_operand = True
+    for k, tok in enumerate(tokens):
+        if want_operand:
+            node = leaves.get(tok)
+            if node is None:
+                if tok == "!":
+                    negations += 1
+                    continue
+                if tok == "(":
+                    if len(groups) == MAX_NESTING:
+                        raise ParseError(f"parentheses nested more than {MAX_NESTING} deep",
+                                         _position(text, k))
+                    groups.append(negations)
+                    pending.append(_OPEN)
+                    negations = 0
+                    continue
+                if "a" <= tok[:1] <= "z":
+                    raise UnknownAtomError(tok, _position(text, k))
+                raise ParseError(f"expected a formula, found {tok!r}" if tok
+                                 else "unexpected end of input", _position(text, k))
+            if negations:
+                for _ in range(negations):
+                    node = _new(Not, (Not, node))
+                negations = 0
+            operands.append(node)
+            want_operand = False
+            continue
+        # A connective, ')' or the end: first apply the pending connectives
+        # that bind at least as tightly.
+        entry = _CONNECTIVES.get(tok)
+        threshold = entry[2] if entry else 1
+        while pending[-1][1] >= threshold:
+            kind = pending.pop()[0]
+            right = operands.pop()
+            operands[-1] = _new(kind, (kind, operands[-1], right))
+        if entry:
+            pending.append(entry)
+            want_operand = True
+        elif tok == ")" and groups:
+            pending.pop()
+            node = operands[-1]
+            for _ in range(groups.pop()):
+                node = _new(Not, (Not, node))
+            operands[-1] = node
+        elif groups:
+            raise ParseError("expected ')'", _position(text, k))
+        elif tok:
+            raise ParseError(f"trailing input {tok!r}", _position(text, k))
+        else:
+            return operands[0]
 
 
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Const: 6}
@@ -288,38 +299,44 @@ def to_text(phi: Formula) -> str:
     return f" {_SYMBOL[type(phi)]} ".join(parts)
 
 
-def _truth_bits(phi: Formula, universe: Universe, full: int) -> int:
-    if isinstance(phi, Atom):
-        try:
-            i = universe.index(phi.name)
-        except KeyError:
-            raise UnknownAtomError(phi.name) from None
-        return _atom_patterns(len(universe))[i]
-    if isinstance(phi, Const):
-        return full if phi.value else 0
-    if isinstance(phi, Not):
-        flip = 0
-        while isinstance(phi, Not):
-            flip ^= full
-            phi = phi.operand
-        return flip ^ _truth_bits(phi, universe, full)
-    if isinstance(phi, (And, Or)):
-        combine = operator.and_ if isinstance(phi, And) else operator.or_
-        operands = _flatten(phi, type(phi))
-        return functools.reduce(combine, (_truth_bits(op, universe, full) for op in operands))
-    if not isinstance(phi, _RIGHT_ASSOC):
-        raise TypeError(f"not a formula node: {phi!r}")
-    *lefts, bits = (_truth_bits(op, universe, full) for op in _operands(phi))
-    for left in reversed(lefts):
-        bits = (full ^ left) | bits if isinstance(phi, Implies) else full ^ (left ^ bits)
-    return bits
-
-
 def models(phi: Formula, universe: Universe) -> ModelSet:
     """Exact model set by enumerating all 2^|U| interpretations."""
     _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
-    return ModelSet.from_bits(universe, _truth_bits(phi, universe, full))
+    tables = dict(zip(universe.atoms, _atom_patterns(len(universe))))
+    # Post-order on an explicit stack: a node pushes its class, to combine
+    # its operands' truth tables, then its operands, right above left.
+    values, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            bits = tables.get(node[1])
+            if bits is None:
+                raise UnknownAtomError(node[1])
+            values.append(bits)
+        elif kind is type:
+            if node is Not:
+                values[-1] ^= full
+                continue
+            right = values.pop()
+            if node is And:
+                values[-1] &= right
+            elif node is Or:
+                values[-1] |= right
+            elif node is Implies:
+                values[-1] = (full ^ values[-1]) | right
+            else:
+                values[-1] = full ^ (values[-1] ^ right)
+        elif kind is Not:
+            stack += (Not, node[1])
+        elif kind in _SYMBOL:
+            stack += (kind, node[2], node[1])
+        elif kind is Const:
+            values.append(full if node[1] else 0)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return ModelSet.from_bits(universe, values[0])
 
 
 @dataclass(frozen=True)

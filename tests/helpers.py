@@ -1,18 +1,32 @@
 """Shared builders for the test suite."""
 
+import functools
 import itertools
+import operator
+import re
 
 from fragmerge import Base, Clause, ModelSet, Profile, Universe, aggregate
 from fragmerge.formula import (
+    BOTTOM,
+    MAX_NESTING,
     And,
     Atom,
+    Const,
+    Iff,
+    Implies,
     NoSyntacticFragmentError,
     NotClosedError,
     Not,
+    Or,
+    ParseError,
     TOP,
+    UnknownAtomError,
+    _RIGHT_ASSOC,
+    _flatten,
+    _operands,
     models,
 )
-from fragmerge.interp import closure_witness
+from fragmerge.interp import _atom_patterns, closure_witness
 from fragmerge.postulates import Instance, PostulateId, ShapeMismatchError, Witness
 
 U2 = Universe("ab")
@@ -54,6 +68,149 @@ class PresentationCache:
         if out is None:
             out = self._answers[key] = self.op(profile, mu)
         return out
+
+
+_SLOW_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:(?P<atom>[a-z][a-z0-9_]*)|(?P<const>[TF])|(?P<op><->|->|[!&|()]))"
+)
+
+
+def _slow_tokenize(text):
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        m = _SLOW_TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip(" \t\r\n")
+            if not rest.strip():
+                break
+            raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    return tokens
+
+
+class _SlowParser:
+    """Recursive descent, one method per precedence level."""
+
+    def __init__(self, tokens, universe, length):
+        self.tokens = tokens
+        self.universe = universe
+        self.length = length
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.length)
+
+    def take_op(self, symbol):
+        kind, text, _ = self.peek()
+        if kind == "op" and text == symbol:
+            self.i += 1
+            return True
+        return False
+
+    def iff(self):
+        return self.right_chain(Iff, "<->", self.implies)
+
+    def implies(self):
+        return self.right_chain(Implies, "->", self.disjunction)
+
+    def right_chain(self, kind, symbol, operand):
+        operands = [operand()]
+        while self.take_op(symbol):
+            operands.append(operand())
+        node = operands.pop()
+        for left in reversed(operands):
+            node = kind(left, node)
+        return node
+
+    def disjunction(self):
+        node = self.conjunction()
+        while self.take_op("|"):
+            node = Or(node, self.conjunction())
+        return node
+
+    def conjunction(self):
+        node = self.unary()
+        while self.take_op("&"):
+            node = And(node, self.unary())
+        return node
+
+    def unary(self):
+        negations = 0
+        while self.take_op("!"):
+            negations += 1
+        node = self.primary()
+        for _ in range(negations):
+            node = Not(node)
+        return node
+
+    def primary(self):
+        kind, text, pos = self.peek()
+        if kind == "atom":
+            self.i += 1
+            if text not in self.universe:
+                raise UnknownAtomError(text, pos)
+            return Atom(text)
+        if kind == "const":
+            self.i += 1
+            return TOP if text == "T" else BOTTOM
+        if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep", pos)
+            self.i += 1
+            self.depth += 1
+            node = self.iff()
+            if not self.take_op(")"):
+                raise ParseError("expected ')'", self.peek()[2])
+            self.depth -= 1
+            return node
+        raise ParseError(f"expected a formula, found {text!r}" if kind else "unexpected end of input", pos)
+
+
+def slow_parse(text, universe):
+    """Oracle for `parse`: a token list with positions, then recursive
+    descent over it."""
+    parser = _SlowParser(_slow_tokenize(text), universe, len(text))
+    node = parser.iff()
+    kind, text_, pos = parser.peek()
+    if kind is not None:
+        raise ParseError(f"trailing input {text_!r}", pos)
+    return node
+
+
+def slow_truth_bits(phi, universe):
+    """Oracle for `models(phi, universe).bits`: recursion over the tree,
+    with loops only along chains of one connective and runs of `!`."""
+    return _slow_truth_bits(phi, universe, (1 << (1 << len(universe))) - 1)
+
+
+def _slow_truth_bits(phi, universe, full):
+    if isinstance(phi, Atom):
+        try:
+            i = universe.index(phi.name)
+        except KeyError:
+            raise UnknownAtomError(phi.name) from None
+        return _atom_patterns(len(universe))[i]
+    if isinstance(phi, Const):
+        return full if phi.value else 0
+    if isinstance(phi, Not):
+        flip = 0
+        while isinstance(phi, Not):
+            flip ^= full
+            phi = phi.operand
+        return flip ^ _slow_truth_bits(phi, universe, full)
+    if isinstance(phi, (And, Or)):
+        combine = operator.and_ if isinstance(phi, And) else operator.or_
+        operands = _flatten(phi, type(phi))
+        return functools.reduce(combine, (_slow_truth_bits(op, universe, full) for op in operands))
+    if not isinstance(phi, _RIGHT_ASSOC):
+        raise TypeError(f"not a formula node: {phi!r}")
+    *lefts, bits = (_slow_truth_bits(op, universe, full) for op in _operands(phi))
+    for left in reversed(lefts):
+        bits = (full ^ left) | bits if isinstance(phi, Implies) else full ^ (left ^ bits)
+    return bits
 
 
 def brute_force_closure(beta, mset):

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,50 @@ class TestKromMergeAboveTenAtoms:
         # A 2-CNF's model set is closed under majority.
         assert classify(phi).krom and records["formula-class"] in ("krom", "both")
         assert is_closed(MAJ3, refined)
+
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+MERGE_OPTIONS = [
+    (fragment, refinement, aggregator, distance)
+    for fragment in ("horn", "krom", "none")
+    for refinement in (("none", "closure", "lex", "lex-closure") if fragment != "none" else ("none",))
+    for aggregator in ("sigma", "gmax")
+    for distance in ("hamming", "drastic")
+]
+
+
+class TestMergeAgainstBenchmarkOracle:
+    """`merge --format machine` on seeded benchmark problem files, against
+    the benchmark's independent reference (perfbench/oracle.py), which
+    parses formulas and model lists with its own code."""
+
+    @pytest.fixture(scope="class")
+    def bench(self):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            import gen
+            import oracle
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        return gen, oracle
+
+    @pytest.mark.parametrize(
+        "family,atoms",
+        [("formula", 3), ("formula", 5), ("formula", 6), ("formula", 8), ("tie", 4), ("tie", 6),
+         ("wide", 10)],
+    )
+    def test_exit_code_and_stdout(self, capsys, tmp_path, bench, family, atoms):
+        gen, oracle = bench
+        # Horn synthesis at ten atoms would take most of the time.
+        options = [o for o in MERGE_OPTIONS if family != "wide" or o[0] != "horn"]
+        for k, (fragment, refinement, aggregator, distance) in enumerate(options):
+            text = gen.MAKERS[family](gen.job_rng(7, f"{family}{atoms}", k), atoms)
+            path = tmp_path / f"{family}{k}.txt"
+            path.write_text(text)
+            got = run(capsys, "merge", str(path), "--fragment", fragment,
+                      "--refinement", refinement, "--aggregator", aggregator,
+                      "--distance", distance, "--format", "machine")[:2]
+            assert got == oracle.expected_merge(text, distance, aggregator, refinement, fragment)
 
 
 class TestCheckCommand:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,16 @@ from fragmerge import (
     to_text,
 )
 from fragmerge.formula import And, Atom, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool
-from helpers import U2, U3, fragment_clauses, ms, slow_clause_pool, slow_synthesize
+from helpers import (
+    U2,
+    U3,
+    fragment_clauses,
+    ms,
+    slow_clause_pool,
+    slow_parse,
+    slow_synthesize,
+    slow_truth_bits,
+)
 
 
 def eval_formula(phi, assignment):
@@ -84,11 +95,31 @@ class TestParse:
         u = Universe(("x1", "y_2"))
         assert parse("x1 & y_2", u) == And(Atom("x1"), Atom("y_2"))
 
-    @pytest.mark.parametrize("bad,pos", [("a &", 3), ("(a", 2), ("a b", 2), (")", 0)])
+    @pytest.mark.parametrize(
+        "bad,pos",
+        [("a &", 3), ("(a", 2), ("a b", 2), (")", 0), ("a &\x0cb", 3), ("a & \xa0b", 4)],
+    )
     def test_syntax_errors_carry_position(self, bad, pos):
         with pytest.raises(ParseError) as exc:
             parse(bad, U2)
         assert exc.value.position == pos
+
+    @pytest.mark.parametrize(
+        "text,char", [("a &\x0cb", "\x0c"), ("a & \xa0b", "\xa0"), ("\x0ca", "\x0c")]
+    )
+    def test_rejected_whitespace_is_named(self, text, char):
+        # Only spaces, tabs and line breaks separate tokens; other
+        # whitespace is accepted after the last token only.
+        with pytest.raises(ParseError) as exc:
+            parse(text, U2)
+        assert str(exc.value).startswith(f"unexpected character {char!r} ")
+        assert exc.value.position == text.index(char)
+        assert parse("a \x0c\xa0 ", U2) == Atom("a")
+
+    def test_bad_character_wins_over_earlier_syntax_error(self):
+        with pytest.raises(ParseError, match="unexpected character '\\$'") as exc:
+            parse(") & z $", U2)
+        assert exc.value.position == 6
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
@@ -98,6 +129,44 @@ class TestParse:
         with pytest.raises(UnknownAtomError) as exc:
             parse("a & z", U2)
         assert exc.value.name == "z"
+
+
+class TestNodes:
+    A, B = Atom("a"), Atom("b")
+
+    def test_repr(self):
+        phi = Iff(Or(Not(self.A), TOP), Implies(And(self.B, BOTTOM), self.A))
+        assert repr(phi) == (
+            "Iff(left=Or(left=Not(operand=Atom(name='a')), right=Const(value=True)), "
+            "right=Implies(left=And(left=Atom(name='b'), right=Const(value=False)), "
+            "right=Atom(name='a')))"
+        )
+
+    def test_equality_includes_the_connective(self):
+        assert And(self.A, self.B) != Or(self.A, self.B)
+        assert Implies(self.A, self.B) != Iff(self.A, self.B)
+        assert Not(self.A) != Atom("a")
+        assert Const(True) == TOP and Const(False) != TOP
+
+    def test_equal_trees_hash_alike(self):
+        first = Iff(Or(Not(Atom("a")), Atom("b")), TOP)
+        second = Iff(Or(Not(Atom("a")), Atom("b")), Const(True))
+        assert first == second and first is not second
+        assert hash(first) == hash(second)
+        assert len({first, second, Iff(Or(Not(Atom("a")), Atom("b")), BOTTOM)}) == 2
+
+    @pytest.mark.parametrize("field", ["name", "value", "operand", "left", "right", "extra"])
+    def test_nodes_are_immutable(self, field):
+        nodes = [Atom("a"), TOP, Not(self.A), And(self.A, self.B), Or(self.A, self.B),
+                 Implies(self.A, self.B), Iff(self.A, self.B)]
+        for node in nodes:
+            with pytest.raises(AttributeError):
+                setattr(node, field, self.B)
+
+    def test_copy_and_pickle_round_trip(self):
+        phi = Implies(Not(And(self.A, TOP)), Iff(self.B, self.A))
+        assert copy.deepcopy(phi) == phi
+        assert pickle.loads(pickle.dumps(phi)) == phi
 
 
 class TestModels:
@@ -401,3 +470,82 @@ class TestPrinter:
     @given(phi=formulas(U3))
     def test_printed_formula_keeps_models(self, phi):
         assert models(parse(to_text(phi), U3), U3) == oracle_models(phi, U3)
+
+
+# Atoms in and out of the universe, constants, connectives, parentheses,
+# separators, and characters no token starts with.
+PARSE_UNIVERSE = Universe(("a", "b", "c", "x1"))
+TOKENS = ("a", "b", "c", "x1", "z", "q_2", "T", "F", "!", "&", "|", "->", "<->", "(", ")",
+          " ", " ", "\t", "\n", "$", "-", "<", ">", "1", "_", "\x0c", "\xa0")
+
+
+def parse_outcome(parser, text, universe=PARSE_UNIVERSE):
+    try:
+        return "tree", repr(parser(text, universe))
+    except (ParseError, UnknownAtomError) as exc:
+        return type(exc).__name__, str(exc), exc.position
+
+
+class TestParseAgainstSlowParser:
+    """`parse` against the recursive-descent oracle: the same tree, or the
+    same exception type, message and position."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(parts=st.lists(st.sampled_from(TOKENS), max_size=30))
+    def test_token_strings(self, parts):
+        text = "".join(parts)
+        assert parse_outcome(parse, text) == parse_outcome(slow_parse, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_printed_formulas_with_a_splice(self, data):
+        # Near-valid text: a printed formula with one span replaced by a few
+        # tokens, so errors also come late in the input.
+        text = to_text(data.draw(formulas(PARSE_UNIVERSE)))
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, len(text)))
+        splice = "".join(data.draw(st.lists(st.sampled_from(TOKENS), max_size=3)))
+        text = text[:i] + splice + text[j:]
+        assert parse_outcome(parse, text) == parse_outcome(slow_parse, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 64 + "a" + ")" * 64,
+            "(" * 65 + "a" + ")" * 65,
+            "!(" * 64 + "a" + ")" * 64,
+            "(" * 64 + "a" + ")" * 63,
+            "!" * 5000 + "a",
+            "!" * 5001 + "(a)",
+            " & ".join(["a"] * 10_000),
+            " | ".join(["!a"] * 10_000),
+            " -> ".join(["a"] * 10_000),
+            "<->".join(["b"] * 10_000),
+            " -> ".join(["a & b"] * 5_000) + " -> !",
+            " " * 50_000 + "$",
+            "a" + " \t" * 25_000 + "\x0c$",
+        ],
+        ids=["nest-64", "nest-65", "negated-nest-64", "unclosed-64", "not-5000",
+             "not-5001-group", "and-chain", "or-chain", "implies-chain", "iff-chain",
+             "chain-error-at-end", "long-blank-then-bad", "long-separators-then-bad"],
+    )
+    def test_deep_nesting_and_long_chains(self, text):
+        # Trees this deep are compared by their printed text and models: a
+        # nested repr or == recurses once per level.  The long blank runs
+        # take quadratic time if the text check backtracks over whitespace.
+        results = []
+        for parser in (parse, slow_parse):
+            try:
+                phi = parser(text, U2)
+            except ParseError as exc:
+                results.append((str(exc), exc.position))
+            else:
+                results.append((to_text(phi), models(phi, U2).bits))
+        assert results[0] == results[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_models_match_slow_truth_bits(self, data):
+        universe = Universe("abcdefgh"[:data.draw(st.integers(1, 8))])
+        phi = data.draw(formulas(universe))
+        assert models(phi, universe).bits == slow_truth_bits(phi, universe)
