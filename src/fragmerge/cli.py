@@ -123,7 +123,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     universe = None
     bases = []
     constraints = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -151,7 +151,7 @@ def parse_problem_file(text: str) -> ProblemFile:
             if not m:
                 raise ProblemFileError(f"line {lineno}: malformed base line")
             name, body = m.group(1), m.group(2).strip()
-            if body.startswith("models"):
+            if re.match(r"models\s*\{", body) or (body == "models" and "models" not in universe.atoms):
                 found = _parse_interpretations(body[len("models"):], universe, ProblemFileError,
                                                f"line {lineno}", "model sets like {a,b}")
                 mset = ModelSet(universe, found)
@@ -340,7 +340,7 @@ def cmd_check(args, out=None, err=None) -> int:
     try:
         if args.atoms < 1:
             raise ValueError(f"the universe needs at least 1 atom, got {args.atoms}")
-        parts = args.op.split(",")
+        parts = args.op.rsplit(",", 2)
         if len(parts) != 3:
             raise ValueError("--op needs distance,aggregator,refinement")
         dist_spec, agg_spec, ref_spec = (p.strip() for p in parts)

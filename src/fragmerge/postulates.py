@@ -547,7 +547,7 @@ def _fx_prop6_fairness(rows):
             for base_op, kind in ((drastic, ClosureRefinement), (hamming, LexClosureRefinement),
                                   (drastic, LexClosureRefinement)):
                 ref = RefinedOperator(base_op, kind(fragment.beta))
-                found = is_fair(base_op, ref, instances).witnesses
+                found = is_fair(base_op, ref, instances).violations.get("fairness", [])
                 rows.add(f"fairness of {ref.label} on {fragment.name} space", "0 violations",
                          f"{len(found)} violations")
 

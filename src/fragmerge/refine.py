@@ -8,8 +8,12 @@ M and otherwise collapses to the minimal model under a fixed total order;
 lex/closure-based takes the lex branch exactly when M misses every base of
 X, which keeps the refinement fair.  A user mapping, `BetaMapping`, must
 satisfy four properties (closed output, output within the closure of M,
-identity on closed M, non-emptiness); they are checked on every call and,
-for any refinement, by exhaustive enumeration on small universes.
+identity on closed M, non-emptiness); they are checked on every call.
+
+Three checkers judge refinements case by case through one case loop and one
+`CheckReport`: `validate_mapping` (the four mapping properties, on every
+(M, X) of a small universe), `check_refinement_properties` (consistency,
+containment, invariance, equivalence) and `is_fair`, on given instances.
 """
 
 import itertools
@@ -168,13 +172,15 @@ def refine(kind, delta_out: ModelSet, profile: Profile, mu: ModelSet) -> ModelSe
     return kind(delta_out, profile.mmod())
 
 
-# The four mapping properties, by name.
+# The properties of each checker below, in the order a case is tested; a
+# mapping case counts against the first one it violates.
 MAPPING_PROPERTIES = (
     "closed_output",
     "within_closure",
     "fixes_closed",
     "preserves_nonempty",
 )
+REFINEMENT_PROPERTIES = ("consistency", "containment", "invariance", "equivalence")
 
 
 def _mapping_violation(beta, mset, out):
@@ -189,178 +195,112 @@ def _mapping_violation(beta, mset, out):
     return None
 
 
-@dataclass
-class MappingReport:
-    """Outcome of exhaustive mapping validation: first witness per property."""
+class CheckReport:
+    """What a checker below found: how many cases it `checked`, and
+    `violations`, which maps each violated property to its witnesses (plain
+    tuples, laid out as the checker's docstring says) in the order found."""
 
-    checked: int = 0
-    violations: dict = field(default_factory=dict)
+    __slots__ = ("properties", "checked", "violations")
+
+    def __init__(self, properties):
+        self.properties = properties
+        self.checked = 0
+        self.violations = {}
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def render(self) -> str:
-        lines = [f"checked {self.checked} (models, profile-models) pairs"]
-        for prop in MAPPING_PROPERTIES:
-            if prop in self.violations:
-                mset, x, msg = self.violations[prop]
-                lines.append(f"VIOLATED {prop}: {msg} [models={mset!r}]")
-            else:
-                lines.append(f"ok {prop}")
+        lines = [f"checked {self.checked} cases"]
+        for prop in self.properties:
+            found = self.violations.get(prop, ())
+            lines += [f"VIOLATED {prop}: {witness}" for witness in found] or [f"ok {prop}"]
         return "\n".join(lines)
 
 
-def _multisets(items, max_size):
-    for size in range(1, max_size + 1):
-        yield from itertools.combinations_with_replacement(items, size)
+def _check(properties, cases, violated, keep=1, limit=None):
+    """The one case loop of the checkers below.  `violated(case)` yields a
+    (property, witness) pair for each property that `case` violates.  Each
+    property keeps its first `keep` witnesses (all when `keep` is None); the
+    loop stops once one has `limit` of them."""
+    report = CheckReport(properties)
+    for case in cases:
+        report.checked += 1
+        for prop, witness in violated(case):
+            found = report.violations.setdefault(prop, [])
+            if keep is None or len(found) < keep:
+                found.append(witness)
+                if limit is not None and len(found) >= limit:
+                    return report
+    return report
 
 
-def validate_mapping(mapping, universe: Universe, max_profile_size: int = 2) -> MappingReport:
+def validate_mapping(mapping, universe: Universe, max_profile_size: int = 2) -> CheckReport:
     """Check the four mapping properties of a refinement f(M, X) on every
     (M, X) pair of the bounded space: all model sets M over `universe`, all
-    multisets X of at most `max_profile_size` non-empty model sets.
-    Intended for small universes.
+    multisets X of at most `max_profile_size` non-empty model sets.  Each
+    property keeps its first witness (M, X, message).  For small universes.
     """
-    report = MappingReport()
     all_sets = tuple(model_sets(universe))
     nonempty = tuple(s for s in all_sets if s)
-    for mset in all_sets:
-        for x in _multisets(nonempty, max_profile_size):
-            report.checked += 1
-            try:
-                hit = _mapping_violation(mapping.beta, mset, mapping(mset, x))
-            except MappingViolationError as exc:
-                hit = exc.prop, str(exc)
-            if hit:
-                prop, msg = hit
-                report.violations.setdefault(prop, (mset, x, msg))
-    return report
+    profiles = [x for size in range(1, max_profile_size + 1)
+                for x in itertools.combinations_with_replacement(nonempty, size)]
+
+    def violated(case):
+        try:
+            hit = _mapping_violation(mapping.beta, case[0], mapping(*case))
+        except MappingViolationError as exc:
+            hit = exc.prop, str(exc)
+        if hit:
+            yield hit[0], (*case, hit[1])
+
+    return _check(MAPPING_PROPERTIES, itertools.product(all_sets, profiles), violated)
 
 
-@dataclass
-class PropertyWitness:
-    profile: Profile
-    mu: ModelSet
-    base_out: ModelSet
-    refined_out: ModelSet
-    note: str = ""
-
-    def render(self) -> str:
-        return (
-            f"E=[{self.profile.render()}] mu={self.mu.compact() or '{}'} "
-            f"base={self.base_out.compact() or 'none'} refined={self.refined_out.compact() or 'none'}"
-            + (f" ({self.note})" if self.note else "")
-        )
+def _outputs(base_op, refined_op, instances):
+    for profile, mu in instances:
+        yield profile, mu, base_op(profile, mu), refined_op(profile, mu)
 
 
-@dataclass
-class RefinementReport:
-    """The four refinement properties checked over enumerated instances."""
-
-    checked: int = 0
-    consistency: PropertyWitness = None
-    containment: PropertyWitness = None
-    invariance: PropertyWitness = None
-    equivalence: tuple = None  # pair of PropertyWitness
-
-    @property
-    def ok(self) -> bool:
-        return not (self.consistency or self.containment or self.invariance or self.equivalence)
-
-    def render(self) -> str:
-        lines = [f"checked {self.checked} instances"]
-        for prop in ("consistency", "containment", "invariance"):
-            wit = getattr(self, prop)
-            lines.append(f"{'VIOLATED' if wit else 'ok'} {prop}" + (f": {wit.render()}" if wit else ""))
-        if self.equivalence:
-            a, b = self.equivalence
-            lines.append(f"VIOLATED equivalence: {a.render()} vs {b.render()}")
-        else:
-            lines.append("ok equivalence")
-        return "\n".join(lines)
-
-
-def check_refinement_properties(base_op, refined_op, beta: BooleanFn, instances) -> RefinementReport:
-    """Consistency, equivalence, containment, and invariance of `refined_op`
-    against `base_op` over the given (profile, constraint) instances.
-
-    Equivalence groups instances with equal profiles (as multisets) and equal
-    base outputs: all such instances must get one refined output.
-    """
-    report = RefinementReport()
+def check_refinement_properties(base_op, refined_op, beta: BooleanFn, instances) -> CheckReport:
+    """Consistency, containment, invariance and equivalence of `refined_op`
+    against `base_op` over the given (profile, constraint) instances.  Each
+    property keeps its first witness, the case (profile, mu, base output,
+    refined output).  Equivalence groups the instances with equal profiles
+    (as multisets) and base outputs, which must all get one refined output;
+    its witness is a pair of cases."""
     groups = {}
-    for profile, mu in instances:
-        base_out = base_op(profile, mu)
-        refined_out = refined_op(profile, mu)
-        report.checked += 1
-        if report.consistency is None and bool(base_out) != bool(refined_out):
-            report.consistency = PropertyWitness(profile, mu, base_out, refined_out)
-        if report.containment is None and not refined_out.issubset(closure(beta, base_out)):
-            report.containment = PropertyWitness(profile, mu, base_out, refined_out)
-        if report.invariance is None and is_closed(beta, base_out) and not base_out.issubset(refined_out):
-            report.invariance = PropertyWitness(profile, mu, base_out, refined_out)
-        key = (profile, base_out)
-        seen = groups.get(key)
-        if seen is None:
-            groups[key] = (mu, refined_out)
-        elif report.equivalence is None and seen[1] != refined_out:
-            report.equivalence = (
-                PropertyWitness(profile, seen[0], base_out, seen[1]),
-                PropertyWitness(profile, mu, base_out, refined_out),
-            )
-    return report
+
+    def violated(case):
+        profile, _, base_out, refined_out = case
+        if bool(base_out) != bool(refined_out):
+            yield "consistency", case
+        if not refined_out.issubset(closure(beta, base_out)):
+            yield "containment", case
+        if is_closed(beta, base_out) and not base_out.issubset(refined_out):
+            yield "invariance", case
+        first = groups.setdefault((profile, base_out), case)
+        if first[3] != refined_out:
+            yield "equivalence", (first, case)
+
+    return _check(REFINEMENT_PROPERTIES, _outputs(base_op, refined_op, instances), violated)
 
 
-@dataclass
-class FairnessWitness:
-    profile: Profile
-    mu: ModelSet
-    base_out: ModelSet
-    refined_out: ModelSet
-    base_count: int
-    refined_count: int
-
-    def render(self) -> str:
-        return (
-            f"E=[{self.profile.render()}] mu={self.mu.compact() or '{}'}: "
-            f"base output {self.base_out.compact() or 'none'} meets {self.base_count} bases, "
-            f"refined output {self.refined_out.compact() or 'none'} meets {self.refined_count}"
-        )
-
-
-@dataclass
-class FairnessReport:
-    checked: int = 0
-    witnesses: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.witnesses
-
-    def render(self) -> str:
-        lines = [f"checked {self.checked} instances: " + ("fair" if self.ok else "NOT fair")]
-        lines.extend(w.render() for w in self.witnesses)
-        return "\n".join(lines)
-
-
-def is_fair(base_op, refined_op, instances, limit: int = None) -> FairnessReport:
+def is_fair(base_op, refined_op, instances, limit: int = None) -> CheckReport:
     """Find instances where the base output meets a number of bases other
-    than one but the refined output meets exactly one."""
-    report = FairnessReport()
-    for profile, mu in instances:
-        base_out = base_op(profile, mu)
-        refined_out = refined_op(profile, mu)
-        report.checked += 1
-        n_base = cardintersection(base_out, profile)
-        n_refined = cardintersection(refined_out, profile)
-        if n_base != 1 and n_refined == 1:
-            report.witnesses.append(
-                FairnessWitness(profile, mu, base_out, refined_out, n_base, n_refined)
-            )
-            if limit is not None and len(report.witnesses) >= limit:
-                break
-    return report
+    than one but the refined output meets exactly one.  Every witness, the
+    case and the number of bases each output meets, is kept up to `limit`."""
+
+    def violated(case):
+        profile, _, base_out, refined_out = case
+        if cardintersection(refined_out, profile) == 1:
+            n_base = cardintersection(base_out, profile)
+            if n_base != 1:
+                yield "fairness", case + (n_base, 1)
+
+    cases = _outputs(base_op, refined_op, instances)
+    return _check(("fairness",), cases, violated, keep=None, limit=limit)
 
 
 class RefinedOperator:

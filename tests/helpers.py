@@ -28,6 +28,7 @@ from fragmerge.formula import (
 )
 from fragmerge.interp import _atom_patterns, closure_witness
 from fragmerge.postulates import Instance, PostulateId, ShapeMismatchError, Witness
+from fragmerge.refine import MappingViolationError
 
 U2 = Universe("ab")
 U3 = Universe("abc")
@@ -550,3 +551,85 @@ def slow_search(space, op, limit=None):
                 if limit is not None and len(witnesses) >= limit:
                     return witnesses
     return witnesses
+
+
+_cached_slow_closure = functools.lru_cache(maxsize=None)(slow_closure)
+
+
+def _slow_closed(beta, mset):
+    return _cached_slow_closure(beta, mset) == mset
+
+
+def slow_validate_mapping(mapping, universe, max_profile_size=2):
+    """Oracle for `validate_mapping`: the nested loop it replaced, closedness
+    read off `slow_closure`.  Returns (checked, {property: (M, X, message)}),
+    the first witness of each property; a pair counts against the first
+    property it violates."""
+    beta = mapping.beta
+    all_sets = list(all_model_sets(universe))
+    nonempty = [s for s in all_sets if s]
+    checked, first = 0, {}
+    for mset in all_sets:
+        for size in range(1, max_profile_size + 1):
+            for x in itertools.combinations_with_replacement(nonempty, size):
+                checked += 1
+                try:
+                    out = mapping(mset, x)
+                except MappingViolationError as exc:
+                    hit = exc.prop, str(exc)
+                else:
+                    if not _slow_closed(beta, out):
+                        hit = "closed_output", f"output {out!r} is not closed under {beta}"
+                    elif not out.issubset(_cached_slow_closure(beta, mset)):
+                        hit = "within_closure", f"output {out!r} escapes the closure of {mset!r}"
+                    elif _slow_closed(beta, mset) and out != mset:
+                        hit = "fixes_closed", f"closed input {mset!r} was changed to {out!r}"
+                    elif mset and not out:
+                        hit = "preserves_nonempty", f"non-empty input {mset!r} mapped to the empty set"
+                    else:
+                        continue
+                first.setdefault(hit[0], (mset, x, hit[1]))
+    return checked, first
+
+
+def slow_check_refinement_properties(base_op, refined_op, beta, instances):
+    """Oracle for `check_refinement_properties`: one hand-written test per
+    property.  Returns (checked, {property: witness}), the first witness of
+    each: the case (profile, mu, base output, refined output), or for
+    equivalence the pair of cases with one profile and base output."""
+    checked, first, groups = 0, {}, {}
+    for profile, mu in instances:
+        base_out = base_op(profile, mu)
+        refined_out = refined_op(profile, mu)
+        case = (profile, mu, base_out, refined_out)
+        checked += 1
+        if bool(base_out) != bool(refined_out):
+            first.setdefault("consistency", case)
+        if not refined_out.issubset(_cached_slow_closure(beta, base_out)):
+            first.setdefault("containment", case)
+        if _slow_closed(beta, base_out) and not base_out.issubset(refined_out):
+            first.setdefault("invariance", case)
+        seen = groups.get((profile, base_out))
+        if seen is None:
+            groups[(profile, base_out)] = case
+        elif seen[3] != refined_out:
+            first.setdefault("equivalence", (seen, case))
+    return checked, first
+
+
+def slow_is_fair(base_op, refined_op, instances, limit=None):
+    """Oracle for `is_fair`: (checked, witnesses), each witness the case
+    (profile, mu, base output, refined output) and the number of bases each
+    output meets, stopping after `limit` witnesses."""
+    checked, witnesses = 0, []
+    for profile, mu in instances:
+        base_out = base_op(profile, mu)
+        refined_out = refined_op(profile, mu)
+        checked += 1
+        n_base = sum(1 for b in profile.bases if b.models.intersects(base_out))
+        n_refined = sum(1 for b in profile.bases if b.models.intersects(refined_out))
+        if n_base != 1 and n_refined == 1:
+            witnesses.append((profile, mu, base_out, refined_out, n_base, n_refined))
+            if limit is not None and len(witnesses) >= limit:
+                break
+    return checked, witnesses

@@ -168,7 +168,7 @@ def test_criterion_8_refinement_properties():
                     assert report.ok, f"{refined.label}:\n{report.render()}"
             sig, _ = hamming_ops(2)
             broken = check_refinement_properties(sig, EchoConstraintOperator(), beta, instances)
-            assert broken.containment is not None
+            assert "containment" in broken.violations
 
 
 def test_criterion_9_synthesis_round_trip():

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fragmerge import MAJ3, MergeOperator, RefinedOperator, Universe, classify, is_closed, models, parse
 from fragmerge.cli import main, parse_problem_file
@@ -60,6 +64,16 @@ class TestProblemFile:
         )
         assert problem.constraint().compact() == "{a}|{b}"
 
+    def test_only_line_feeds_and_carriage_returns_end_a_line(self):
+        # A form feed stays in its line, where the formula parser names it.
+        problem = parse_problem_file("atoms: a b\r\nbase K: a\rbase L: b\n")
+        assert [name for name, _ in problem.bases] == ["K", "L"]
+        from fragmerge.cli import ProblemFileError
+
+        message = r"^line 2: unexpected character '\\x0c' \(at position 2\)$"
+        with pytest.raises(ProblemFileError, match=message):
+            parse_problem_file("atoms: a b\nbase K: a \x0c& b\n")
+
     def test_inconsistent_base(self):
         with pytest.raises(InconsistentBaseError):
             parse_problem_file("atoms: a\nbase K: a & !a\n")
@@ -79,6 +93,38 @@ class TestProblemFile:
         for text in bad:
             with pytest.raises(ProblemFileError):
                 parse_problem_file(text)
+
+
+class TestModelListOrFormula:
+    """A base body is a model list only when `models` is followed by `{`, or
+    is `models` alone and no atom has that name."""
+
+    @pytest.mark.parametrize("body", ["models {a} {a,b}", "models{a} {a,b}", "models \t{a}{a,b}"])
+    def test_brace_after_models_is_a_list(self, body):
+        problem = parse_problem_file(f"atoms: a b\nbase K: {body}\n")
+        assert problem.bases[0][1].models.compact() == "{a}|{a,b}"
+        assert problem.bases[0][1].source is None
+
+    def test_bare_models_without_such_atom_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bare.txt"
+        path.write_text("atoms: a b\nbase K: models\n")
+        code, out, err = run(capsys, "merge", str(path))
+        assert (code, out) == (2, "")
+        assert err == "problem file error: line 2: expected model sets like {a,b}\n"
+
+    @pytest.mark.parametrize("atoms, first, second", [
+        ("modelsa b", "modelsa | b", "b | modelsa"),
+        ("models b", "models | b", "b | models"),
+        ("models b", "models", "models & T"),
+    ])
+    def test_atom_named_like_models_may_come_first(self, capsys, tmp_path, atoms, first, second):
+        outputs = []
+        for body in (first, second):
+            path = tmp_path / "problem.txt"
+            path.write_text(f"atoms: {atoms}\nbase K: {body}\nbase L: !b\n")
+            outputs.append(run(capsys, "merge", str(path), "--format", "machine"))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][2] == ""
 
 
 class TestMergeCommand:
@@ -331,6 +377,23 @@ class TestCheckCommand:
         code, _, err = run(capsys, "check", "--op", "hamming,sigma", "--atoms", "2")
         assert code == 2
 
+    def test_short_op_names_its_three_fields(self, capsys):
+        code, out, err = run(capsys, "check", "--op", "hamming,sigma", "--atoms", "2")
+        assert (code, out) == (2, "")
+        assert err == "bad arguments: --op needs distance,aggregator,refinement\n"
+
+    @pytest.mark.parametrize("atoms", ["1", "2"])
+    def test_table_gauge_fields_hold_commas(self, capsys, atoms):
+        found = []
+        for dist in ("table:1,2", "hamming"):
+            code, out, err = run(
+                capsys, "check", "--op", f"{dist},gmax,closure", "--fragment", "horn",
+                "--postulates", "ic4", "--atoms", atoms, "--format", "machine",
+            )
+            assert err == ""
+            found.append((code, out.splitlines()[-1]))
+        assert found[0] == found[1]
+
     def test_too_many_atoms(self, capsys):
         code, _, err = run(
             capsys, "check", "--op", "hamming,sigma,none", "--atoms", "5"
@@ -405,3 +468,95 @@ class TestReproduceCommand:
     def test_missing_fixture_argument(self, capsys):
         code, _, err = run(capsys, "reproduce")
         assert code == 2
+
+
+# Problem-file fuzzing: atom names that start like the `models` keyword,
+# braces, connectives and two whitespace characters that formulas reject.
+FUZZ_ATOMS = ("a", "b", "models", "modelsa")
+# Junk tokens hold no parenthesis, `|`, `->` or `<->`, so an operand built
+# from them and from parenthesized formulas has no top-level disjunction.
+FUZZ_JUNK = FUZZ_ATOMS + ("Z", "models{", "{", "}", ",", "&", "!", "T", "F", "\x0c", "\xa0", " ")
+# Each flag is left out, given a good value or, more rarely, a bad one.
+FUZZ_FLAGS = (
+    ("--distance", ("hamming", "drastic", "table:1,2,3,4"), ("table:x",)),
+    ("--aggregator", ("sigma", "gmax"), ("max",)),
+    ("--refinement", ("closure", "lex", "lex-closure", "none"), ()),
+    ("--fragment", ("horn", "krom", "none"), ()),
+    ("--format", ("text", "machine"), ()),
+)
+
+
+def fuzz_formulas(names):
+    return st.recursive(
+        st.sampled_from(names + ("T", "F")),
+        lambda inner: st.one_of(
+            inner.map(lambda f: "!" + f),
+            st.tuples(inner, inner).map(" & ".join),
+            st.tuples(inner, st.sampled_from((" | ", " -> ", " <-> ")), inner).map(
+                lambda t: f"({''.join(t)})"),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def fuzz_operands(draw, names):
+    """Body text with no top-level `|`, `->` or `<->` and no outer
+    whitespace (a line is stripped, so outer whitespace would be dropped in
+    one order of the operands but not the other): mostly a formula over
+    `names`, else junk tokens alone or spliced between two formulas."""
+    formulas = fuzz_formulas(names)
+    kind = draw(st.integers(0, 7))
+    if kind < 6:
+        return draw(formulas)
+    junk = "".join(draw(st.lists(st.sampled_from(FUZZ_JUNK), min_size=1, max_size=4)))
+    if kind == 6:
+        junk = f"{draw(formulas)} {junk} {draw(formulas)}"
+    return junk.strip()
+
+
+@st.composite
+def fuzz_runs(draw):
+    atoms = tuple(draw(st.lists(st.sampled_from(FUZZ_ATOMS), min_size=1, max_size=3, unique=True)))
+    formulas = fuzz_formulas(atoms)
+    tail = [f"base L{i}: {body}" for i, body in enumerate(draw(st.lists(formulas, max_size=2)))]
+    tail += [f"constraint: {body}" for body in draw(st.lists(formulas, max_size=1))]
+    # A lex order of declared atoms, or one that lists an interpretation twice.
+    lex_order = ("--lex-order", (f"{{{atoms[-1]}}} {{}}", f"{{}} {{{','.join(atoms)}}}"),
+                 (f"{{{atoms[0]}}} {{{atoms[0]}}}",))
+    argv = []
+    for flag, good, bad in FUZZ_FLAGS + (lex_order,):
+        value = draw(st.sampled_from((None,) * len(good) + good * 3 + bad))
+        if value is not None:
+            argv += [flag, value]
+    operands = fuzz_operands(atoms)
+    return " ".join(atoms), draw(operands), draw(operands), tail, argv
+
+
+def merge_in_process(path, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["merge", str(path), *argv])
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(run_spec=fuzz_runs())
+def test_fuzzed_merge_exits_cleanly_and_disjunction_order_does_not_matter(fuzz_dir, run_spec):
+    atoms, left, right, tail, argv = run_spec
+    results = []
+    for first, second in ((left, right), (right, left)):
+        path = fuzz_dir / "problem.txt"
+        path.write_text("\n".join([f"atoms: {atoms}", f"base K: {first} | {second}", *tail]) + "\n",
+                        encoding="utf-8")
+        results.append(merge_in_process(path, argv))
+    assert results[0][0] in (0, 2, 3, 4)
+    assert results[0] == results[1]

@@ -29,7 +29,18 @@ from fragmerge import (
     validate_mapping,
 )
 from fragmerge.postulates import SearchSpace
-from helpers import U2, U3, EchoConstraintOperator, all_model_sets, ms, prof
+from helpers import (
+    U2,
+    U3,
+    EchoConstraintOperator,
+    PresentationCache,
+    all_model_sets,
+    ms,
+    prof,
+    slow_check_refinement_properties,
+    slow_is_fair,
+    slow_validate_mapping,
+)
 
 SIG2 = MergeOperator(CountingDistance.hamming(2), Aggregator.SIGMA)
 GMAX2 = MergeOperator(CountingDistance.hamming(2), Aggregator.GMAX)
@@ -192,7 +203,7 @@ class TestMappings:
         identity = BetaMapping(AND2, lambda mset, x: mset, "identity")
         report = validate_mapping(identity, U2)
         assert "closed_output" in report.violations
-        witness_set, _, _ = report.violations["closed_output"]
+        witness_set, _, _ = report.violations["closed_output"][0]
         assert not is_closed(AND2, witness_set)
 
     def test_mapping_refinement_applies_the_function(self):
@@ -228,9 +239,9 @@ class TestRefinementProperties:
         report = check_refinement_properties(
             SIG2, EchoConstraintOperator(), AND2, fragment_instances(HORN)
         )
-        assert report.containment is not None
-        witness = report.containment
-        assert not witness.refined_out.issubset(closure(AND2, witness.base_out))
+        assert "containment" in report.violations
+        _, _, base_out, refined_out = report.violations["containment"][0]
+        assert not refined_out.issubset(closure(AND2, base_out))
 
     def test_constraint_sensitive_refinement_fails_equivalence(self):
         # output depends on the constraint presentation beyond the base output
@@ -246,7 +257,7 @@ class TestRefinementProperties:
         e = prof(U2, ("a", "ab"), ("b", "ab"))
         instances = [(e, ms(U2, "", "a", "b")), (e, ms(U2, "a", "b"))]
         report = check_refinement_properties(SIG2, ParityOp(), AND2, instances)
-        assert report.equivalence is not None
+        assert "equivalence" in report.violations
 
 
 class TestFairness:
@@ -261,8 +272,8 @@ class TestFairness:
         refined = RefinedOperator(base, ClosureRefinement(AND2))
         report = is_fair(base, refined, [(e, mu)])
         assert not report.ok
-        witness = report.witnesses[0]
-        assert (witness.base_count, witness.refined_count) == (0, 1)
+        _, _, _, _, base_count, refined_count = report.violations["fairness"][0]
+        assert (base_count, refined_count) == (0, 1)
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     @pytest.mark.parametrize("agg", [Aggregator.SIGMA, Aggregator.GMAX])
@@ -285,9 +296,9 @@ class TestFairness:
         base = MergeOperator(CountingDistance.hamming(2), Aggregator.GMAX)
         refined = RefinedOperator(base, ClosureRefinement(AND2))
         full = is_fair(base, refined, fragment_instances(HORN))
-        assert len(full.witnesses) >= 1
+        assert len(full.violations["fairness"]) >= 1
         limited = is_fair(base, refined, fragment_instances(HORN), limit=1)
-        assert len(limited.witnesses) == 1
+        assert len(limited.violations["fairness"]) == 1
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     @pytest.mark.parametrize("base_op", [SIG2, GMAX2])
@@ -309,3 +320,104 @@ class TestRefinedOperator:
         assert refined.label == "merge(hamming,sigma)+closure(and)"
         e, mu = example_instance()
         assert refined(e, mu) == refined(e, mu)
+
+
+DRASTIC2 = MergeOperator(CountingDistance.drastic(2), Aggregator.SIGMA)
+
+
+class _Parity:
+    """Closure of the drastic sigma merge under an even-sized constraint, lex
+    under an odd one: equal base outputs can refine apart."""
+
+    label = "parity"
+
+    def __call__(self, profile, mu):
+        kind = ClosureRefinement(AND2) if len(mu) % 2 == 0 else LexRefinement(AND2)
+        return refine(kind, DRASTIC2(profile, mu), profile, mu)
+
+
+# One profile and base output {a}, {b} under three constraints: `_Parity`
+# refines the first two alike and the third apart from them.
+PARITY_CASES = [
+    (prof(U2, ("a",), ("b",)), ms(U2, *mu)) for mu in (("a", "b"), ("", "a", "b", "ab"), ("", "a", "b"))
+]
+
+
+def _first_base_closure(mset, profile_models):
+    # Closure when the merge is closed or meets the first base, else its least
+    # model: two presentations of one profile can refine apart.
+    if is_closed(AND2, mset) or mset.intersects(profile_models[0]):
+        return closure(AND2, mset)
+    return ModelSet.from_bits(mset.universe, mset.bits & -mset.bits)
+
+
+class _PlainMapping:
+    """A refinement f(M, X) that checks nothing itself, unlike a BetaMapping,
+    so `validate_mapping` finds its violations on its outputs."""
+
+    beta = AND2
+
+    def __init__(self, fn, label):
+        self.fn, self.label = fn, label
+
+    def __call__(self, mset, profile_models):
+        return self.fn(mset, profile_models)
+
+
+def _differential_operators(beta):
+    for dist in (CountingDistance.hamming(2), CountingDistance.drastic(2)):
+        for agg in Aggregator:
+            base = MergeOperator(dist, agg)
+            for kind in (ClosureRefinement(beta), LexRefinement(beta), LexClosureRefinement(beta)):
+                yield base, RefinedOperator(base, kind)
+    yield SIG2, EchoConstraintOperator()
+    yield DRASTIC2, _Parity()
+    yield SIG2, RefinedOperator(SIG2, BetaMapping(AND2, _first_base_closure, "first-base"))
+
+
+class TestCheckersAgainstSlowOracle:
+    """The one case loop against the three loops it replaced: cases checked,
+    the first witness per property, and every fairness witness in order."""
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM])
+    def test_refinement_properties_and_fairness(self, fragment):
+        instances = PARITY_CASES + fragment_instances(fragment)
+        beta = fragment.beta
+        for base, refined in _differential_operators(beta):
+            # Both sides ask the same cached operators, so each output is computed once.
+            base, refined = PresentationCache(base), PresentationCache(refined)
+            report = check_refinement_properties(base, refined, beta, instances)
+            first = {prop: found[0] for prop, found in report.violations.items()}
+            assert all(len(found) == 1 for found in report.violations.values())
+            assert (report.checked, first) == slow_check_refinement_properties(
+                base, refined, beta, instances), refined.label
+            for limit in (None, 1):
+                report = is_fair(base, refined, instances, limit=limit)
+                assert (report.checked, report.violations.get("fairness", [])) == slow_is_fair(
+                    base, refined, instances, limit=limit), (refined.label, limit)
+
+    def test_the_oracle_sees_violations(self):
+        # Guards the comparison above against agreeing only on clean reports.
+        instances = fragment_instances(HORN)
+        echo = slow_check_refinement_properties(SIG2, EchoConstraintOperator(), AND2, instances)[1]
+        assert {"containment", "equivalence"} <= set(echo)
+        parity = slow_check_refinement_properties(DRASTIC2, _Parity(), AND2, PARITY_CASES)[1]
+        first, second = parity["equivalence"]
+        assert (first[1], second[1]) == (PARITY_CASES[0][1], PARITY_CASES[2][1])
+        assert slow_is_fair(GMAX2, RefinedOperator(GMAX2, ClosureRefinement(AND2)), instances)[1]
+
+    @pytest.mark.parametrize("mapping", [
+        ClosureRefinement(AND2), LexRefinement(AND2), LexClosureRefinement(AND2),
+        ClosureRefinement(MAJ3), LexRefinement(MAJ3), LexClosureRefinement(MAJ3),
+        BetaMapping(AND2, lambda mset, x: mset, "identity"),
+        BetaMapping(AND2, lambda mset, x: ModelSet(mset.universe), "empty"),
+        BetaMapping(AND2, _first_base_closure, "first-base"),
+        _PlainMapping(lambda mset, x: mset, "plain-identity"),
+        _PlainMapping(lambda mset, x: ModelSet(mset.universe), "plain-empty"),
+        _PlainMapping(lambda mset, x: ModelSet.full(mset.universe), "plain-full"),
+    ], ids=lambda m: m.label)
+    def test_validate_mapping(self, mapping):
+        report = validate_mapping(mapping, U2)
+        first = {prop: found[0] for prop, found in report.violations.items()}
+        assert all(len(found) == 1 for found in report.violations.values())
+        assert (report.checked, first) == slow_validate_mapping(mapping, U2)
