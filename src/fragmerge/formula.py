@@ -21,9 +21,10 @@ loops along chains and runs and recurses once per pair of parentheses.
 
 import functools
 import itertools
+import math
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .interp import (
@@ -339,8 +340,7 @@ def models(phi: Formula, universe: Universe) -> ModelSet:
     return ModelSet.from_bits(universe, values[0])
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(namedtuple("Clause", "literals")):
     """Disjunction of literals, each a (atom name, positive?) pair.
 
     Tautological clauses (an atom in both polarities) can be represented so
@@ -348,7 +348,7 @@ class Clause:
     generated for synthesis.
     """
 
-    literals: frozenset
+    __slots__ = ()
 
     @property
     def is_tautological(self) -> bool:
@@ -392,10 +392,8 @@ def _clause_kind(clause: Clause) -> ClauseKind:
     return ClauseKind.GENERAL
 
 
-@dataclass(frozen=True)
-class Classification:
-    is_cnf: bool
-    clauses: tuple
+class Classification(namedtuple("Classification", "is_cnf clauses")):
+    __slots__ = ()
 
     @property
     def horn(self) -> bool:
@@ -463,73 +461,65 @@ HORN = Fragment("horn", AND2, is_horn_clause)
 KROM = Fragment("krom", MAJ3, is_krom_clause)
 
 
-def _clause_shapes(n: int, full: int, max_positive: int):
-    # (literals, falsifier) of every non-tautological clause over n atoms
-    # with at most `max_positive` positive literals, the empty clause
-    # included: each atom is absent, negative, or positive while positives
-    # remain.  Walked depth first, so the stack holds O(n) partial clauses.
-    literals = _literal_falsifiers(n)
-    stack = [((), full, 0, max_positive)]
-    while stack:
-        lits, falsifier, i, positives = stack.pop()
-        if i == n:
-            yield lits, falsifier
-            continue
-        (pos, pos_falsifier), (neg, neg_falsifier) = literals[2 * i:2 * i + 2]
-        stack.append((lits, falsifier, i + 1, positives))
-        stack.append((lits + (neg,), falsifier & neg_falsifier, i + 1, positives))
-        if positives:
-            stack.append((lits + (pos,), falsifier & pos_falsifier, i + 1, positives - 1))
+# The truth-table bits one block of `synthesize` holds (8 MiB), unless
+# sqrt(N) of the N clauses take more, which keeps the checkpoints between
+# blocks to sqrt(N) tables; a block's suffix ANDs take as many bits again.
+_BLOCK_BITS = 1 << 26
 
 
-def _krom_clauses(n: int, full: int):
-    # (literals, falsifier) of every clause of at most two literals over n
-    # atoms, the empty clause included; a clause's falsifier is the AND of
-    # its literals' falsifiers.
-    yield (), full
-    literals = _literal_falsifiers(n)
-    for k, (lit, falsifier) in enumerate(literals):
-        yield (lit,), falsifier
-        for other, other_falsifier in literals[k + 1:]:
-            if other[0] != lit[0]:
-                yield (lit, other), falsifier & other_falsifier
+def _clause(key, literals) -> Clause:
+    return Clause(frozenset(literals[r][:2] for r in key[1:]))
 
 
-def _clause_pool(universe: Universe, predicate, target: int, full: int):
-    # Yields ((size, text), truth table, clause) for every fragment clause
-    # that all models in `target` satisfy; `text` equals str(clause), so the
-    # sort keys are unique.  A clause holds in `target` when `target` misses
-    # its falsifier.  Krom candidates are the 2n^2+1 clauses of at most two
-    # literals, Horn candidates the (n+2)*2^(n-1) shapes with at most one
-    # positive literal; any other predicate sees all 3^n shapes.  The empty
-    # clause (falsifier `full`) fails for non-empty targets.
+def _clause_pool(universe: Universe, predicate, target: int):
+    # Sorted keys bytes((size, rank, ...)) of the fragment clauses that hold
+    # in `target`, and the literals by rank as (atom name, positive?, truth
+    # table).  Ranks order the tokens `a`, `!a`, ... as strings and a key
+    # lists them in atom-name order, so keys sort as (size, str(clause)) do
+    # unless an atom name starts with `!` or holds a character at or below
+    # the space, which `parse` never reads.  A child in the walk adds a
+    # literal on an atom later in name order, and a clause holds when
+    # `target` misses its falsifier.  Horn and Krom candidates satisfy their
+    # predicates by construction; any other predicate is asked about each of
+    # the 3^n shapes.
     n = len(universe)
-    if predicate is is_krom_clause:
-        shapes = _krom_clauses(n, full)
-    elif predicate is is_horn_clause:
-        shapes = _clause_shapes(n, full, 1)
-    else:
-        shapes = _clause_shapes(n, full, n)
+    full = (1 << (1 << n)) - 1
     atoms = universe.atoms
-    for lits, falsifier in shapes:
-        if target & falsifier:
-            continue
-        named = sorted((atoms[i], pos) for i, pos in lits)
-        clause = Clause(frozenset(named))
-        if predicate(clause):
-            text = " | ".join(name if pos else f"!{name}" for name, pos in named)
-            yield (len(named), text), full ^ falsifier, clause
+    tokens = sorted((atoms[i] if pos else "!" + atoms[i], i, pos, falsifier)
+                    for (i, pos), falsifier in _literal_falsifiers(n))
+    literals = [(atoms[i], pos, full ^ falsifier) for _, i, pos, falsifier in tokens]
+    rank = {(i, pos): (bytes((r,)), falsifier) for r, (_, i, pos, falsifier) in enumerate(tokens)}
+    steps = [(rank[i, False], rank[i, True]) for i in sorted(range(n), key=atoms.__getitem__)]
+    horn, krom = predicate is is_horn_clause, predicate is is_krom_clause
+    keys, stack = [], [(b"", full, 0, 1 if horn else n)]
+    while stack:
+        ranks, falsifier, start, positives = stack.pop()
+        if not target & falsifier:
+            key = bytes((len(ranks),)) + ranks
+            if horn or krom or predicate(_clause(key, literals)):
+                keys.append(key)
+        if len(ranks) < (2 if krom else n):
+            for j in range(start, n):
+                (neg, neg_falsifier), (pos, pos_falsifier) = steps[j]
+                stack.append((ranks + neg, falsifier & neg_falsifier, j + 1, positives))
+                if positives:
+                    stack.append((ranks + pos, falsifier & pos_falsifier, j + 1, positives - 1))
+    keys.sort()
+    return keys, literals
 
 
 def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Formula:
     """Formula of the fragment whose models are exactly `mset`.
 
     Conjoins every fragment clause satisfied by all members of `mset`, in
-    (size, text) order; for the builtin Horn and Krom fragments this pins the
-    model set exactly whenever it is closed under the fragment's function.
-    Clauses and `mset` are compared as truth tables (ints, bit m for
-    interpretation m).  With `minimize`, one pass in that order drops each
-    clause entailed by the clauses kept before it and all clauses after it.
+    (size, text) order: fewer literals first, then by the clause printed
+    with its literals in atom-name order (`!a | b` before `a | !b`).  For the
+    builtin Horn and Krom fragments this pins the model set exactly whenever
+    it is closed under the fragment's function.  Clauses and `mset` are
+    compared as truth tables (ints, bit m for interpretation m), built one
+    bounded block of clauses at a time.  With `minimize`, one pass in that
+    order drops each clause entailed by the clauses kept before it and all
+    clauses after it.
     """
     universe = mset.universe
     if fragment.clause_predicate is None:
@@ -550,19 +540,35 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
     _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
     target = mset.bits
-    pool = sorted(_clause_pool(universe, fragment.clause_predicate, target, full))
-    # suffix[k] is the truth table of the conjunction of pool[k:].
-    tables = reversed([bits for _, bits, _ in pool])
-    suffix = list(itertools.accumulate(tables, operator.and_, initial=full))[::-1]
-    if suffix[0] != target:
+    keys, literals = _clause_pool(universe, fragment.clause_predicate, target)
+    tables = [bits for _, _, bits in literals]
+    size = max(math.isqrt(len(keys)) + 1, _BLOCK_BITS >> len(universe))
+    starts = range(0, len(keys), size)
+
+    def block(lo):
+        return [functools.reduce(operator.or_, map(tables.__getitem__, key[1:]), 0)
+                for key in keys[lo:lo + size]]
+
+    # after[-1 - j] is the truth table of the conjunction of the blocks after
+    # block j: the only tables kept from one block to the next.
+    after = [full]
+    for lo in reversed(starts[1:]):
+        after.append(functools.reduce(operator.and_, block(lo), after[-1]))
+    kept, prefix = [], full
+    for lo, rest in zip(starts, reversed(after)):
+        bits = block(lo)
+        # suffix[k]: the conjunction of the pool from the block's k-th clause on.
+        suffix = list(itertools.accumulate(reversed(bits), operator.and_, initial=rest))[::-1]
+        for k, key in enumerate(keys[lo:lo + size]):
+            if not minimize or prefix & suffix[k + 1] != target:
+                kept.append(_clause(key, literals))
+                prefix &= bits[k]
+    # A clause is dropped only while the whole pool pins `target`, so the
+    # scan ends at `target` exactly when the fragment can express it.
+    if prefix != target:
         raise NoSyntacticFragmentError(
             f"fragment {fragment.name!r} cannot express the given model set"
         )
-    kept, prefix = [], full
-    for k, (_, bits, clause) in enumerate(pool):
-        if not minimize or prefix & suffix[k + 1] != target:
-            kept.append(clause)
-            prefix &= bits
     return _conjoin(kept, universe)
 
 

@@ -304,6 +304,24 @@ class TestKromMergeAboveTenAtoms:
         assert is_closed(MAJ3, refined)
 
 
+class TestHornMergeAboveTenAtoms:
+    """12-atom Horn merges: the 28,647 clauses that hold in the refined set
+    fill two blocks of truth tables in `synthesize`.  CI runs the 16-atom
+    file, whose clauses fill over 500 blocks, under a memory limit."""
+
+    @pytest.mark.parametrize("refinement", ["closure", "lex-closure"])
+    def test_refined_set_is_expressed_by_a_horn_formula(self, capsys, refinement):
+        code, out, _ = run(
+            capsys, "merge", str(DATA / "krom12.txt"), "--fragment", "horn",
+            "--refinement", refinement, "--format", "machine",
+        )
+        assert code == 0
+        records = dict(line.split("\t", 1) for line in out.splitlines())
+        u = Universe(records["universe"].split())
+        assert records["formula-class"] == "horn"
+        assert models(parse(records["formula"], u), u).compact() == records["refined"]
+
+
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 MERGE_OPTIONS = [
     (fragment, refinement, aggregator, distance)

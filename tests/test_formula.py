@@ -1,6 +1,9 @@
 import copy
+import functools
 import itertools
+import operator
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from fragmerge import (
     HORN,
     KROM,
     MAJ3,
+    Classification,
     ClauseKind,
     Fragment,
     ModelSet,
@@ -29,7 +33,8 @@ from fragmerge import (
     synthesize,
     to_text,
 )
-from fragmerge.formula import And, Atom, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool
+import fragmerge.formula as formula_module
+from fragmerge.formula import And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool
 from helpers import (
     U2,
     U3,
@@ -230,6 +235,23 @@ class TestClassify:
         result = classify(parse("!a | !b | c", U3))
         assert result.verdict == "horn"
 
+    def test_clause_and_classification_records(self):
+        # Records compare, hash, print and pickle by their fields, and are immutable.
+        result = classify(parse("!a | b", U2))
+        clause = result.clauses[0][0]
+        assert repr(clause) in ("Clause(literals=frozenset({('a', False), ('b', True)}))",
+                                "Clause(literals=frozenset({('b', True), ('a', False)}))")
+        assert repr(Classification(False, ())) == "Classification(is_cnf=False, clauses=())"
+        assert str(clause) == "!a | b" and clause.positive_count == 1
+        assert clause == Clause(frozenset({("b", True), ("a", False)})) != Clause(frozenset())
+        again = classify(parse("b | !a", U2))
+        assert result == again and hash(result) == hash(again)
+        assert Clause(frozenset()) != Classification(True, ())
+        for record in (clause, result):
+            assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+            with pytest.raises(AttributeError):
+                record.literals = frozenset()
+
     def test_non_cnf(self):
         assert classify(parse("a -> b", U2)).verdict == "non-cnf"
         assert classify(parse("a & (b | (c & a))", U3)).verdict == "non-cnf"
@@ -347,6 +369,22 @@ class TestSynthesize:
         fast = synthesize(mset, fragment, minimize=minimize)
         assert to_text(fast) == to_text(slow_synthesize(mset, fragment, minimize=minimize))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        names=st.permutations(["a", "ab", "a_", "a1", "b", "ba"]),
+        fragment=st.sampled_from([HORN, KROM]),
+        minimize=st.booleans(),
+        masks=st.sets(st.integers(0, 15), min_size=1, max_size=6),
+    )
+    def test_matches_slow_synthesize_in_many_blocks(self, names, fragment, minimize, masks):
+        # Atom names that are prefixes of one another, and the smallest
+        # block budget, so the scan crosses blocks and their checkpoints.
+        universe = Universe(names[:4])
+        mset = closure(fragment.beta, ModelSet(universe, masks))
+        with mock.patch.object(formula_module, "_BLOCK_BITS", 0):
+            fast = synthesize(mset, fragment, minimize=minimize)
+        assert to_text(fast) == to_text(slow_synthesize(mset, fragment, minimize=minimize))
+
     def test_long_horn_pool_at_eight_atoms(self):
         # 1192 Horn clauses hold in both models; the unminimized conjunction
         # is a left-deep chain deeper than the default recursion limit.
@@ -366,8 +404,16 @@ class TestClausePoolAgainstFullScan:
 
     @staticmethod
     def pools(universe, predicate, bits):
+        # The pool's keys decoded to ((size, text), table, clause), in key order.
+        keys, literals = _clause_pool(universe, predicate, bits)
+        fast = []
+        for key in keys:
+            lits = [literals[r] for r in key[1:]]
+            text = " | ".join(name if pos else f"!{name}" for name, pos, _ in lits)
+            table = functools.reduce(operator.or_, (t for _, _, t in lits), 0)
+            clause = Clause(frozenset((name, pos) for name, pos, _ in lits))
+            fast.append(((key[0], text), table, clause))
         full = (1 << (1 << len(universe))) - 1
-        fast = sorted(_clause_pool(universe, predicate, bits, full))
         return fast, sorted(slow_clause_pool(universe, predicate, bits, full))
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from fragmerge import (
@@ -42,6 +44,8 @@ from helpers import (
     slow_validate_mapping,
 )
 
+# The module: `import fragmerge.refine` would bind the package's `refine` function.
+refine_module = sys.modules["fragmerge.refine"]
 SIG2 = MergeOperator(CountingDistance.hamming(2), Aggregator.SIGMA)
 GMAX2 = MergeOperator(CountingDistance.hamming(2), Aggregator.GMAX)
 
@@ -206,6 +210,14 @@ class TestMappings:
         witness_set, _, _ = report.violations["closed_output"][0]
         assert not is_closed(AND2, witness_set)
 
+    def test_beta_mapping_is_checked_once_per_pair(self, monkeypatch):
+        calls = []
+        check = refine_module._mapping_violation
+        monkeypatch.setattr(refine_module, "_mapping_violation",
+                            lambda *args: calls.append(args) or check(*args))
+        report = validate_mapping(BetaMapping(AND2, lambda mset, x: closure(AND2, mset)), U2)
+        assert report.ok and report.checked == len(calls) == 2160
+
     def test_mapping_refinement_applies_the_function(self):
         e, mu = example_instance()
         op = BetaMapping(AND2, lambda mset, x: closure(AND2, mset), "closure")
@@ -234,6 +246,22 @@ class TestRefinementProperties:
             refined = RefinedOperator(base_op, kind)
             report = check_refinement_properties(base_op, refined, beta, instances)
             assert report.ok, f"{refined.label}:\n{report.render()}"
+
+    def test_checkers_merge_once_per_instance(self):
+        class CountingMerge(MergeOperator):
+            calls = 0
+
+            def __call__(self, profile, mu):
+                self.calls += 1
+                return super().__call__(profile, mu)
+
+        base = CountingMerge(CountingDistance.hamming(2), Aggregator.SIGMA)
+        refined = RefinedOperator(base, LexClosureRefinement(AND2))
+        instances = fragment_instances(HORN)
+        for checker in (check_refinement_properties, is_fair):
+            base.calls = 0
+            args = (AND2, instances) if checker is check_refinement_properties else (instances,)
+            assert checker(base, refined, *args).checked == base.calls == len(instances)
 
     def test_broken_refinement_fails_containment(self):
         report = check_refinement_properties(
