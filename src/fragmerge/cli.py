@@ -19,7 +19,6 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass
 
 from .formula import (
     HORN,
@@ -35,7 +34,7 @@ from .formula import (
     synthesize,
     to_text,
 )
-from .interp import ModelSet, Universe, _check_enum_size
+from .interp import ModelSet, Universe, _check_enum_size, record_type
 from .merge import (
     Aggregator,
     Base,
@@ -51,6 +50,7 @@ from .postulates import (
     SearchSpace,
     SpaceTooLargeError,
     UnknownFixtureError,
+    _guard,
     reproduce,
     search,
 )
@@ -75,11 +75,11 @@ class ProblemFileError(ValueError):
     pass
 
 
-@dataclass
-class ProblemFile:
-    universe: Universe
-    bases: list  # (name, Base)
-    constraints: list  # ModelSet
+class ProblemFile(record_type("ProblemFile", "universe bases constraints")):
+    """A parsed problem file: its Universe, its bases as (name, Base) pairs
+    and its constraints as model sets, each list in file order."""
+
+    __slots__ = ()
 
     @property
     def profile(self) -> Profile:
@@ -338,17 +338,18 @@ def cmd_check(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        if args.atoms < 1:
-            raise ValueError(f"the universe needs at least 1 atom, got {args.atoms}")
+        fragment = _FRAGMENTS[args.fragment]
+        postulates = _parse_postulates(args.postulates)
+        space = SearchSpace(args.atoms, fragment, args.max_profile_size, args.max_bases, postulates)
+        # The space's caps come first: the distance gauge has atoms + 1 entries.
+        _guard(space)
         parts = args.op.rsplit(",", 2)
         if len(parts) != 3:
             raise ValueError("--op needs distance,aggregator,refinement")
         dist_spec, agg_spec, ref_spec = (p.strip() for p in parts)
-        fragment = _FRAGMENTS[args.fragment]
         distance = _build_distance(dist_spec, args.atoms)
         aggregator = Aggregator(agg_spec)
         refinement = _build_refinement(ref_spec, fragment, None)
-        postulates = _parse_postulates(args.postulates)
         if args.limit is not None and args.limit < 1:
             raise ValueError(f"--limit must be at least 1, got {args.limit}")
     except (KeyError, ValueError) as exc:
@@ -358,13 +359,6 @@ def cmd_check(args, out=None, err=None) -> int:
     op = MergeOperator(distance, aggregator)
     if refinement is not None:
         op = RefinedOperator(op, refinement)
-    space = SearchSpace(
-        atoms=args.atoms,
-        fragment=fragment,
-        max_profile_size=args.max_profile_size,
-        max_bases=args.max_bases,
-        postulates=postulates,
-    )
     try:
         witnesses = search(space, op, limit=args.limit)
     except (SpaceTooLargeError, EmptySpaceError) as exc:

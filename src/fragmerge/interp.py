@@ -17,7 +17,7 @@ fixpoint.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 # Enumeration over all 2^|U| interpretations is capped at ENUM_CAP atoms;
@@ -340,30 +340,52 @@ def model_sets(universe: Universe, include_empty: bool = True):
         yield ModelSet.from_bits(universe, code)
 
 
-@dataclass(frozen=True)
-class BooleanFn:
+def record_type(typename, field_names, defaults=(), compared=slice(None)):
+    """A slotted namedtuple base for an immutable record that compares as a
+    frozen dataclass does: equal only to a record of its own class whose
+    `compared` fields (a slice of the field tuple) are equal, hashed as the
+    tuple of those fields, and unordered."""
+
+    class Record(namedtuple(typename, field_names, defaults=defaults)):
+        __slots__ = ()
+
+        def __eq__(self, other):
+            return type(other) is type(self) and self[compared] == other[compared]
+
+        def __ne__(self, other):
+            return not self == other
+
+        def __hash__(self):
+            return hash(self[compared])
+
+        def __lt__(self, other):
+            return NotImplemented
+
+        __le__ = __gt__ = __ge__ = __lt__
+
+    return Record
+
+
+class BooleanFn(record_type("BooleanFn", "arity table name by_weight", compared=slice(2))):
     """Symmetric, 0/1-reproducing Boolean function given by its truth table.
 
     table[i] is the output on the input whose bit j equals bit j of i.  By
     symmetry the output only depends on how many inputs are 1, which is what
-    the validator checks (cheaper than iterating all permutations).
+    the validator checks (cheaper than iterating all permutations).  `name`
+    and the derived `by_weight` (the output by input weight) are not compared.
     """
 
-    arity: int
-    table: tuple
-    name: str = field(default="", compare=False)
-    by_weight: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __new__(cls, arity: int, table: tuple, name: str = ""):
+        if arity < 1:
             raise ValueError("arity must be positive")
-        table = tuple(1 if v else 0 for v in self.table)
-        if len(table) != 1 << self.arity:
+        table = tuple(1 if v else 0 for v in table)
+        if len(table) != 1 << arity:
             raise ValueError(
-                f"table length {len(table)} does not match arity {self.arity}"
+                f"table length {len(table)} does not match arity {arity}"
             )
-        object.__setattr__(self, "table", table)
-        by_weight = [None] * (self.arity + 1)
+        by_weight = [None] * (arity + 1)
         for idx, out in enumerate(table):
             w = idx.bit_count()
             if by_weight[w] is None:
@@ -371,22 +393,25 @@ class BooleanFn:
             elif by_weight[w] != out:
                 first = next(i for i in range(len(table)) if i.bit_count() == w)
                 raise NotSymmetricError(
-                    f"not symmetric: inputs {_bits(first, self.arity)} and "
-                    f"{_bits(idx, self.arity)} have equal weight but outputs "
+                    f"not symmetric: inputs {_bits(first, arity)} and "
+                    f"{_bits(idx, arity)} have equal weight but outputs "
                     f"{table[first]} and {out}",
-                    witness=(_bits(first, self.arity), _bits(idx, self.arity)),
+                    witness=(_bits(first, arity), _bits(idx, arity)),
                 )
         if by_weight[0] != 0:
             raise NotReproducingError(
                 "not 0-reproducing: all-zero input maps to 1",
-                witness=_bits(0, self.arity),
+                witness=_bits(0, arity),
             )
-        if by_weight[self.arity] != 1:
+        if by_weight[arity] != 1:
             raise NotReproducingError(
                 "not 1-reproducing: all-one input maps to 0",
-                witness=_bits((1 << self.arity) - 1, self.arity),
+                witness=_bits((1 << arity) - 1, arity),
             )
-        object.__setattr__(self, "by_weight", tuple(by_weight))
+        return super().__new__(cls, arity, table, name, tuple(by_weight))
+
+    def __getnewargs__(self):
+        return self[:3]
 
     def __call__(self, *bits) -> int:
         if len(bits) != self.arity:
@@ -395,6 +420,9 @@ class BooleanFn:
 
     def __str__(self):
         return self.name or f"fn{self.arity}{''.join(map(str, self.table))}"
+
+    def __repr__(self):
+        return f"{type(self).__name__}(arity={self.arity!r}, table={self.table}, name={self.name!r})"
 
 
 def _bits(idx, arity):
@@ -405,17 +433,15 @@ AND2 = BooleanFn(2, (0, 0, 0, 1), "and")
 MAJ3 = BooleanFn(3, (0, 0, 0, 1, 0, 1, 1, 1), "maj3")
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(record_type("Fragment", "name beta clause_predicate", (None,), slice(2))):
     """Sublanguage characterized by closure of model sets under `beta`.
 
     `clause_predicate` is the syntactic side, a test on clauses; it is set
     for the builtin Horn and Krom fragments and enables formula synthesis.
+    It is not compared.
     """
 
-    name: str
-    beta: BooleanFn
-    clause_predicate: object = field(default=None, compare=False)
+    __slots__ = ()
 
 
 def _apply_masks(beta: BooleanFn, masks, width: int) -> int:

@@ -14,12 +14,11 @@ with bit m for interpretation m) reaches w at step k = min over models m of
 |w xor m|, and d(w, K) = g(k) because the gauge is nondecreasing.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial, reduce, total_ordering
+from functools import partial, reduce
 from operator import and_
 
-from .interp import Interpretation, ModelSet, Universe, UniverseMismatchError
+from .interp import Interpretation, ModelSet, Universe, UniverseMismatchError, record_type
 from .interp import _atom_patterns, _from_bits
 
 
@@ -31,22 +30,21 @@ class EmptyInputError(ValueError):
     """Aggregation needs at least one distance value."""
 
 
-@dataclass(frozen=True)
-class CountingDistance:
-    """Distance d(w, w') = gauge[|w xor w'|]; the gauge must cover 0..|U|."""
+class CountingDistance(record_type("CountingDistance", "gauge name", ("table",), slice(1))):
+    """Distance d(w, w') = gauge[|w xor w'|]; the gauge must cover 0..|U|.
+    The name is not compared."""
 
-    gauge: tuple
-    name: str = field(default="table", compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        gauge = tuple(int(v) for v in self.gauge)
+    def __new__(cls, gauge: tuple, name: str = "table"):
+        gauge = tuple(int(v) for v in gauge)
         if not gauge or gauge[0] != 0:
             raise ValueError("gauge must start with g(0) = 0")
         if any(v <= 0 for v in gauge[1:]):
             raise ValueError("gauge must be positive away from zero")
         if any(a > b for a, b in zip(gauge, gauge[1:])):
             raise ValueError("gauge must be nondecreasing")
-        object.__setattr__(self, "gauge", gauge)
+        return super().__new__(cls, gauge, name)
 
     @classmethod
     def hamming(cls, n: int) -> "CountingDistance":
@@ -69,17 +67,16 @@ class CountingDistance:
         return self.gauge[diff]
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(record_type("Base", "models source", (None,), slice(1))):
     """Consistent belief base: a non-empty model set, optionally with the
     source formulas it came from (metadata, not part of equality)."""
 
-    models: ModelSet
-    source: tuple = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.models:
+    def __new__(cls, models: ModelSet, source: tuple = None):
+        if not models:
             raise InconsistentBaseError("base has no models")
+        return super().__new__(cls, models, source)
 
 
 class Profile:
@@ -150,27 +147,33 @@ class Aggregator(Enum):
     GMAX = "gmax"
 
 
-@total_ordering
-@dataclass(frozen=True)
-class AggValue:
+class AggValue(record_type("AggValue", "kind value")):
     """Aggregated distance: a scalar for sigma, a descending vector for gmax.
 
     Values of different kinds refuse to compare; gmax vectors additionally
     must have equal length (they come from profiles of the same size).
     """
 
-    kind: Aggregator
-    value: object
+    __slots__ = ()
 
-    def _check(self, other):
+    def _other(self, other):
         if not isinstance(other, AggValue) or other.kind != self.kind:
             raise TypeError(f"cannot compare {self!r} with {other!r}")
         if self.kind is Aggregator.GMAX and len(self.value) != len(other.value):
             raise TypeError("gmax vectors of different lengths are incomparable")
+        return other.value
 
     def __lt__(self, other):
-        self._check(other)
-        return self.value < other.value
+        return self.value < self._other(other)
+
+    def __le__(self, other):
+        return self.value <= self._other(other)
+
+    def __gt__(self, other):
+        return self.value > self._other(other)
+
+    def __ge__(self, other):
+        return self.value >= self._other(other)
 
     def __str__(self):
         if self.kind is Aggregator.SIGMA:
@@ -278,11 +281,8 @@ def merge(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator) ->
     return ModelSet.from_bits(profile.universe, _least(_levels(profile, mu, d.gauge, f), mu.bits))
 
 
-@dataclass(frozen=True)
-class ScoreRow:
-    interpretation: Interpretation
-    per_base: tuple
-    value: AggValue
+class ScoreRow(record_type("ScoreRow", "interpretation per_base value")):
+    __slots__ = ()
 
 
 def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator):

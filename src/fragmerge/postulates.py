@@ -8,14 +8,13 @@ conjunction is intersection, consistency is non-emptiness.
 
 import itertools
 import string
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from enum import Enum
 from math import comb
 from operator import add, or_
 
 from .formula import HORN, KROM
-from .interp import AND2, MAJ3, Fragment, ModelSet, Universe, closed_model_sets, model_sets
+from .interp import AND2, MAJ3, ModelSet, Universe, closed_model_sets, model_sets, record_type
 from .merge import (
     Aggregator,
     Base,
@@ -66,12 +65,10 @@ class PostulateId(Enum):
 ALL_POSTULATES = tuple(PostulateId)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(record_type("Instance", "profiles constraints")):
     """Profiles and constraints feeding one postulate check."""
 
-    profiles: tuple
-    constraints: tuple
+    __slots__ = ()
 
     def encode(self) -> str:
         ps = ",".join(f"[{p.render()}]" for p in self.profiles)
@@ -79,16 +76,11 @@ class Instance:
         return f"profiles={ps} constraints={cs}"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(record_type("Witness", "postulate instance operator message details")):
     """A reproduced postulate violation; re-checking the instance against the
     same operator yields the same details."""
 
-    postulate: PostulateId
-    instance: Instance
-    operator: str
-    message: str
-    details: tuple
+    __slots__ = ()
 
     def render(self) -> str:
         lines = [
@@ -323,16 +315,11 @@ def check_postulate(pid: PostulateId, op, instance: Instance):
     return _witness(pid, op, instance, values) if ROWS[pid].violated(*values) else None
 
 
-@dataclass(frozen=True)
-class SearchSpace:
+class SearchSpace(record_type("SearchSpace", "atoms fragment max_profile_size max_bases postulates",
+                              (None, 2, None, ALL_POSTULATES))):
     """Bounded instance enumeration: universe size, fragment shaping the
-    base/constraint pool, profile size cap, and the postulates to run."""
-
-    atoms: int
-    fragment: Fragment = None
-    max_profile_size: int = 2
-    max_bases: int = None
-    postulates: tuple = ALL_POSTULATES
+    base/constraint pool, profile size cap, and the postulates to run.
+    Not slotted: `_base_sets` is a cached property."""
 
     @property
     def universe(self) -> Universe:
@@ -417,22 +404,16 @@ def search(space: SearchSpace, op, limit: int = None):
 # in order.  A spec writes each model as the string of its true atoms.
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    label: str
-    expected: str
-    actual: str
+class CheckRow(record_type("CheckRow", "label expected actual")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class FixtureReport:
-    fixture: str
-    title: str
-    rows: tuple
+class FixtureReport(record_type("FixtureReport", "fixture title rows")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,6 @@ containment, invariance, equivalence) and `is_fair`, on given instances.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 from .interp import (
     BooleanFn,
@@ -28,6 +27,7 @@ from .interp import (
     closure,
     is_closed,
     model_sets,
+    record_type,
 )
 from .merge import Profile, answer_fn
 
@@ -82,9 +82,8 @@ class LexOrder:
         return f"LexOrder({', '.join(str(w) for w in self.first)}, then ascending)"
 
 
-@dataclass(frozen=True)
-class ClosureRefinement:
-    beta: BooleanFn
+class ClosureRefinement(record_type("ClosureRefinement", "beta")):
+    __slots__ = ()
 
     @property
     def label(self):
@@ -94,10 +93,8 @@ class ClosureRefinement:
         return closure(self.beta, mset)
 
 
-@dataclass(frozen=True)
-class LexRefinement:
-    beta: BooleanFn
-    order: LexOrder = None
+class LexRefinement(record_type("LexRefinement", "beta order", (None,))):
+    __slots__ = ()
 
     @property
     def label(self):
@@ -110,8 +107,9 @@ class LexRefinement:
         return ModelSet.from_bits(mset.universe, 1 << order.minimum(mset).mask)
 
 
-@dataclass(frozen=True)
 class LexClosureRefinement(LexRefinement):
+    __slots__ = ()
+
     @property
     def label(self):
         return f"lex-closure({self.beta})"
@@ -122,14 +120,12 @@ class LexClosureRefinement(LexRefinement):
         return super().__call__(mset, profile_models)
 
 
-@dataclass(frozen=True)
-class BetaMapping:
+class BetaMapping(record_type("BetaMapping", "beta fn name", ("",), slice(None, None, 2))):
     """User refinement f(M, X) for a fixed Boolean function, checked against
-    the four mapping properties on every call."""
+    the four mapping properties on every call.  `fn` is not compared: the
+    slice keeps `beta` and `name`."""
 
-    beta: BooleanFn
-    fn: object = field(compare=False)
-    name: str = ""
+    __slots__ = ()
 
     @property
     def label(self):

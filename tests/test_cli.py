@@ -7,9 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fragmerge import MAJ3, MergeOperator, RefinedOperator, Universe, classify, is_closed, models, parse
+from fragmerge import (
+    MAJ3,
+    CountingDistance,
+    MergeOperator,
+    RefinedOperator,
+    Universe,
+    classify,
+    is_closed,
+    models,
+    parse,
+)
 from fragmerge.cli import main, parse_problem_file
 from fragmerge.merge import InconsistentBaseError
+from fragmerge.postulates import fixture_ids
 
 EXAMPLE1 = """\
 # two agents disagreeing under a mutual-exclusion constraint
@@ -412,11 +423,13 @@ class TestCheckCommand:
             found.append((code, out.splitlines()[-1]))
         assert found[0] == found[1]
 
-    def test_too_many_atoms(self, capsys):
-        code, _, err = run(
-            capsys, "check", "--op", "hamming,sigma,none", "--atoms", "5"
-        )
-        assert code == 2
+    @pytest.mark.parametrize("atoms", ["5", "1000000000"])
+    def test_too_many_atoms(self, capsys, monkeypatch, atoms):
+        # Refused before the distance is built: its gauge has atoms + 1 entries.
+        monkeypatch.setattr(CountingDistance, "hamming", classmethod(lambda cls, n: pytest.fail("built")))
+        code, out, err = run(capsys, "check", "--op", "hamming,sigma,none", "--atoms", atoms)
+        assert (code, out) == (2, "")
+        assert err == f"bad arguments: exhaustive mode caps the universe at 4 atoms, got {atoms}\n"
 
     def test_space_over_the_instance_budget_exits_two(self, capsys):
         code, out, err = run(
@@ -542,21 +555,28 @@ def fuzz_runs(draw):
     # A lex order of declared atoms, or one that lists an interpretation twice.
     lex_order = ("--lex-order", (f"{{{atoms[-1]}}} {{}}", f"{{}} {{{','.join(atoms)}}}"),
                  (f"{{{atoms[0]}}} {{{atoms[0]}}}",))
-    argv = []
-    for flag, good, bad in FUZZ_FLAGS + (lex_order,):
-        value = draw(st.sampled_from((None,) * len(good) + good * 3 + bad))
-        if value is not None:
-            argv += [flag, value]
+    argv = draw_flags(draw, FUZZ_FLAGS + (lex_order,))
     operands = fuzz_operands(atoms)
     return " ".join(atoms), draw(operands), draw(operands), tail, argv
 
 
-def merge_in_process(path, argv):
+def draw_flags(draw, flags, bad_values=True):
+    """Each flag left out, given a good value or, more rarely, a bad one; a
+    flag of None is a positional argument."""
+    argv = []
+    for flag, good, bad in flags:
+        value = draw(st.sampled_from((None,) * len(good) + good * 3 + (bad if bad_values else ())))
+        if value is not None:
+            argv += [value] if flag is None else [flag, value]
+    return argv
+
+
+def main_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["merge", str(path), *argv])
-        except SystemExit as exc:  # argparse rejects a flag value
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     return code, out.getvalue()
 
@@ -575,6 +595,51 @@ def test_fuzzed_merge_exits_cleanly_and_disjunction_order_does_not_matter(fuzz_d
         path = fuzz_dir / "problem.txt"
         path.write_text("\n".join([f"atoms: {atoms}", f"base K: {first} | {second}", *tail]) + "\n",
                         encoding="utf-8")
-        results.append(merge_in_process(path, argv))
+        results.append(main_in_process(["merge", str(path), *argv]))
     assert results[0][0] in (0, 2, 3, 4)
     assert results[0] == results[1]
+
+
+# `check` and `reproduce` argv fuzzing.  `--max-bases` is always given, so a
+# 3-atom space stays small; the huge `--atoms` value exits cleanly only when
+# the atom cap is checked before the atoms + 1 entry distance gauge is built.
+FUZZ_GOOD_OPS = ("hamming,gmax,closure", "drastic,sigma,lex", "table:1,2,3,sigma,lex-closure",
+                 "hamming,gmax,none", "drastic,sigma,none")
+FUZZ_BAD_OPS = ("hamming,sigma", "manhattan,sigma,none", "hamming,max,none", "table:x,gmax,none",
+                "table:1,sigma,none")
+FUZZ_CHECK_FLAGS = (
+    # Horn and Krom twice: every refinement but none needs a fragment.
+    ("--fragment", ("horn", "krom", "horn", "krom", "none"), ("affine",)),
+    ("--postulates", ("ic0", "ic3", "ic4", "ic5,ic7", "ic6-ic8", "all"), ("ic9", "ic3-ic1", "")),
+    ("--atoms", ("1", "2", "3"), ("0", "-2", "1000000000", "two")),
+    ("--max-profile-size", ("1", "2"), ("0",)),
+    ("--limit", ("1", "3"), ("0",)),
+    ("--format", ("text", "machine"), ("json",)),
+)
+# prop6-fairness is left out: at ~0.4 s it would take most of the budget.
+FUZZ_REPRODUCE_FLAGS = (
+    (None, tuple(f for f in fixture_ids() if f != "prop6-fairness"), ("nosuch", "EX1", "")),
+    ("--format", ("text", "machine"), ("json",)),
+)
+
+
+@st.composite
+def fuzz_check_and_reproduce_argv(draw):
+    # Half the command lines hold no bad value, so that many searches run.
+    clean = draw(st.booleans())
+    if draw(st.booleans()):
+        ops = FUZZ_GOOD_OPS if clean else FUZZ_GOOD_OPS + FUZZ_BAD_OPS
+        argv = ["check", "--op", draw(st.sampled_from(ops)), *draw_flags(draw, FUZZ_CHECK_FLAGS, not clean),
+                "--max-bases", draw(st.sampled_from(("3", "8") if clean else ("-1", "0", "3", "8")))]
+    else:
+        argv = ["reproduce", *draw_flags(draw, FUZZ_REPRODUCE_FLAGS, not clean),
+                *draw(st.sampled_from(([], ["--list"])))]
+    return argv + draw(st.sampled_from(([],) if clean else ([], ["--nope"], ["extra"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=fuzz_check_and_reproduce_argv())
+def test_fuzzed_check_and_reproduce_exit_cleanly(argv):
+    code, out = main_in_process(argv)
+    assert code in (0, 1, 2)
+    assert code != 2 or out == ""

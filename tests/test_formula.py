@@ -309,6 +309,10 @@ class TestSynthesize:
         anonymous = Fragment("pointwise-and", AND2, None)
         with pytest.raises(NoSyntacticFragmentError):
             synthesize(ms(U2, "", "a"), anonymous)
+        # The clause predicate is not compared; the name is.
+        unnamed_horn = Fragment("horn", AND2)
+        assert unnamed_horn == HORN and not unnamed_horn != HORN and hash(unnamed_horn) == hash(HORN)
+        assert anonymous != HORN and not anonymous == HORN
 
     def test_mismatched_clause_predicate_detected(self):
         # maj3-closed set that no conjunction of Horn clauses can pin down

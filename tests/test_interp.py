@@ -103,6 +103,20 @@ class TestBooleanFnValidation:
         with pytest.raises(ValueError):
             BooleanFn(2, (0, 1))
 
+    def test_renamed_and_is_and(self, monkeypatch):
+        # The name is not compared: a renamed AND2 equals and hashes as AND2,
+        # so it takes AND2's kernel and cache entries, never the fixpoint.
+        renamed = BooleanFn(2, (0, 0, 0, 1), "renamed")
+        assert renamed == AND2 and not renamed != AND2 and hash(renamed) == hash(AND2)
+        assert renamed != MAJ3 and not renamed == MAJ3
+        assert repr(renamed) == "BooleanFn(arity=2, table=(0, 0, 0, 1), name='renamed')"
+        monkeypatch.setattr("fragmerge.interp._fixpoint", None)
+        _closure_bits.cache_clear()
+        assert closure(renamed, ms(U3, "ab", "bc")) == ms(U3, "b", "ab", "bc")
+        assert closed_model_sets(renamed, U3) is closed_model_sets(AND2, U3)
+        with pytest.raises(AttributeError):
+            renamed.name = "and"
+
 
 class TestApplyPointwise:
     def test_maj3_on_disjoint_singletons(self):

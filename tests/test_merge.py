@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,13 @@ class TestCountingDistance:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             DH2.of(3)
+
+    def test_name_is_not_compared(self):
+        renamed = CountingDistance((0, 1, 2), "renamed")
+        assert renamed == DH2 and not renamed != DH2 and hash(renamed) == hash(DH2)
+        assert renamed != DD2 and not renamed == DD2
+        with pytest.raises(AttributeError):
+            renamed.gauge = (0, 1, 1)
 
 
 class TestDistances:
@@ -101,13 +109,15 @@ class TestAggregate:
         with pytest.raises(EmptyInputError):
             aggregate(Aggregator.SIGMA, ())
 
-    def test_cross_kind_comparison_rejected(self):
+    @pytest.mark.parametrize("order", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_cross_kind_comparison_rejected(self, order):
         with pytest.raises(TypeError):
-            aggregate(Aggregator.SIGMA, (1,)) < aggregate(Aggregator.GMAX, (1,))
+            order(aggregate(Aggregator.SIGMA, (1,)), aggregate(Aggregator.GMAX, (1,)))
 
-    def test_cross_length_gmax_rejected(self):
+    @pytest.mark.parametrize("order", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_cross_length_gmax_rejected(self, order):
         with pytest.raises(TypeError):
-            aggregate(Aggregator.GMAX, (1,)) < aggregate(Aggregator.GMAX, (1, 0))
+            order(aggregate(Aggregator.GMAX, (1,)), aggregate(Aggregator.GMAX, (1, 0)))
 
     def test_render(self):
         assert str(aggregate(Aggregator.SIGMA, (1, 2))) == "3"
@@ -118,6 +128,11 @@ class TestBaseAndProfile:
     def test_inconsistent_base_rejected(self):
         with pytest.raises(InconsistentBaseError):
             Base(ModelSet(U2))
+
+    def test_base_equality_ignores_the_source(self):
+        plain, sourced = Base(ms(U2, "a")), Base(ms(U2, "a"), source=("a & !b",))
+        assert plain == sourced and not plain != sourced and hash(plain) == hash(sourced)
+        assert plain != Base(ms(U2, "b")) and not plain == Base(ms(U2, "b"))
 
     def test_profile_needs_a_base(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from fragmerge import (
     MAJ3,
     Aggregator,
     BetaMapping,
+    BooleanFn,
     ClosureRefinement,
     CountingDistance,
     LexClosureRefinement,
@@ -186,6 +187,19 @@ class TestRefine:
         e, mu = example_instance()
         with pytest.raises(TypeError):
             refine(object(), SIG2(e, mu), e, mu)
+
+    def test_refinements_compare_by_class_and_function(self):
+        renamed = BooleanFn(2, (0, 0, 0, 1), "renamed")
+        assert ClosureRefinement(renamed) == ClosureRefinement(AND2)
+        lex, lex_closure = LexRefinement(AND2), LexClosureRefinement(AND2)
+        assert lex != lex_closure and not lex == lex_closure and lex_closure != lex
+        # A mapping's function is not compared; its name is.
+        first = BetaMapping(AND2, lambda mset, x: closure(AND2, mset), "closure")
+        second = BetaMapping(AND2, lambda mset, x: mset, "closure")
+        assert first == second and not first != second and hash(first) == hash(second)
+        assert first != BetaMapping(AND2, first.fn, "other")
+        with pytest.raises(AttributeError):
+            lex.order = LexOrder(U2)
 
 
 class TestMappings:
