@@ -114,20 +114,19 @@ class Universe:
         _check_enum_size(self)
         return range(1 << len(self.atoms))
 
-    def _mask_texts(self, masks) -> list:
-        """`str(Interpretation)` of each mask, e.g. '{a,c}', without building
-        the interpretations: each half of a mask indexes a table of its
-        atoms' names, each name followed by a comma."""
+    def _block_texts(self) -> tuple:
+        """(half, closed, opened, tails) for `ModelSet.render`: a mask's low
+        `half` bits index '{a,c}' in `closed` and '{a,c,' in `opened`, its
+        high bits 'd,e}' in `tails` ('' for none).  Each doubles per atom."""
         if self._name_tables is None:
             half = len(self.atoms) // 2
-            self._name_tables = (half,) + tuple(
-                tuple("".join(f"{a}," for i, a in enumerate(names) if v >> i & 1)
-                      for v in range(1 << len(names)))
-                for names in (self.atoms[:half], self.atoms[half:])
-            )
-        half, low, high = self._name_tables
-        cut = (1 << half) - 1
-        return ["{" + (low[m & cut] + high[m >> half])[:-1] + "}" for m in masks]
+            opened, high = ["{"], [""]
+            for texts, names in ((opened, self.atoms[:half]), (high, self.atoms[half:])):
+                for name in names:
+                    texts += [t + name + "," for t in texts]
+            self._name_tables = (half, ("{}",) + tuple(t[:-1] + "}" for t in opened[1:]),
+                                 tuple(opened), ("",) + tuple(t[:-1] + "}" for t in high[1:]))
+        return self._name_tables
 
 
 def _to_bits(masks) -> int:
@@ -139,6 +138,7 @@ def _to_bits(masks) -> int:
 
 
 _CHUNK_MASK = (1 << 256) - 1
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _from_bits(bits: int) -> list:
@@ -318,7 +318,18 @@ class ModelSet:
         return self.bits & self._other_bits(other) != 0
 
     def render(self, sep=", ") -> str:
-        return sep.join(self.universe._mask_texts(_from_bits(self.bits)))
+        """Members' texts joined by `sep`, one block of 2^half masks (one high
+        half, one tail) at a time; block 0 has no tail and closed texts."""
+        half, closed, opened, tails = self.universe._block_texts()
+        width = 1 << half
+        flags = bin(self.bits)[:1:-1].encode().translate(_BIT_FLAGS)  # byte m is bit m
+        blocks, texts = [], closed
+        for start, tail in zip(range(0, len(flags), width), tails):
+            block = flags[start:start + width]
+            if 1 in block:
+                blocks.append((tail + sep).join(itertools.compress(texts, block)) + tail)
+            texts = opened
+        return sep.join(blocks)
 
     def compact(self) -> str:
         """Machine rendering: members joined by '|', e.g. '{}|{a}|{a,b}'."""

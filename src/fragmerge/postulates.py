@@ -10,7 +10,7 @@ import itertools
 import string
 from functools import cached_property, reduce
 from enum import Enum
-from math import comb
+from math import comb, log10
 from operator import add, or_
 
 from .formula import HORN, KROM
@@ -382,7 +382,8 @@ def search(space: SearchSpace, op, limit: int = None):
     pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]
     total = sum(ROWS[pid].count(space) for pid in pids)
     if total > MAX_INSTANCES:
-        raise SpaceTooLargeError(f"the selected postulates have {total:,} instances in this "
+        count = f"{total:,}" if total < 10 ** 12 else f"about 10^{int(log10(total))}"
+        raise SpaceTooLargeError(f"the selected postulates have {count} instances in this "
                                  f"space, over the budget of {MAX_INSTANCES:,}")
     if not total:
         raise EmptySpaceError("the selected postulates have no instances in this space")

@@ -39,6 +39,11 @@ def ms(universe, *atom_sets) -> ModelSet:
     return ModelSet.from_sets(universe, *atom_sets)
 
 
+def slow_render(mset, sep) -> str:
+    """Reference for `ModelSet.render`: each member's own text, joined."""
+    return sep.join(str(w) for w in mset.members)
+
+
 def prof(universe, *base_specs) -> Profile:
     """Profile from tuples of atom-strings: prof(u, ("a", "ab"), ("b",))."""
     return Profile(tuple(Base(ms(universe, *entry)) for entry in base_specs))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from fragmerge import (
     closure_witness,
     is_closed,
 )
+from fragmerge.cli import _parse_interpretations
 from fragmerge.interp import CLOSURE_CACHE_SIZE, _atom_patterns, _closure_bits, _from_bits, _to_bits
 from helpers import (
     U2,
@@ -30,6 +32,7 @@ from helpers import (
     ms,
     slow_closed_witness,
     slow_closure,
+    slow_render,
 )
 
 OR2 = BooleanFn(2, (0, 1, 1, 1), "or")
@@ -366,6 +369,56 @@ class TestModelSetBasics:
     def test_full_and_empty(self):
         assert len(ModelSet.full(U2)) == 4
         assert not ModelSet.empty(U2)
+
+
+# Names that are prefixes of one another, so a text split at the wrong
+# place still looks like a list of atoms.
+RENDER_NAMES = ("a", "ab", "a_", "a1", "abc", "b", "ba", "b_", "b1", "c", "ca", "cab", "x", "x_1", "xy", "z")
+
+
+@st.composite
+def rendered_sets(draw):
+    """A model set over 1-16 prefix-named atoms: empty, full, sparse (1-4
+    models), dense (each interpretation a model with probability 7/8), or
+    with models only in the first or only in the last block of 2^(n//2)
+    masks, which `render` joins at once."""
+    n = draw(st.integers(1, 16))
+    universe = Universe(draw(st.permutations(RENDER_NAMES))[:n])
+    kind = draw(st.sampled_from(["empty", "full", "sparse", "dense", "first-block", "last-block"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    size, width = 1 << n, 1 << n // 2
+    if kind == "sparse":
+        return ModelSet(universe, rng.sample(range(size), min(size, rng.randint(1, 4))))
+    bits = {
+        "empty": 0,
+        "full": (1 << size) - 1,
+        "dense": rng.getrandbits(size) | rng.getrandbits(size) | rng.getrandbits(size),
+        "first-block": rng.getrandbits(width),
+        "last-block": rng.getrandbits(width) << size - width,
+    }[kind]
+    return ModelSet.from_bits(universe, bits)
+
+
+class TestRender:
+    @settings(max_examples=60, deadline=None)
+    @given(mset=rendered_sets())
+    def test_render_matches_member_texts(self, mset):
+        want = slow_render(mset, "|")  # no member's text holds a '|'
+        for sep in ("|", ", ", " "):
+            assert mset.render(sep) == want.replace("|", sep)
+        assert mset.compact() == want and str(mset) == want.replace("|", ", ")
+
+    @settings(max_examples=80, deadline=None)
+    @given(mset=rendered_sets())
+    def test_problem_file_reader_reads_back_rendered_sets(self, mset):
+        # The `{a,b}` lists of a problem file's `models` bases: the reader
+        # inverts the writer, and refuses the empty list.
+        args = (mset.render(" "), mset.universe, ValueError, "line 1", "sets")
+        if mset:
+            assert tuple(_parse_interpretations(*args)) == mset.masks
+        else:
+            with pytest.raises(ValueError, match="line 1: expected sets"):
+                _parse_interpretations(*args)
 
 
 def assert_matches_reference(universe, left, ref_left, right, ref_right):
