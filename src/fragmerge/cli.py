@@ -103,17 +103,17 @@ def _parse_interpretations(text, universe, error, prefix, shape):
     if not chunks or _MODEL_RE.sub("", text).strip():
         raise error(f"{prefix}: expected {shape}")
     weights = {name: 1 << i for i, name in enumerate(universe.atoms)}
-    weights[""] = 0
     masks = []
     for chunk in chunks:
         mask = 0
         for name in chunk.split(","):
             weight = weights.get(name.strip())
             if weight is None:
-                try:
-                    universe.index(name.strip())
-                except KeyError as exc:
-                    raise error(f"{prefix}: {exc.args[0]}") from None
+                if not chunk.strip():  # `{}` or `{ }`: the empty interpretation
+                    break
+                name = name.strip()
+                raise error(f"{prefix}: " + (f"atom {name!r} not in universe {universe.atoms}" if name
+                                             else f"empty atom name in {{{chunk}}}"))
             mask |= weight
         masks.append(mask)
     return masks

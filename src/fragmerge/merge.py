@@ -15,8 +15,8 @@ with bit m for interpretation m) reaches w at step k = min over models m of
 """
 
 from enum import Enum
-from functools import partial, reduce
-from operator import and_
+from functools import reduce
+from operator import and_, or_
 
 from .interp import Interpretation, ModelSet, Universe, UniverseMismatchError, record_type
 from .interp import _atom_patterns, _from_bits
@@ -270,7 +270,10 @@ def _levels(profile: Profile, mu: ModelSet, gauge: tuple, f: Aggregator) -> list
 def _least(levels: list, bits: int) -> int:
     """The constraint `bits`' part of the first level that meets it: its
     models of least aggregate, ties all kept (none for an empty constraint)."""
-    return next((level & bits for level in levels if level & bits), 0)
+    for level in levels:
+        if level & bits:
+            return level & bits
+    return 0
 
 
 def merge(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator) -> ModelSet:
@@ -314,20 +317,22 @@ class MergeOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return merge(profile, mu, self.distance, self.aggregator)
 
-    def answers(self, profile: Profile, within: ModelSet):
-        """mu.bits -> self(profile, mu).bits for every mu inside `within`:
-        one ring search groups the models of `within` by aggregate, and each
-        answer is `merge`'s least level that meets mu."""
+    def answers(self, profile: Profile, keys, memo=None) -> dict:
+        """{mu.bits: self(profile, mu).bits} for each bitset in `keys`: one
+        ring search groups the models of their union by aggregate, and each
+        answer is `merge`'s least level that meets mu.  `memo` is not read."""
+        within = ModelSet.from_bits(profile.universe, reduce(or_, keys, 0))
         _check_merge_inputs(profile, within, self.distance)
-        return partial(_least, _levels(profile, within, self.distance.gauge, self.aggregator))
+        levels = _levels(profile, within, self.distance.gauge, self.aggregator)
+        return {bits: _least(levels, bits) for bits in keys}
 
     def __repr__(self):
         return f"<{self.label}>"
 
 
-def answer_fn(op, profile: Profile, within: ModelSet):
-    """bits -> op(profile, mu).bits for the constraints mu inside `within`:
-    `op.answers` when the operator has it, else one call of `op` per mu."""
+def answer_table(op, profile: Profile, keys, memo=None) -> dict:
+    """{mu.bits: op(profile, mu).bits} for each constraint bitset in `keys`:
+    `op.answers` when the operator has it, else one call of `op` per key."""
     if hasattr(op, "answers"):
-        return op.answers(profile, within)
-    return lambda bits: op(profile, ModelSet.from_bits(within.universe, bits)).bits
+        return op.answers(profile, keys, memo)
+    return {bits: op(profile, ModelSet.from_bits(profile.universe, bits)).bits for bits in keys}

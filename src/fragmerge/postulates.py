@@ -8,10 +8,10 @@ conjunction is intersection, consistency is non-emptiness.
 
 import itertools
 import string
-from functools import cached_property, reduce
+from functools import cached_property
 from enum import Enum
 from math import comb, log10
-from operator import add, or_
+from operator import add
 
 from .formula import HORN, KROM
 from .interp import AND2, MAJ3, ModelSet, Universe, closed_model_sets, model_sets, record_type
@@ -21,7 +21,7 @@ from .merge import (
     CountingDistance,
     MergeOperator,
     Profile,
-    answer_fn,
+    answer_table,
     score_table,
 )
 from .refine import (
@@ -95,29 +95,24 @@ class Witness(record_type("Witness", "postulate instance operator message detail
         return again is not None and again.details == self.details
 
 
-class _Table(dict):
-    """Lazy answer table of one profile presentation: self[mu.bits] =
-    op(profile, mu).bits for mu inside `within`, read off `answer_fn`."""
-
-    def __init__(self, op, profile, within):
-        self.answer = answer_fn(op, profile, within)
-
-    def __missing__(self, bits):
-        out = self[bits] = self.answer(bits)
-        return out
-
-
 class _Answers(dict):
-    """Answer tables by profile (a multiset) over the union `within` of the
-    constraints asked about, for one `search` or `check_postulate` call.
-    ic3's flipped presentation gets a `_Table` of its own, under no key."""
+    """Answer tables by profile (a multiset) for one `search` or
+    `check_postulate` call, sharing one refinement memo.  `table` makes one
+    that is not kept, for ic3's flipped presentation and ic4's narrower keys."""
 
-    def __init__(self, op, within):
-        self.op, self.within = op, within
+    def __init__(self, op, constraints, pairs):
+        # The bitsets the scans read: each constraint's, and with `pairs`
+        # (ic7/ic8) each pair's conjunction.
+        bits = [mu.bits for mu in constraints]
+        self.keys = list(dict.fromkeys(bits + [b1 & b2 for b1 in bits for b2 in bits] if pairs else bits))
+        self.op, self.memo = op, {}
 
     def __missing__(self, profile):
-        table = self[profile] = _Table(self.op, profile, self.within)
+        table = self[profile] = self.table(profile)
         return table
+
+    def table(self, profile, keys=None):
+        return answer_table(self.op, profile, self.keys if keys is None else keys, self.memo)
 
 
 # Each shape's scan walks its instances over a space in search order and
@@ -142,7 +137,7 @@ def _flipped_scan(answers, profiles, constraints, violated):
     for e in profiles:
         if len(e.bases) > 1:
             flipped = Profile(e.bases[::-1])
-            first, second = answers[e], _Table(answers.op, flipped, answers.within)
+            first, second = answers[e], answers.table(flipped)
             for mu, b in keyed:
                 if violated(first[b], second[b]):
                     yield (e, flipped), (mu, mu), (first[b], second[b])
@@ -150,15 +145,22 @@ def _flipped_scan(answers, profiles, constraints, violated):
 
 def _flipped_values(answers, profiles, constraints):
     b = constraints[0].bits
-    return answers[profiles[0]][b], _Table(answers.op, profiles[1], answers.within)[b]
+    return answers[profiles[0]][b], answers.table(profiles[1])[b]
 
 
 def _two_bases_scan(answers, profiles, constraints, violated):
-    bases = tuple(Base(s) for s in constraints)
-    for mu in constraints:
-        inside = [k for k in bases if k.models.issubset(mu)]
-        for e in map(Profile, itertools.combinations_with_replacement(inside, 2)):
-            values = _two_bases_values(answers, (e,), (mu,))
+    # Tables by index pair of the bases; a new one reads only the constraints holding both.
+    bits, tables, holding = [mu.bits for mu in constraints], {}, {}
+    for mu, b in zip(constraints, bits):
+        inside = [i for i, k in enumerate(bits) if not k & ~b]
+        for i, j in itertools.combinations_with_replacement(inside, 2):
+            if (i, j) not in tables:
+                e, both = Profile((Base(constraints[i]), Base(constraints[j]))), bits[i] | bits[j]
+                if both not in holding:
+                    holding[both] = [c for c in bits if not both & ~c]
+                tables[i, j] = e, answers[e] if e in answers else answers.table(e, holding[both])
+            e, table = tables[i, j]
+            values = table[b], bool(table[b] & bits[i]), bool(table[b] & bits[j])
             if violated(*values):
                 yield (e,), (mu,), values
 
@@ -206,7 +208,7 @@ def _pairs_values(answers, profiles, constraints):
 
 
 def _constraint_pairs_scan(answers, profiles, constraints, violated):
-    # Every key is inside `within`, the union of the constraints.
+    # The tables hold each b1 & b2: `_Answers` adds them for this shape.
     keyed = [(mu, mu.bits) for mu in constraints]
     for e in profiles:
         table = answers[e]
@@ -311,7 +313,7 @@ def check_postulate(pid: PostulateId, op, instance: Instance):
     problem = shape.problem and shape.problem(profiles, constraints)
     if problem:
         raise ShapeMismatchError(problem)
-    values = shape.values(_Answers(op, reduce(or_, constraints)), profiles, constraints)
+    values = shape.values(_Answers(op, constraints, shape is _CONSTRAINT_PAIRS), profiles, constraints)
     return _witness(pid, op, instance, values) if ROWS[pid].violated(*values) else None
 
 
@@ -373,11 +375,11 @@ def search(space: SearchSpace, op, limit: int = None):
     """Enumerate all instances of the selected postulates over the space, in
     deterministic order, and return the witnesses found (all, or the first
     `limit`).  Each profile, profile union (ic5/ic6) and flipped presentation
-    (ic3) gets one lazy answer table over the union of the constraints, from
-    `op.answers` if the operator has it; each shape's `scan` then walks its
-    instances as loops over ints and yields only the violations.  Before any
-    table is built, raises SpaceTooLargeError over MAX_INSTANCES instances
-    and EmptySpaceError for none: finding no witness there shows nothing."""
+    (ic3) gets one whole answer table, from `op.answers` if the operator has
+    it; each shape's `scan` then walks its instances as loops over ints and
+    yields only the violations.  Before any table is built, raises
+    SpaceTooLargeError over MAX_INSTANCES instances and EmptySpaceError for
+    none: finding no witness there shows nothing."""
     _guard(space)
     pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]
     total = sum(ROWS[pid].count(space) for pid in pids)
@@ -388,7 +390,7 @@ def search(space: SearchSpace, op, limit: int = None):
     if not total:
         raise EmptySpaceError("the selected postulates have no instances in this space")
     profiles, constraints = space.profiles(), space.base_sets()
-    answers = _Answers(op, reduce(or_, constraints))
+    answers = _Answers(op, constraints, any(ROWS[pid].shape is _CONSTRAINT_PAIRS for pid in pids))
     witnesses = []
     for pid in pids:
         row = ROWS[pid]

@@ -29,7 +29,7 @@ from .interp import (
     model_sets,
     record_type,
 )
-from .merge import Profile, answer_fn
+from .merge import Profile, answer_table
 
 
 class MappingViolationError(ValueError):
@@ -92,6 +92,9 @@ class ClosureRefinement(record_type("ClosureRefinement", "beta")):
     def __call__(self, mset: ModelSet, profile_models) -> ModelSet:
         return closure(self.beta, mset)
 
+    def reads(self, bits: int, profile_bits: tuple):
+        return None
+
 
 class LexRefinement(record_type("LexRefinement", "beta order", (None,))):
     __slots__ = ()
@@ -106,6 +109,8 @@ class LexRefinement(record_type("LexRefinement", "beta order", (None,))):
         order = self.order or LexOrder.default(mset.universe)
         return ModelSet.from_bits(mset.universe, 1 << order.minimum(mset).mask)
 
+    reads = ClosureRefinement.reads
+
 
 class LexClosureRefinement(LexRefinement):
     __slots__ = ()
@@ -118,6 +123,9 @@ class LexClosureRefinement(LexRefinement):
         if any(mset.intersects(models) for models in profile_models):
             return closure(self.beta, mset)
         return super().__call__(mset, profile_models)
+
+    def reads(self, bits: int, profile_bits: tuple):
+        return any(bits & b for b in profile_bits)
 
 
 class BetaMapping(record_type("BetaMapping", "beta fn name", ("",), slice(None, None, 2))):
@@ -258,12 +266,20 @@ def validate_mapping(mapping, universe: Universe, max_profile_size: int = 2) -> 
 
 
 def _outputs(base_op, refined_op, instances):
-    # A RefinedOperator over `base_op` refines the base output at hand.
-    reuse = isinstance(refined_op, RefinedOperator) and refined_op.base is base_op
+    """Each instance (profile, mu) with its base and refined outputs, read off
+    one table of each operator per presentation of a profile."""
+    instances = list(instances)
+    keys, tables, memos = {}, {}, {}
     for profile, mu in instances:
-        out = base_op(profile, mu)
-        yield profile, mu, out, (refine(refined_op.kind, out, profile, mu) if reuse
-                                 else refined_op(profile, mu))
+        if mu.universe != profile.universe:
+            raise UniverseMismatchError("constraint and profile over different universes")
+        keys.setdefault(profile.mmod(), {})[mu.bits] = None
+    for profile, mu in instances:
+        x, universe = profile.mmod(), profile.universe
+        if x not in tables:
+            tables[x] = (answer_table(base_op, profile, keys[x]),
+                         answer_table(refined_op, profile, keys[x], memos.setdefault(universe, {})))
+        yield profile, mu, *(ModelSet.from_bits(universe, table[mu.bits]) for table in tables[x])
 
 
 def check_refinement_properties(base_op, refined_op, beta: BooleanFn, instances) -> CheckReport:
@@ -320,24 +336,27 @@ class RefinedOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return refine(self.kind, self.base(profile, mu), profile, mu)
 
-    def answers(self, profile: Profile, within: ModelSet):
-        """mu.bits -> self(profile, mu).bits for every mu inside `within`, on
-        this presentation of `profile`.  A refinement f(M, X) sees only the
-        base output M and the profile X, so it runs once per distinct M; the
-        containment check of `refine` runs for every mu."""
-        base = answer_fn(self.base, profile, within)
+    def answers(self, profile: Profile, keys, memo=None) -> dict:
+        """{mu.bits: self(profile, mu).bits} for each bitset in `keys`, on
+        this presentation of `profile`.  The refinement runs once per base
+        output M and `kind.reads(M, X)` (all of X, in order, without `reads`)
+        across the tables sharing `memo`, which serve one universe."""
+        base = answer_table(self.base, profile, keys)
         kind, universe, models = self.kind, profile.universe, profile.mmod()
-        refined = {}
-
-        def answer(bits):
-            out = base(bits)
+        x = tuple(m.bits for m in models)
+        reads = getattr(kind, "reads", lambda bits, x: x)
+        memo = {} if memo is None else memo
+        refined, table = {}, {}
+        for bits, out in base.items():
             if out & ~bits:
                 raise ValueError(_OUTSIDE)
             if out not in refined:
-                refined[out] = kind(ModelSet.from_bits(universe, out), models).bits
-            return refined[out]
-
-        return answer
+                key = out, reads(out, x)
+                if key not in memo:
+                    memo[key] = kind(ModelSet.from_bits(universe, out), models).bits
+                refined[out] = memo[key]
+            table[bits] = refined[out]
+        return table
 
     def __repr__(self):
         return f"<{self.label}>"

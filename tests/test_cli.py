@@ -123,6 +123,19 @@ class TestModelListOrFormula:
         assert (code, out) == (2, "")
         assert err == "problem file error: line 2: expected model sets like {a,b}\n"
 
+    @pytest.mark.parametrize("model", ["{,a}", "{a,,b}", "{,}", "{a,}"])
+    def test_empty_atom_name_in_a_model_exits_two(self, capsys, tmp_path, model):
+        path = tmp_path / "empty-name.txt"
+        path.write_text(f"atoms: a b\nbase J: a\nbase K: models {{b}} {model}\n")
+        code, out, err = run(capsys, "merge", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"problem file error: line 3: empty atom name in {model}\n"
+
+    @pytest.mark.parametrize("empty", ["{}", "{ }", "{\t}"])
+    def test_empty_braces_are_the_empty_interpretation(self, empty):
+        problem = parse_problem_file(f"atoms: a b\nbase K: models {empty} {{a}}\n")
+        assert problem.bases[0][1].models.compact() == "{}|{a}"
+
     @pytest.mark.parametrize("atoms, first, second", [
         ("modelsa b", "modelsa | b", "b | modelsa"),
         ("models b", "models | b", "b | models"),

@@ -261,21 +261,29 @@ class TestRefinementProperties:
             report = check_refinement_properties(base_op, refined, beta, instances)
             assert report.ok, f"{refined.label}:\n{report.render()}"
 
-    def test_checkers_merge_once_per_instance(self):
+    def test_checkers_build_one_table_per_profile(self):
+        # Each operator answers from one table per presentation of a
+        # profile: the base outputs', and the one the refined operator refines.
         class CountingMerge(MergeOperator):
-            calls = 0
+            calls = tables = 0
 
             def __call__(self, profile, mu):
                 self.calls += 1
                 return super().__call__(profile, mu)
 
+            def answers(self, profile, keys, memo=None):
+                self.tables += 1
+                return super().answers(profile, keys, memo)
+
         base = CountingMerge(CountingDistance.hamming(2), Aggregator.SIGMA)
         refined = RefinedOperator(base, LexClosureRefinement(AND2))
         instances = fragment_instances(HORN)
+        profiles = {e.mmod() for e, _ in instances}
         for checker in (check_refinement_properties, is_fair):
-            base.calls = 0
+            base.calls = base.tables = 0
             args = (AND2, instances) if checker is check_refinement_properties else (instances,)
-            assert checker(base, refined, *args).checked == base.calls == len(instances)
+            assert checker(base, refined, *args).checked == len(instances)
+            assert (base.calls, base.tables) == (0, 2 * len(profiles))
 
     def test_broken_refinement_fails_containment(self):
         report = check_refinement_properties(
