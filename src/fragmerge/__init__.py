@@ -3,14 +3,6 @@
 Distance-based merging of belief-base profiles under integrity constraints,
 refinements that keep results inside closure-characterized fragments such as
 Horn and Krom, and exhaustive checking of the merging postulates ic0..ic8.
-
-Package attributes are the public re-exports.  Where a module shares its
-name with a function it defines, the attribute is the function:
-`fragmerge.merge` and `fragmerge.refine` (and so `import fragmerge.refine as
-r`) are the functions `merge` and `refine`.  Reach those modules through
-`importlib.import_module("fragmerge.refine")` or
-`sys.modules["fragmerge.refine"]`; `from fragmerge.refine import X` works as
-usual.
 """
 
 from .formula import (
@@ -43,7 +35,6 @@ from .interp import (
     Universe,
     UniverseMismatchError,
     UniverseTooLargeError,
-    apply_pointwise,
     closed_model_sets,
     closure,
     closure_witness,
@@ -59,9 +50,6 @@ from .merge import (
     MergeOperator,
     Profile,
     aggregate,
-    dist_base,
-    dist_interp,
-    merge,
     score_table,
 )
 from .postulates import (
@@ -90,7 +78,6 @@ from .refine import (
     cardintersection,
     check_refinement_properties,
     is_fair,
-    refine,
     validate_mapping,
 )
 

@@ -51,6 +51,7 @@ from .postulates import (
     SpaceTooLargeError,
     UnknownFixtureError,
     _guard,
+    fixture_ids,
     reproduce,
     search,
 )
@@ -192,8 +193,12 @@ def _build_distance(choice: str, n: int) -> CountingDistance:
     if choice == "drastic":
         return CountingDistance.drastic(n)
     if choice.startswith("table:"):
+        entries = choice[len("table:"):].split(",")
+        empty = [i for i, v in enumerate(entries, 1) if not v.strip()]
+        if empty:
+            raise ValueError(f"entry {empty[0]} of distance table {choice!r} is empty")
         try:
-            values = [int(v) for v in choice[len("table:"):].split(",") if v.strip()]
+            values = [int(v) for v in entries]
         except ValueError:
             raise ValueError(f"bad distance table in {choice!r}") from None
         if len(values) < n:
@@ -389,8 +394,6 @@ def cmd_check(args, out=None, err=None) -> int:
 def cmd_reproduce(args, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    from .postulates import fixture_ids
-
     if args.list:
         for fid in fixture_ids():
             print(fid, file=out)

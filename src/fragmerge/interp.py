@@ -254,17 +254,14 @@ class ModelSet:
         return cls(universe, (universe.interpretation(s).mask for s in atom_sets))
 
     @classmethod
-    def empty(cls, universe) -> "ModelSet":
-        return cls(universe)
-
-    @classmethod
     def full(cls, universe) -> "ModelSet":
         _check_enum_size(universe)
         return cls.from_bits(universe, (1 << (1 << len(universe))) - 1)
 
     @property
     def masks(self) -> tuple:
-        """Masks of the models, ascending."""
+        """Masks of the models, ascending.  Public because the benchmark
+        harness (`perfbench/spans.py`) and the tests read it."""
         return tuple(_from_bits(self.bits))
 
     @property
@@ -465,19 +462,6 @@ def _apply_masks(beta: BooleanFn, masks, width: int) -> int:
         if by_weight[w]:
             out |= 1 << i
     return out
-
-
-def apply_pointwise(beta: BooleanFn, args) -> Interpretation:
-    """Apply `beta` coordinate-wise to interpretations over a shared universe."""
-    args = tuple(args)
-    if len(args) != beta.arity:
-        raise ArityMismatchError(f"{beta} expects {beta.arity} arguments, got {len(args)}")
-    universe = args[0].universe
-    for w in args:
-        if w.universe != universe:
-            raise UniverseMismatchError("arguments over different universes")
-    mask = _apply_masks(beta, tuple(w.mask for w in args), len(universe))
-    return Interpretation(universe, mask)
 
 
 def _and_closure(bits: int) -> int:

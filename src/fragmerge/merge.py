@@ -59,13 +59,6 @@ class CountingDistance(record_type("CountingDistance", "gauge name", ("table",),
         """Build from g(1), g(2), ...; g(0) = 0 is implied."""
         return cls((0,) + tuple(positive_values), name)
 
-    def of(self, diff: int) -> int:
-        if diff >= len(self.gauge):
-            raise ValueError(
-                f"gauge covers differences up to {len(self.gauge) - 1}, got {diff}"
-            )
-        return self.gauge[diff]
-
 
 class Base(record_type("Base", "models source", (None,), slice(1))):
     """Consistent belief base: a non-empty model set, optionally with the
@@ -192,19 +185,6 @@ def aggregate(f: Aggregator, dists) -> AggValue:
     if f is Aggregator.SIGMA:
         return AggValue(f, sum(dists))
     return AggValue(f, tuple(sorted(dists, reverse=True)))
-
-
-def dist_interp(d: CountingDistance, w: Interpretation, w2: Interpretation) -> int:
-    if w.universe != w2.universe:
-        raise UniverseMismatchError("interpretations over different universes")
-    return d.of((w.mask ^ w2.mask).bit_count())
-
-
-def dist_base(d: CountingDistance, w: Interpretation, base: Base) -> int:
-    if w.universe != base.models.universe:
-        raise UniverseMismatchError("interpretation and base over different universes")
-    mask = w.mask
-    return min(d.of((mask ^ m).bit_count()) for m in _from_bits(base.models.bits))
 
 
 def _check_merge_inputs(profile: Profile, mu: ModelSet, d: CountingDistance):

@@ -29,6 +29,7 @@ from .refine import (
     LexClosureRefinement,
     LexRefinement,
     RefinedOperator,
+    _ignores_presentation,
     cardintersection,
     is_fair,
 )
@@ -192,11 +193,13 @@ def _two_bases_count(k, p, bits, width):
 
 
 def _pairs_scan(answers, profiles, constraints, violated):
-    # Symmetric in the two profiles, so unordered pairs suffice.
+    # Symmetric in the two profiles, so unordered pairs suffice.  A union is a
+    # new presentation, so its table is kept only if the operator ignores that.
     keyed = [(mu, mu.bits) for mu in constraints]
+    union_of = answers.__getitem__ if _ignores_presentation(answers.op) else answers.table
     for i, e1 in enumerate(profiles):
         for e2 in profiles[i:]:
-            first, second, union = answers[e1], answers[e2], answers[e1.union(e2)]
+            first, second, union = answers[e1], answers[e2], union_of(e1.union(e2))
             for mu, b in keyed:
                 if violated(first[b] & second[b], union[b]):
                     yield (e1, e2), (mu,), (first[b] & second[b], union[b])
@@ -204,7 +207,7 @@ def _pairs_scan(answers, profiles, constraints, violated):
 
 def _pairs_values(answers, profiles, constraints):
     e1, e2, b = *profiles, constraints[0].bits
-    return answers[e1][b] & answers[e2][b], answers[e1.union(e2)][b]
+    return answers.table(e1)[b] & answers.table(e2)[b], answers.table(e1.union(e2))[b]
 
 
 def _constraint_pairs_scan(answers, profiles, constraints, violated):

@@ -29,7 +29,7 @@ from .interp import (
     model_sets,
     record_type,
 )
-from .merge import Profile, answer_table
+from .merge import MergeOperator, Profile, answer_table
 
 
 class MappingViolationError(ValueError):
@@ -60,10 +60,6 @@ class LexOrder:
             if w.mask in seen:
                 raise ValueError(f"duplicate entry {w} in order")
             seen.add(w.mask)
-
-    @classmethod
-    def default(cls, universe: Universe) -> "LexOrder":
-        return cls(universe)
 
     def minimum(self, mset: ModelSet) -> Interpretation:
         if mset.universe != self.universe:
@@ -106,7 +102,7 @@ class LexRefinement(record_type("LexRefinement", "beta order", (None,))):
     def __call__(self, mset: ModelSet, profile_models) -> ModelSet:
         if is_closed(self.beta, mset):
             return mset
-        order = self.order or LexOrder.default(mset.universe)
+        order = self.order or LexOrder(mset.universe)
         return ModelSet.from_bits(mset.universe, 1 << order.minimum(mset).mask)
 
     reads = ClosureRefinement.reads
@@ -360,3 +356,10 @@ class RefinedOperator:
 
     def __repr__(self):
         return f"<{self.label}>"
+
+
+def _ignores_presentation(op) -> bool:
+    """Whether `op`'s answers ignore base order, by the rule `answers` keys its memo on."""
+    if isinstance(op, RefinedOperator):
+        return hasattr(op.kind, "reads") and _ignores_presentation(op.base)
+    return isinstance(op, MergeOperator)

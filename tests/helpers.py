@@ -244,8 +244,8 @@ def _index_of_weight(arity, ones):
     return (1 << ones) - 1
 
 
-def _image(beta, tup, width):
-    # Coordinate-wise beta, one bit at a time.
+def slow_image(beta, tup, width):
+    """Oracle: beta coordinate-wise on the masks `tup`, one bit at a time."""
     img = 0
     for i in range(width):
         if beta.by_weight[sum(m >> i & 1 for m in tup)]:
@@ -261,7 +261,7 @@ def slow_closure(beta, mset):
     while True:
         fresh = set()
         for tup in itertools.combinations_with_replacement(sorted(current), beta.arity):
-            img = _image(beta, tup, width)
+            img = slow_image(beta, tup, width)
             if img not in current:
                 fresh.add(img)
         if not fresh:
@@ -276,7 +276,7 @@ def slow_closed_witness(beta, mset):
     width = len(mset.universe)
     members = set(mset.masks)
     for tup in itertools.combinations_with_replacement(mset.masks, beta.arity):
-        img = _image(beta, tup, width)
+        img = slow_image(beta, tup, width)
         if img not in members:
             u = mset.universe
             return tuple(u.from_mask(m) for m in tup), u.from_mask(img)
@@ -312,7 +312,7 @@ def slow_score_rows(profile, mu, d, f):
     rows = []
     for w in sorted(mu.masks):
         dists = tuple(
-            min(d.of((w ^ m).bit_count()) for m in b.models.masks) for b in profile.bases
+            min(d.gauge[(w ^ m).bit_count()] for m in b.models.masks) for b in profile.bases
         )
         rows.append((w, dists, aggregate(f, dists)))
     return rows

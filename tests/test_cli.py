@@ -301,6 +301,15 @@ class TestMergeCommand:
         code, _, err = run(capsys, "merge", example1, "--distance", "table:1")
         assert code == 2
 
+    @pytest.mark.parametrize("table,entry", [("table:1,,2", 2), ("table:,1,2", 1), ("table:1,2,", 3)])
+    def test_an_empty_distance_table_entry_is_named(self, capsys, example1, table, entry):
+        empty = f"bad arguments: entry {entry} of distance table {table!r} is empty\n"
+        assert run(capsys, "merge", example1, "--distance", table) == (2, "", empty)
+        assert run(capsys, "check", "--op", f"{table},sigma,none", "--atoms", "2") == (2, "", empty)
+        code, out, _ = run(capsys, "merge", example1, "--distance", "table: 1 , 2", "--format", "machine")
+        assert code == 0 and out == run(capsys, "merge", example1, "--distance", "table:1,2",
+                                        "--format", "machine")[1]
+
 
 DATA = Path(__file__).parent / "data"
 

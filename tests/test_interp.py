@@ -16,14 +16,20 @@ from fragmerge import (
     Universe,
     UniverseMismatchError,
     UniverseTooLargeError,
-    apply_pointwise,
     closed_model_sets,
     closure,
     closure_witness,
     is_closed,
 )
 from fragmerge.cli import _parse_interpretations
-from fragmerge.interp import CLOSURE_CACHE_SIZE, _atom_patterns, _closure_bits, _from_bits, _to_bits
+from fragmerge.interp import (
+    CLOSURE_CACHE_SIZE,
+    _apply_masks,
+    _atom_patterns,
+    _closure_bits,
+    _from_bits,
+    _to_bits,
+)
 from helpers import (
     U2,
     U3,
@@ -32,6 +38,7 @@ from helpers import (
     ms,
     slow_closed_witness,
     slow_closure,
+    slow_image,
     slow_render,
 )
 
@@ -121,28 +128,29 @@ class TestBooleanFnValidation:
             renamed.name = "and"
 
 
-class TestApplyPointwise:
+class TestApplyMasks:
+    """`_apply_masks`, beta coordinate-wise on interpretation masks: the step
+    of every closure that is not read off a clause theory."""
+
     def test_maj3_on_disjoint_singletons(self):
-        args = [U3.interpretation(s) for s in ("a", "b", "c")]
-        assert apply_pointwise(MAJ3, args) == U3.interpretation("")
+        assert _apply_masks(MAJ3, (0b001, 0b010, 0b100), 3) == 0
 
     def test_and_intersects(self):
-        args = [U2.interpretation("a"), U2.interpretation("ab")]
-        assert apply_pointwise(AND2, args) == U2.interpretation("a")
+        assert _apply_masks(AND2, (0b01, 0b11), 2) == 0b01
 
     @pytest.mark.parametrize("beta", [AND2, MAJ3, OR2, XOR3])
     def test_reproduction_on_constant_tuple(self, beta):
         for mask in U2.all_masks():
-            w = U2.from_mask(mask)
-            assert apply_pointwise(beta, [w] * beta.arity) == w
+            assert _apply_masks(beta, (mask,) * beta.arity, 2) == mask
+
+    @pytest.mark.parametrize("beta", [AND2, MAJ3, OR2, XOR3])
+    def test_every_three_atom_tuple_against_the_oracle(self, beta):
+        for tup in itertools.product(range(8), repeat=beta.arity):
+            assert _apply_masks(beta, tup, 3) == slow_image(beta, tup, 3)
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
-            apply_pointwise(AND2, [U2.interpretation("a")])
-
-    def test_universe_mismatch(self):
-        with pytest.raises(UniverseMismatchError):
-            apply_pointwise(AND2, [U2.interpretation("a"), U3.interpretation("a")])
+            AND2(1)
 
 
 class TestClosure:
@@ -368,7 +376,7 @@ class TestModelSetBasics:
 
     def test_full_and_empty(self):
         assert len(ModelSet.full(U2)) == 4
-        assert not ModelSet.empty(U2)
+        assert not ModelSet(U2)
 
 
 # Names that are prefixes of one another, so a text split at the wrong

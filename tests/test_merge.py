@@ -17,11 +17,9 @@ from fragmerge import (
     Universe,
     UniverseMismatchError,
     aggregate,
-    dist_base,
-    dist_interp,
-    merge,
     score_table,
 )
+from fragmerge.merge import merge
 from helpers import U2, U3, all_model_sets, ms, prof, slow_merge, slow_score_rows
 
 DH2 = CountingDistance.hamming(2)
@@ -44,9 +42,9 @@ class TestCountingDistance:
         with pytest.raises(ValueError):
             CountingDistance(gauge)
 
-    def test_out_of_range(self):
+    def test_gauge_must_cover_the_universe(self):
         with pytest.raises(ValueError):
-            DH2.of(3)
+            score_table(prof(U3, ("a",)), ms(U3, "b"), DH2, Aggregator.SIGMA)
 
     def test_name_is_not_compared(self):
         renamed = CountingDistance((0, 1, 2), "renamed")
@@ -56,38 +54,44 @@ class TestCountingDistance:
             renamed.gauge = (0, 1, 1)
 
 
+def distance(d, w, base):
+    """d(w, K), read off the score table of the one-base profile (K)."""
+    (row,) = score_table(Profile((base,)), ModelSet(w.universe, [w.mask]), d, Aggregator.SIGMA)
+    return row.per_base[0]
+
+
 class TestDistances:
     def test_hamming_symmetric_difference(self):
-        assert dist_interp(DH2, U2.interpretation(""), U2.interpretation("ab")) == 2
+        assert distance(DH2, U2.interpretation(""), Base(ms(U2, "ab"))) == 2
 
     def test_drastic_collapses(self):
         d = CountingDistance.drastic(3)
-        assert dist_interp(d, U3.interpretation("a"), U3.interpretation("abc")) == 1
-        assert dist_interp(d, U3.interpretation("a"), U3.interpretation("ab")) == 1
+        assert distance(d, U3.interpretation("a"), Base(ms(U3, "abc"))) == 1
+        assert distance(d, U3.interpretation("a"), Base(ms(U3, "ab"))) == 1
 
     def test_zero_on_equal(self):
         for d in (DH2, DD2, CountingDistance.from_gauge([3, 7])):
             for mask in U2.all_masks():
                 w = U2.from_mask(mask)
-                assert dist_interp(d, w, w) == 0
+                assert distance(d, w, Base(ModelSet(U2, [mask]))) == 0
 
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatchError):
-            dist_interp(DH2, U2.interpretation("a"), U3.interpretation("a"))
+            distance(DH2, U2.interpretation("a"), Base(ms(U3, "a")))
 
-    def test_dist_base_minimum(self):
+    def test_base_distance_is_the_minimum(self):
         k1 = Base(ms(U2, "a", "ab"))
-        assert dist_base(DH2, U2.interpretation(""), k1) == 1
+        assert distance(DH2, U2.interpretation(""), k1) == 1
 
-    def test_dist_base_seven_atoms(self):
+    def test_base_distance_seven_atoms(self):
         u = Universe("abcdefg")
         k1 = Base(ModelSet.from_sets(u, "a", "ab", "ad", "af"))
         d = CountingDistance.hamming(7)
-        assert dist_base(d, u.interpretation("abc"), k1) == 1
+        assert distance(d, u.interpretation("abc"), k1) == 1
 
     def test_member_distance_is_zero(self):
         k = Base(ms(U2, "a", "b"))
-        assert dist_base(DH2, U2.interpretation("b"), k) == 0
+        assert distance(DH2, U2.interpretation("b"), k) == 0
 
 
 class TestAggregate:

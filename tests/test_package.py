@@ -1,7 +1,8 @@
-"""The package's naming rule: its attributes are the public re-exports, also
-where a module shares its name with a function it defines.  Its records and
-what a command-line run imports."""
+"""The package's public surface: each submodule name is its module, the
+exports are a pinned set, and no module keeps an unused import.  Its records
+and what a command-line run imports."""
 
+import ast
 import copy
 import importlib
 import os
@@ -35,23 +36,57 @@ from fragmerge.postulates import CheckRow, FixtureReport
 from helpers import U2, ms, prof
 
 
-def test_a_clashing_module_name_is_the_function():
-    clashes = []
-    for name in ("cli", "formula", "interp", "merge", "postulates", "refine"):
-        module = importlib.import_module(f"fragmerge.{name}")
-        assert sys.modules[f"fragmerge.{name}"] is module
-        if getattr(fragmerge, name) is not module:
-            clashes.append(name)
-            assert getattr(fragmerge, name) is getattr(module, name)
-    assert clashes == ["merge", "refine"]
+MODULES = ("cli", "formula", "interp", "merge", "postulates", "refine")
+
+# The package's exports other than its modules.  A change that adds or drops
+# an export changes this set in the same diff.
+EXPORTS = {
+    "ALL_POSTULATES", "AND2", "Aggregator", "AggValue", "ArityMismatchError", "Base", "BetaMapping",
+    "BooleanFn", "Classification", "Clause", "ClauseKind", "ClosureRefinement", "CountingDistance",
+    "EmptyInputError", "EmptySpaceError", "Formula", "Fragment", "HORN", "InconsistentBaseError",
+    "Instance", "Interpretation", "KROM", "LexClosureRefinement", "LexOrder", "LexRefinement",
+    "MAJ3", "MappingViolationError", "MergeOperator", "ModelSet", "NoSyntacticFragmentError",
+    "NotClosedError", "NotReproducingError", "NotSymmetricError", "ParseError", "PostulateId",
+    "Profile", "RefinedOperator", "SearchSpace", "ShapeMismatchError", "SpaceTooLargeError",
+    "Universe", "UniverseMismatchError", "UniverseTooLargeError", "UnknownAtomError",
+    "UnknownFixtureError", "Witness", "aggregate", "cardintersection", "check_postulate",
+    "check_refinement_properties", "classify", "closed_model_sets", "closure", "closure_witness",
+    "fixture_ids", "is_closed", "is_fair", "models", "parse", "reproduce", "score_table", "search",
+    "synthesize", "to_text", "validate_mapping",
+}
 
 
-def test_import_as_binds_the_function():
-    import fragmerge.merge as m
-    import fragmerge.refine as r
+@pytest.mark.parametrize("name", MODULES)
+def test_import_as_binds_the_module(name):
+    module = importlib.import_module(f"fragmerge.{name}")
+    bound = {}
+    exec(f"import fragmerge.{name} as m", bound)
+    assert isinstance(bound["m"], types.ModuleType) and bound["m"] is module
+    assert getattr(fragmerge, name) is module
 
-    assert not isinstance(r, types.ModuleType) and r is fragmerge.refine
-    assert not isinstance(m, types.ModuleType) and m is fragmerge.merge
+
+def test_the_exports_are_pinned():
+    exports = {name for name in fragmerge.__all__
+               if not isinstance(getattr(fragmerge, name), types.ModuleType)}
+    assert exports == EXPORTS
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(fragmerge.__file__).parent
+    unused = {path.name: found for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py" and (found := _unused_imports(path))}
+    assert unused == {}
 
 
 def _records():

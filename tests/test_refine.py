@@ -1,7 +1,6 @@
-import sys
-
 import pytest
 
+import fragmerge.refine as refine_module
 from fragmerge import (
     AND2,
     HORN,
@@ -28,10 +27,10 @@ from fragmerge import (
     closure,
     is_closed,
     is_fair,
-    refine,
     validate_mapping,
 )
 from fragmerge.postulates import SearchSpace
+from fragmerge.refine import refine
 from helpers import (
     U2,
     U3,
@@ -45,8 +44,6 @@ from helpers import (
     slow_validate_mapping,
 )
 
-# The module: `import fragmerge.refine` would bind the package's `refine` function.
-refine_module = sys.modules["fragmerge.refine"]
 SIG2 = MergeOperator(CountingDistance.hamming(2), Aggregator.SIGMA)
 GMAX2 = MergeOperator(CountingDistance.hamming(2), Aggregator.GMAX)
 
@@ -59,7 +56,7 @@ def example_instance():
 
 class TestLexOrder:
     def test_default_is_ascending_weight(self):
-        order = LexOrder.default(U2)
+        order = LexOrder(U2)
         assert order.minimum(ms(U2, "a", "b")) == U2.interpretation("a")
         assert order.minimum(ms(U2, "ab", "b")) == U2.interpretation("b")
 
@@ -75,7 +72,7 @@ class TestLexOrder:
 
     def test_empty_set_has_no_minimum(self):
         with pytest.raises(ValueError):
-            LexOrder.default(U2).minimum(ModelSet(U2))
+            LexOrder(U2).minimum(ModelSet(U2))
 
     def test_minimum_rejects_another_universe(self):
         with pytest.raises(UniverseMismatchError):
