@@ -351,11 +351,6 @@ class Clause(namedtuple("Clause", "literals")):
     __slots__ = ()
 
     @property
-    def is_tautological(self) -> bool:
-        names = [n for n, _ in self.literals]
-        return len(set(names)) != len(names)
-
-    @property
     def positive_count(self) -> int:
         return sum(1 for _, pos in self.literals if pos)
 

@@ -197,52 +197,68 @@ def _check_merge_inputs(profile: Profile, mu: ModelSet, d: CountingDistance):
         )
 
 
-def _rings(profile: Profile, mu: ModelSet, gauge: tuple) -> list:
-    """Per base, in base order, the models of `mu` at each distance from it:
-    a list of (distance, bitset) pairs, nearest first, that partitions `mu`.
+def _rings(bits: int, within: int, gauge: tuple, patterns: tuple) -> list:
+    """The models of `within` by distance from the base `bits`: (distance,
+    bitset) pairs, nearest first, that partition `within`.
 
-    Ring 0 is a base's bitset and ring k+1 is every interpretation one atom
-    flip from ring k: flipping atom i moves the bits under its pattern down
-    by 2^i and the others up.  So ring k holds every w at Hamming distance k
-    from the base and none farther; those of `mu` leave the search when first
-    hit.  The gauge g is nondecreasing (CountingDistance enforces it), so
-    min_m g(|w xor m|) = g(min_m |w xor m|) = gauge[k] for a hit in ring k.
-    """
-    patterns = _atom_patterns(len(profile.universe))
-    out = []
-    for base in profile.bases:
-        ring, left, hits = base.models.bits, mu.bits, []
-        for g in gauge:
-            hit = ring & left
-            if hit:
-                hits.append((g, hit))
-                left ^= hit
-            if not left:
-                break
-            grown = 0
-            for i, pattern in enumerate(patterns):
-                down = ring & pattern
-                grown |= down >> (1 << i) | (ring ^ down) << (1 << i)
-            ring = grown
-        out.append(hits)
-    return out
+    Ring 0 is the base and ring k+1 every interpretation one atom flip from
+    ring k: flipping atom i moves the bits under `patterns[i]` down by 2^i
+    and the others up.  So ring k holds every w at Hamming distance k and
+    none farther; those of `within` leave the search when first hit.  The
+    gauge g is nondecreasing (CountingDistance enforces it), so
+    min_m g(|w xor m|) = g(min_m |w xor m|) = gauge[k] for a hit in ring k."""
+    ring, left, hits = bits, within, []
+    for g in gauge:
+        hit = ring & left
+        if hit:
+            hits.append((g, hit))
+            left ^= hit
+        if not left:
+            break
+        grown = 0
+        for i, pattern in enumerate(patterns):
+            down = ring & pattern
+            grown |= down >> (1 << i) | (ring ^ down) << (1 << i)
+        ring = grown
+    return hits
 
 
-def _levels(profile: Profile, mu: ModelSet, gauge: tuple, f: Aggregator) -> list:
+def _grow(groups: dict, hits: list, sigma: bool) -> dict:
+    """Groups {aggregate: bitset} of some bases, met with the rings `hits` of
+    one more base: each part goes to the group of the combined aggregate."""
+    grown = {}
+    for key, bits in groups.items():
+        for g, hit in hits:
+            both = bits & hit
+            if both:
+                new = key + g if sigma else tuple(sorted(key + (g,), reverse=True))
+                grown[new] = grown.get(new, 0) | both
+    return grown
+
+
+def _levels(profile: Profile, mu: ModelSet, gauge: tuple, f: Aggregator, memo: dict = None) -> list:
     """The models of `mu` grouped by aggregate, as bitsets in ascending
     order of aggregate: the sum of the distances (sigma) or their descending
-    tuple (gmax).  Built on bitsets, base by base: a group of the first j
-    bases meets each ring of base j + 1 in the group of the combined key."""
-    sigma = f is Aggregator.SIGMA
-    groups = {0 if sigma else (): mu.bits}
-    for hits in _rings(profile, mu, gauge):
-        grown = {}
-        for key, bits in groups.items():
-            for g, hit in hits:
-                both = bits & hit
-                if both:
-                    new = key + g if sigma else tuple(sorted(key + (g,), reverse=True))
-                    grown[new] = grown.get(new, 0) | both
+    tuple (gmax).  Built base by base: a group of the first j bases meets
+    each ring of base j + 1 in the group of the combined key.  A `memo` (of
+    one universe) keeps each base's rings per (gauge, mu) and each
+    presentation prefix's groups per (gauge, f, mu), under keys tagged
+    "rings" and "groups": a union e1 + e2 grows e1's groups by e2's bases."""
+    sigma, within = f is Aggregator.SIGMA, mu.bits
+    patterns = _atom_patterns(len(profile.universe))
+    groups, prefix = {0 if sigma else (): within}, ("groups", gauge, sigma, within)
+    for base in profile.bases:
+        bits = base.models.bits
+        if memo is None:
+            groups = _grow(groups, _rings(bits, within, gauge, patterns), sigma)
+            continue
+        prefix += (bits,)
+        grown = memo.get(prefix)
+        if grown is None:
+            key = "rings", gauge, within, bits
+            if key not in memo:
+                memo[key] = _rings(bits, within, gauge, patterns)
+            grown = memo[prefix] = _grow(groups, memo[key], sigma)
         groups = grown
     return [groups[key] for key in sorted(groups)]
 
@@ -273,8 +289,9 @@ def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregat
     ring kernel `_rings` that `merge` reads."""
     _check_merge_inputs(profile, mu, d)
     rows = {w: [] for w in _from_bits(mu.bits)}
-    for hits in _rings(profile, mu, d.gauge):
-        for g, hit in hits:
+    patterns = _atom_patterns(len(profile.universe))
+    for base in profile.bases:
+        for g, hit in _rings(base.models.bits, mu.bits, d.gauge, patterns):
             for w in _from_bits(hit):
                 rows[w].append(g)
     universe = profile.universe
@@ -283,8 +300,8 @@ def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregat
 
 
 class MergeOperator:
-    """Callable (profile, constraint) -> model set.  Results are not cached;
-    `answers` serves every constraint of one profile from one ring search."""
+    """Callable (profile, constraint) -> model set, not cached.  `answers`
+    serves every constraint of one profile from one ring search per base."""
 
     def __init__(self, distance: CountingDistance, aggregator: Aggregator):
         self.distance = distance
@@ -298,13 +315,17 @@ class MergeOperator:
         return merge(profile, mu, self.distance, self.aggregator)
 
     def answers(self, profile: Profile, keys, memo=None) -> dict:
-        """{mu.bits: self(profile, mu).bits} for each bitset in `keys`: one
-        ring search groups the models of their union by aggregate, and each
-        answer is `merge`'s least level that meets mu.  `memo` is not read."""
+        """{mu.bits: self(profile, mu).bits} for each bitset in `keys`, in
+        their order: `merge`'s least level (`_levels` of their union) that
+        meets mu.  With a `memo`, equal keys and levels share one table, under
+        a key tagged "table"; callers must not change it."""
         within = ModelSet.from_bits(profile.universe, reduce(or_, keys, 0))
         _check_merge_inputs(profile, within, self.distance)
-        levels = _levels(profile, within, self.distance.gauge, self.aggregator)
-        return {bits: _least(levels, bits) for bits in keys}
+        levels = _levels(profile, within, self.distance.gauge, self.aggregator, memo)
+        key, memo = ("table", tuple(keys), tuple(levels)), {} if memo is None else memo
+        if key not in memo:
+            memo[key] = {bits: _least(levels, bits) for bits in keys}
+        return memo[key]
 
     def __repr__(self):
         return f"<{self.label}>"

@@ -78,8 +78,8 @@ class Instance(record_type("Instance", "profiles constraints")):
 
 
 class Witness(record_type("Witness", "postulate instance operator message details")):
-    """A reproduced postulate violation; re-checking the instance against the
-    same operator yields the same details."""
+    """A reproduced postulate violation: `check_postulate` on the instance
+    with the same operator yields the same details."""
 
     __slots__ = ()
 
@@ -91,15 +91,12 @@ class Witness(record_type("Witness", "postulate instance operator message detail
         lines.extend(f"  {name} = {value}" for name, value in self.details)
         return "\n".join(lines)
 
-    def recheck(self, op) -> bool:
-        again = check_postulate(self.postulate, op, self.instance)
-        return again is not None and again.details == self.details
-
 
 class _Answers(dict):
-    """Answer tables by profile (a multiset) for one `search` or
-    `check_postulate` call, sharing one refinement memo.  `table` makes one
-    that is not kept, for ic3's flipped presentation and ic4's narrower keys."""
+    """Answer tables by profile (a multiset), over `keys` in that order, for
+    one `search` or `check_postulate` call, sharing one memo.  `table` makes
+    one that is not kept, for ic3's flipped presentation and ic4's narrower
+    keys."""
 
     def __init__(self, op, constraints, pairs):
         # The bitsets the scans read: each constraint's, and with `pairs`
@@ -211,15 +208,21 @@ def _pairs_values(answers, profiles, constraints):
 
 
 def _constraint_pairs_scan(answers, profiles, constraints, violated):
-    # The tables hold each b1 & b2: `_Answers` adds them for this shape.
-    keyed = [(mu, mu.bits) for mu in constraints]
+    # The tables hold each b1 & b2 (`_Answers` adds them for this shape), in
+    # one order: each distinct one is scanned once, for every profile with it.
+    keyed, found = [(mu, mu.bits) for mu in constraints], {}
     for e in profiles:
         table = answers[e]
-        for mu1, b1 in keyed:
-            out = table[b1]
-            for mu2, b2 in keyed:
-                if violated(out & b2, table[b1 & b2]):
-                    yield (e,), (mu1, mu2), (out & b2, table[b1 & b2])
+        values = tuple(table.values())
+        if values not in found:
+            found[values] = hits = []
+            for mu1, b1 in keyed:
+                out = table[b1]
+                for mu2, b2 in keyed:
+                    if violated(out & b2, table[b1 & b2]):
+                        hits.append(((mu1, mu2), (out & b2, table[b1 & b2])))
+        for cs, hit in found[values]:
+            yield (e,), cs, hit
 
 
 def _constraint_pairs_values(answers, profiles, constraints):

@@ -263,7 +263,7 @@ def validate_mapping(mapping, universe: Universe, max_profile_size: int = 2) -> 
 
 def _outputs(base_op, refined_op, instances):
     """Each instance (profile, mu) with its base and refined outputs, read off
-    one table of each operator per presentation of a profile."""
+    one table of each operator (one memo for both) per profile presentation."""
     instances = list(instances)
     keys, tables, memos = {}, {}, {}
     for profile, mu in instances:
@@ -273,8 +273,8 @@ def _outputs(base_op, refined_op, instances):
     for profile, mu in instances:
         x, universe = profile.mmod(), profile.universe
         if x not in tables:
-            tables[x] = (answer_table(base_op, profile, keys[x]),
-                         answer_table(refined_op, profile, keys[x], memos.setdefault(universe, {})))
+            memo = memos.setdefault(universe, {})
+            tables[x] = tuple(answer_table(op, profile, keys[x], memo) for op in (base_op, refined_op))
         yield profile, mu, *(ModelSet.from_bits(universe, table[mu.bits]) for table in tables[x])
 
 
@@ -336,12 +336,14 @@ class RefinedOperator:
         """{mu.bits: self(profile, mu).bits} for each bitset in `keys`, on
         this presentation of `profile`.  The refinement runs once per base
         output M and `kind.reads(M, X)` (all of X, in order, without `reads`)
-        across the tables sharing `memo`, which serve one universe."""
-        base = answer_table(self.base, profile, keys)
+        across the tables sharing `memo` (one universe's, read by the base
+        too; this operator's part is under its own key)."""
+        memo = {} if memo is None else memo
+        base = answer_table(self.base, profile, keys, memo)
         kind, universe, models = self.kind, profile.universe, profile.mmod()
         x = tuple(m.bits for m in models)
         reads = getattr(kind, "reads", lambda bits, x: x)
-        memo = {} if memo is None else memo
+        memo = memo.setdefault(self, {})
         refined, table = {}, {}
         for bits, out in base.items():
             if out & ~bits:

@@ -27,7 +27,7 @@ from fragmerge.formula import (
     models,
 )
 from fragmerge.interp import _atom_patterns, closure_witness
-from fragmerge.postulates import Instance, PostulateId, ShapeMismatchError, Witness
+from fragmerge.postulates import Instance, PostulateId, ShapeMismatchError, Witness, check_postulate
 from fragmerge.refine import MappingViolationError
 
 U2 = Universe("ab")
@@ -47,6 +47,19 @@ def slow_render(mset, sep) -> str:
 def prof(universe, *base_specs) -> Profile:
     """Profile from tuples of atom-strings: prof(u, ("a", "ab"), ("b",))."""
     return Profile(tuple(Base(ms(universe, *entry)) for entry in base_specs))
+
+
+def is_tautological(clause) -> bool:
+    """Whether the clause holds some atom in both polarities."""
+    names = [n for n, _ in clause.literals]
+    return len(set(names)) != len(names)
+
+
+def recheck(witness, op) -> bool:
+    """Whether checking the witness's instance against `op` again gives the
+    same details."""
+    again = check_postulate(witness.postulate, op, witness.instance)
+    return again is not None and again.details == witness.details
 
 
 class EchoConstraintOperator:

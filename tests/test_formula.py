@@ -39,6 +39,7 @@ from helpers import (
     U2,
     U3,
     fragment_clauses,
+    is_tautological,
     ms,
     slow_clause_pool,
     slow_parse,
@@ -264,7 +265,7 @@ class TestClassify:
     def test_tautological_clause_is_still_classified(self):
         result = classify(parse("a | !a", U2))
         assert result.is_cnf
-        assert result.clauses[0][0].is_tautological
+        assert is_tautological(result.clauses[0][0])
 
     @pytest.mark.parametrize("fragment,beta", [(HORN, AND2), (KROM, MAJ3)])
     def test_classified_formulas_have_closed_models(self, fragment, beta):

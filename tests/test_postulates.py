@@ -1,11 +1,13 @@
 import collections
 import contextlib
 import functools
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fragmerge.merge as merge_module
 import fragmerge.postulates as postulates
 from fragmerge import (
     AND2,
@@ -47,6 +49,7 @@ from helpers import (
     all_model_sets,
     ms,
     prof,
+    recheck,
     slow_check_postulate,
     slow_instances,
     slow_search,
@@ -100,7 +103,7 @@ class TestCheckPostulate:
         hit = check_postulate(PostulateId.IC4, CLO_GMAX, simple(e, mu))
         assert hit is not None
         assert dict(hit.details)["output"] == "{}|{a}|{b}"
-        assert hit.recheck(CLO_GMAX)
+        assert recheck(hit, CLO_GMAX)
 
     def test_ic4_passes_for_closure_of_sigma_same_instance(self):
         e = prof(U2, ("",), ("ab",))
@@ -156,7 +159,7 @@ class TestCheckPostulate:
             op = RefinedOperator(GMAX2, kind)
             hit = check_postulate(PostulateId.IC6, op, Instance((e1, e2), (mu,)))
             assert hit is not None, kind
-            assert hit.recheck(op)
+            assert recheck(hit, op)
 
     def test_ic8_witness_for_closure_of_gmax(self):
         # verified by hand: merge under the full constraint is {{a},{b}},
@@ -201,7 +204,7 @@ class TestSearch:
         assert witnesses
         first = witnesses[0]
         assert first.instance.profiles[0].render() == "{a}; {b}"
-        assert all(w.recheck(op) for w in witnesses)
+        assert all(recheck(w, op) for w in witnesses)
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     def test_fair_refinements_keep_ic4(self, fragment):
@@ -406,7 +409,7 @@ class TestEngineAgainstSlowOracle:
             found = search(space, op)
             assert isinstance(found, list)
             assert [w.render() for w in found] == want
-            assert all(w.recheck(op) for w in found)
+            assert all(recheck(w, op) for w in found)
             for limit in (1, 3):
                 assert [w.render() for w in search(space, op, limit=limit)] == want[:limit]
 
@@ -421,7 +424,7 @@ class TestEngineAgainstSlowOracle:
         for space, want in zip(engine_spaces(FRAGMENTS[fragment]), slow_witnesses(fragment, spec)):
             found = search(space, op)
             assert [w.render() for w in found] == want
-            assert all(w.recheck(op) for w in found)
+            assert all(recheck(w, op) for w in found)
             assert [w.render() for w in search(space, op, limit=1)] == want[:1]
 
     @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
@@ -449,7 +452,7 @@ class TestEngineAgainstSlowOracle:
         found = search(space, first_base)
         assert found
         assert [w.render() for w in found] == [w.render() for w in slow_search(space, first_base)]
-        assert all(w.recheck(first_base) for w in found)
+        assert all(recheck(w, first_base) for w in found)
 
     def test_ic3_finds_witnesses_of_an_order_dependent_refinement(self):
         # Closure when the merge is closed or meets the first base, else its
@@ -464,7 +467,7 @@ class TestEngineAgainstSlowOracle:
         found = search(space, op)
         assert len(found) == 2
         assert [w.render() for w in found] == [w.render() for w in slow_search(space, op)]
-        assert all(w.recheck(op) for w in found)
+        assert all(recheck(w, op) for w in found)
 
     def test_memo_keys_on_a_base_outside_the_merge_output(self):
         # Closure when the merge is closed or the last base has a model
@@ -556,6 +559,65 @@ class TestAnswers:
         assert len(calls) == len(want) and set(calls) == want
         search(space, op)  # the memo lives for one search, not on the operator
         assert len(calls) == 2 * len(want)
+
+    def test_one_memo_serves_every_gauge_aggregator_and_key_list(self):
+        # Rings, groups and tables are keyed on what they depend on, so one
+        # memo may serve operators of other gauges and aggregators, and other
+        # key lists, in any order.
+        pool = [mu.bits for mu in all_model_sets(U2)]
+        key_lists = [pool[:5], pool, pool[::-1], [b for b in pool if b & 1]]
+        ops = [cli_operator(HORN, *spec) for spec in OPERATORS]
+        ops += [MergeOperator(CountingDistance.from_gauge((1, 3)), agg) for agg in Aggregator]
+        memo = {}
+        for e in SearchSpace(atoms=2, fragment=None, max_profile_size=2).profiles():
+            for keys in key_lists:
+                for op in ops:
+                    table = op.answers(e, keys, memo)
+                    assert list(table) == keys
+                    assert table == op.answers(e, keys), op.label
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
+    def test_one_ring_search_per_base_and_within(self, fragment, monkeypatch):
+        # One search keeps one memo: each base's rings are searched once per
+        # `within` (the union of the keys; ic4's narrower keys here all hold
+        # the full set), and a profile union of ic5/ic6 (at profile size 1,
+        # as the benchmark runs them) grows its first part's groups by the
+        # other's bases.  The next search starts afresh.
+        rings, calls = merge_module._rings, []
+
+        def counting(bits, within, gauge, patterns):
+            calls.append((bits, within))
+            return rings(bits, within, gauge, patterns)
+
+        monkeypatch.setattr(merge_module, "_rings", counting)
+        pool = [mu.bits for mu in SearchSpace(atoms=2, fragment=fragment).base_sets()]
+        once = sorted((bits, functools.reduce(operator.or_, pool)) for bits in pool)
+        op = RefinedOperator(GMAX2, LexClosureRefinement(fragment.beta))
+        for size, pids in [(2, ALL_POSTULATES[:5] + ALL_POSTULATES[7:]), (1, ALL_POSTULATES[5:7])]:
+            space = SearchSpace(atoms=2, fragment=fragment, max_profile_size=size, postulates=pids)
+            calls.clear()
+            search(space, op)
+            assert sorted(calls) == once
+            search(space, op)
+            assert sorted(calls) == sorted(once * 2)
+
+    def test_ic4_tables_hold_only_the_keys_asked_for(self):
+        # ic4 asks for tables of two-base profiles over fewer keys than ic0
+        # does, and over the same full set, so with the same levels: one memo
+        # serves both, and never hands back a table built over other keys.
+        class KeyedMerge(MergeOperator):
+            def answers(self, profile, keys, memo=None):
+                table = super().answers(profile, keys, memo)
+                asked.append((list(keys), list(table)))
+                return table
+
+        asked = []
+        op = RefinedOperator(KeyedMerge(CountingDistance.hamming(2), Aggregator.SIGMA), ClosureRefinement(MAJ3))
+        space = SearchSpace(atoms=2, fragment=KROM, max_profile_size=1, postulates=(PostulateId.IC0, PostulateId.IC4))
+        found = search(space, op)
+        assert len({tuple(keys) for keys, _ in asked}) > 1
+        assert all(keys == table for keys, table in asked)
+        assert [w.render() for w in found] == [w.render() for w in slow_search(space, op)]
 
     def test_base_output_outside_the_constraint_is_refused(self):
         op = RefinedOperator(lambda e, mu: ms(U2, "a", "b"), ClosureRefinement(AND2))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import fragmerge.refine as refine_module
@@ -442,6 +444,27 @@ class TestCheckersAgainstSlowOracle:
                 report = is_fair(base, refined, instances, limit=limit)
                 assert (report.checked, report.violations.get("fairness", [])) == slow_is_fair(
                     base, refined, instances, limit=limit), (refined.label, limit)
+
+    def test_one_memo_serves_operators_of_other_gauges_and_aggregators(self):
+        # The checkers hand the base and the refined operator one memo.  A
+        # refined drastic operator beside a hamming base must read only its
+        # own rings, groups, tables and refinements: the reports are those of
+        # the oracle, which shares nothing.
+        instances = fragment_instances(HORN)
+        violated = set()
+        for agg, kind in itertools.product(Aggregator, (LexRefinement(AND2), LexClosureRefinement(AND2))):
+            refined = RefinedOperator(MergeOperator(CountingDistance.drastic(2), agg), kind)
+            for base in (SIG2, GMAX2, RefinedOperator(SIG2, ClosureRefinement(AND2))):
+                report = check_refinement_properties(base, refined, AND2, instances)
+                first = {prop: found[0] for prop, found in report.violations.items()}
+                assert (report.checked, first) == slow_check_refinement_properties(
+                    base, refined, AND2, instances), (base.label, refined.label)
+                violated |= set(first)
+                report = is_fair(base, refined, instances)
+                assert (report.checked, report.violations.get("fairness", [])) == slow_is_fair(
+                    base, refined, instances), (base.label, refined.label)
+                violated |= set(report.violations)
+        assert violated
 
     def test_the_oracle_sees_violations(self):
         # Guards the comparison above against agreeing only on clean reports.
