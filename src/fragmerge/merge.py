@@ -236,12 +236,12 @@ def _grow(groups: dict, hits: list, sigma: bool) -> dict:
     return grown
 
 
-def _levels(profile: Profile, mu: ModelSet, gauge: tuple, f: Aggregator, memo: dict = None) -> list:
+def _levels(profile: Profile, mu: ModelSet, gauge: tuple, f: Aggregator, memo: dict) -> list:
     """The models of `mu` grouped by aggregate, as bitsets in ascending
     order of aggregate: the sum of the distances (sigma) or their descending
     tuple (gmax).  Built base by base: a group of the first j bases meets
-    each ring of base j + 1 in the group of the combined key.  A `memo` (of
-    one universe) keeps each base's rings per (gauge, mu) and each
+    each ring of base j + 1 in the group of the combined key.  The `memo`
+    (of one universe) keeps each base's rings per (gauge, mu) and each
     presentation prefix's groups per (gauge, f, mu), under keys tagged
     "rings" and "groups": a union e1 + e2 grows e1's groups by e2's bases."""
     sigma, within = f is Aggregator.SIGMA, mu.bits
@@ -249,9 +249,6 @@ def _levels(profile: Profile, mu: ModelSet, gauge: tuple, f: Aggregator, memo: d
     groups, prefix = {0 if sigma else (): within}, ("groups", gauge, sigma, within)
     for base in profile.bases:
         bits = base.models.bits
-        if memo is None:
-            groups = _grow(groups, _rings(bits, within, gauge, patterns), sigma)
-            continue
         prefix += (bits,)
         grown = memo.get(prefix)
         if grown is None:
@@ -277,7 +274,7 @@ def merge(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator) ->
     the least of `_levels` that meets mu, as in `MergeOperator.answers`.
     Ties are all retained; an empty constraint yields an empty result."""
     _check_merge_inputs(profile, mu, d)
-    return ModelSet.from_bits(profile.universe, _least(_levels(profile, mu, d.gauge, f), mu.bits))
+    return ModelSet.from_bits(profile.universe, _least(_levels(profile, mu, d.gauge, f, {}), mu.bits))
 
 
 class ScoreRow(record_type("ScoreRow", "interpretation per_base value")):
@@ -317,15 +314,13 @@ class MergeOperator:
     def answers(self, profile: Profile, keys, memo=None) -> dict:
         """{mu.bits: self(profile, mu).bits} for each bitset in `keys`, in
         their order: `merge`'s least level (`_levels` of their union) that
-        meets mu.  With a `memo`, equal keys and levels share one table, under
-        a key tagged "table"; callers must not change it."""
+        meets mu.  A `memo` (one universe's) lends `_levels` the rings and
+        groups that other tables of one search have found."""
         within = ModelSet.from_bits(profile.universe, reduce(or_, keys, 0))
         _check_merge_inputs(profile, within, self.distance)
+        memo = {} if memo is None else memo
         levels = _levels(profile, within, self.distance.gauge, self.aggregator, memo)
-        key, memo = ("table", tuple(keys), tuple(levels)), {} if memo is None else memo
-        if key not in memo:
-            memo[key] = {bits: _least(levels, bits) for bits in keys}
-        return memo[key]
+        return {bits: _least(levels, bits) for bits in keys}
 
     def __repr__(self):
         return f"<{self.label}>"

@@ -561,7 +561,7 @@ class TestAnswers:
         assert len(calls) == 2 * len(want)
 
     def test_one_memo_serves_every_gauge_aggregator_and_key_list(self):
-        # Rings, groups and tables are keyed on what they depend on, so one
+        # Rings and groups are keyed on what they depend on, so one
         # memo may serve operators of other gauges and aggregators, and other
         # key lists, in any order.
         pool = [mu.bits for mu in all_model_sets(U2)]
