@@ -233,20 +233,18 @@ def _parse_lex_order(text, universe) -> LexOrder:
         raise ValueError(f"bad --lex-order: {exc}") from exc
 
 
-def cmd_merge(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_merge(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             problem = parse_problem_file(fh.read())
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read problem file: {exc}", file=err)
+        print(f"cannot read problem file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconsistentBaseError as exc:
-        print(f"inconsistent base: {exc}", file=err)
+        print(f"inconsistent base: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except ProblemFileError as exc:
-        print(f"problem file error: {exc}", file=err)
+        print(f"problem file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     universe = problem.universe
@@ -256,7 +254,7 @@ def cmd_merge(args, out=None, err=None) -> int:
         order = _parse_lex_order(args.lex_order, universe) if args.lex_order else None
         refinement = _build_refinement(args.refinement, fragment, order)
     except ValueError as exc:
-        print(f"bad arguments: {exc}", file=err)
+        print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     aggregator = Aggregator(args.aggregator)
@@ -283,17 +281,17 @@ def cmd_merge(args, out=None, err=None) -> int:
         try:
             phi = synthesize(final, fragment, minimize=True)
         except NotClosedError as exc:
-            print(f"not expressible in {fragment.name} without a refinement: {exc}", file=err)
+            print(f"not expressible in {fragment.name} without a refinement: {exc}", file=sys.stderr)
             return EXIT_NOT_EXPRESSIBLE
         except NoSyntacticFragmentError as exc:
-            print(f"synthesis failed: {exc}", file=err)
+            print(f"synthesis failed: {exc}", file=sys.stderr)
             return EXIT_NOT_EXPRESSIBLE
         records.append(("formula", to_text(phi)))
         records.append(("formula-class", classify(phi).verdict))
 
     if args.format == "machine":
         for record in records:
-            print("\t".join(str(p) for p in record), file=out)
+            print("\t".join(str(p) for p in record))
     else:
         labels = {
             "universe": "atoms",
@@ -313,9 +311,9 @@ def cmd_merge(args, out=None, err=None) -> int:
             if key in model_keys:
                 value = value.replace("|", ", ")
             if key == "base":
-                print(f"base {rest[0]}: {value}", file=out)
+                print(f"base {rest[0]}: {value}")
             else:
-                print(f"{labels[key]}: {value}", file=out)
+                print(f"{labels[key]}: {value}")
     return code
 
 
@@ -339,9 +337,7 @@ def _parse_postulates(listing: str):
     return tuple(dict.fromkeys(out))
 
 
-def cmd_check(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_check(args) -> int:
     try:
         fragment = _FRAGMENTS[args.fragment]
         postulates = _parse_postulates(args.postulates)
@@ -358,7 +354,7 @@ def cmd_check(args, out=None, err=None) -> int:
         if args.limit is not None and args.limit < 1:
             raise ValueError(f"--limit must be at least 1, got {args.limit}")
     except (KeyError, ValueError) as exc:
-        print(f"bad arguments: {exc}", file=err)
+        print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     op = MergeOperator(distance, aggregator)
@@ -367,50 +363,42 @@ def cmd_check(args, out=None, err=None) -> int:
     try:
         witnesses = search(space, op, limit=args.limit)
     except (SpaceTooLargeError, EmptySpaceError) as exc:
-        print(f"bad arguments: {exc}", file=err)
+        print(f"bad arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.format == "machine":
         for w in witnesses:
-            print(
-                "\t".join(("witness", w.postulate.value, w.operator, w.instance.encode(), w.message)),
-                file=out,
-            )
-        print(f"witnesses\t{len(witnesses)}", file=out)
+            print("\t".join(("witness", w.postulate.value, w.operator, w.instance.encode(), w.message)))
+        print(f"witnesses\t{len(witnesses)}")
     else:
-        print(f"operator: {op.label}", file=out)
-        print(
-            f"space: {args.atoms} atoms, fragment {args.fragment}, "
-            f"profiles up to {args.max_profile_size} bases",
-            file=out,
-        )
-        print(f"postulates: {', '.join(p.value for p in postulates)}", file=out)
+        print(f"operator: {op.label}")
+        print(f"space: {args.atoms} atoms, fragment {args.fragment}, "
+              f"profiles up to {args.max_profile_size} bases")
+        print(f"postulates: {', '.join(p.value for p in postulates)}")
         for w in witnesses:
-            print(w.render(), file=out)
-        print(f"{len(witnesses)} witness(es) found", file=out)
+            print(w.render())
+        print(f"{len(witnesses)} witness(es) found")
     return EXIT_WITNESS if witnesses else EXIT_OK
 
 
-def cmd_reproduce(args, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_reproduce(args) -> int:
     if args.list:
         for fid in fixture_ids():
-            print(fid, file=out)
+            print(fid)
         return EXIT_OK
     if args.fixture is None:
-        print("bad arguments: a fixture id is required (or use --list)", file=err)
+        print("bad arguments: a fixture id is required (or use --list)", file=sys.stderr)
         return EXIT_USAGE
     try:
         report = reproduce(args.fixture)
     except UnknownFixtureError as exc:
-        print(f"bad arguments: {exc.args[0]}", file=err)
+        print(f"bad arguments: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "machine":
         for record in report.records():
-            print("\t".join(str(p) for p in record), file=out)
+            print("\t".join(str(p) for p in record))
     else:
-        print(report.render_text(), file=out)
+        print(report.render_text())
     return EXIT_OK if report.ok else EXIT_WITNESS
 
 

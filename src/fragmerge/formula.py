@@ -20,8 +20,6 @@ loops along chains and runs and recurses once per pair of parentheses.
 """
 
 import functools
-import itertools
-import math
 import operator
 import re
 from collections import namedtuple
@@ -456,25 +454,20 @@ HORN = Fragment("horn", AND2, is_horn_clause)
 KROM = Fragment("krom", MAJ3, is_krom_clause)
 
 
-# The truth-table bits one block of `synthesize` holds (8 MiB), unless
-# sqrt(N) of the N clauses take more, which keeps the checkpoints between
-# blocks to sqrt(N) tables; a block's suffix ANDs take as many bits again.
-_BLOCK_BITS = 1 << 26
-
-
 def _clause(key, literals) -> Clause:
     return Clause(frozenset(literals[r][:2] for r in key[1:]))
 
 
 def _clause_pool(universe: Universe, predicate, target: int):
     # Sorted keys bytes((size, rank, ...)) of the fragment clauses that hold
-    # in `target`, and the literals by rank as (atom name, positive?, truth
-    # table).  Ranks order the tokens `a`, `!a`, ... as strings and a key
+    # in `target`, and the literals by rank as (atom name, positive?,
+    # falsifier).  Ranks order the tokens `a`, `!a`, ... as strings and a key
     # lists them in atom-name order, so keys sort as (size, str(clause)) do
     # unless an atom name starts with `!` or holds a character at or below
     # the space, which `parse` never reads.  A child in the walk adds a
-    # literal on an atom later in name order, and a clause holds when
-    # `target` misses its falsifier.  Horn and Krom candidates satisfy their
+    # literal on an atom later in name order.  A clause's falsifier, the AND
+    # of its literals', is the truth table of where it is false; the clause
+    # holds when `target` misses it.  Horn and Krom candidates satisfy their
     # predicates by construction; any other predicate is asked about each of
     # the 3^n shapes.
     n = len(universe)
@@ -482,7 +475,7 @@ def _clause_pool(universe: Universe, predicate, target: int):
     atoms = universe.atoms
     tokens = sorted((atoms[i] if pos else "!" + atoms[i], i, pos, falsifier)
                     for (i, pos), falsifier in _literal_falsifiers(n))
-    literals = [(atoms[i], pos, full ^ falsifier) for _, i, pos, falsifier in tokens]
+    literals = [(atoms[i], pos, falsifier) for _, i, pos, falsifier in tokens]
     rank = {(i, pos): (bytes((r,)), falsifier) for r, (_, i, pos, falsifier) in enumerate(tokens)}
     steps = [(rank[i, False], rank[i, True]) for i in sorted(range(n), key=atoms.__getitem__)]
     horn, krom = predicate is is_horn_clause, predicate is is_krom_clause
@@ -510,11 +503,16 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
     (size, text) order: fewer literals first, then by the clause printed
     with its literals in atom-name order (`!a | b` before `a | !b`).  For the
     builtin Horn and Krom fragments this pins the model set exactly whenever
-    it is closed under the fragment's function.  Clauses and `mset` are
-    compared as truth tables (ints, bit m for interpretation m), built one
-    bounded block of clauses at a time.  With `minimize`, one pass in that
-    order drops each clause entailed by the clauses kept before it and all
-    clauses after it.
+    it is closed under the fragment's function.  With `minimize`, one pass in
+    that order drops each clause entailed by the clauses kept before it and
+    all clauses after it.
+
+    Clauses are compared as truth tables (ints, bit m for interpretation
+    m).  The clauses kept before a step and the pool from it on pin `mset`,
+    so a clause is kept exactly when a non-model falsifies it and satisfies
+    the later pool and the clauses kept.  A walk back lists each non-model
+    under the last clause it falsifies; a walk forward keeps each clause
+    one of whose listed non-models satisfies every clause kept so far.
     """
     universe = mset.universe
     if fragment.clause_predicate is None:
@@ -536,34 +534,33 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
     full = (1 << (1 << len(universe))) - 1
     target = mset.bits
     keys, literals = _clause_pool(universe, fragment.clause_predicate, target)
-    tables = [bits for _, _, bits in literals]
-    size = max(math.isqrt(len(keys)) + 1, _BLOCK_BITS >> len(universe))
-    starts = range(0, len(keys), size)
+    falsifiers = [falsifier for _, _, falsifier in literals]
 
-    def block(lo):
-        return [functools.reduce(operator.or_, map(tables.__getitem__, key[1:]), 0)
-                for key in keys[lo:lo + size]]
+    def falsifier(key):
+        return functools.reduce(operator.and_, map(falsifiers.__getitem__, key[1:]))
 
-    # after[-1 - j] is the truth table of the conjunction of the blocks after
-    # block j: the only tables kept from one block to the next.
-    after = [full]
-    for lo in reversed(starts[1:]):
-        after.append(functools.reduce(operator.and_, block(lo), after[-1]))
-    kept, prefix = [], full
-    for lo, rest in zip(starts, reversed(after)):
-        bits = block(lo)
-        # suffix[k]: the conjunction of the pool from the block's k-th clause on.
-        suffix = list(itertools.accumulate(reversed(bits), operator.and_, initial=rest))[::-1]
-        for k, key in enumerate(keys[lo:lo + size]):
-            if not minimize or prefix & suffix[k + 1] != target:
-                kept.append(_clause(key, literals))
-                prefix &= bits[k]
-    # A clause is dropped only while the whole pool pins `target`, so the
-    # scan ends at `target` exactly when the fragment can express it.
-    if prefix != target:
+    # Each non-model is listed under the last clause of the pool that it
+    # falsifies, as (lowest bit, bits >> lowest bit).
+    unseen, listed = full ^ target, []
+    for key in reversed(keys):
+        hit = unseen & falsifier(key)
+        if hit:
+            low = (hit & -hit).bit_length() - 1
+            listed.append((key, low, hit >> low))
+            unseen ^= hit
+            if not unseen:
+                break
+    if unseen:  # no pool clause falsifies these non-models
         raise NoSyntacticFragmentError(
             f"fragment {fragment.name!r} cannot express the given model set"
         )
+    if not minimize:
+        return _conjoin([_clause(key, literals) for key in keys], universe)
+    kept, alive = [], full ^ target  # non-models that the kept clauses allow
+    for key, low, hit in reversed(listed):
+        if alive >> low & hit:
+            kept.append(_clause(key, literals))
+            alive &= ~falsifier(key)
     return _conjoin(kept, universe)
 
 

@@ -22,6 +22,7 @@ from fragmerge.formula import (
     TOP,
     UnknownAtomError,
     _RIGHT_ASSOC,
+    _clause_pool,
     _flatten,
     _operands,
     models,
@@ -392,6 +393,26 @@ def slow_synthesize(mset, fragment, minimize=False):
     if models(result, universe) != mset:
         raise NoSyntacticFragmentError(f"fragment {fragment.name!r} cannot express the set")
     return result
+
+
+def greedy_synthesize(mset, fragment, minimize=False):
+    """Reference for the scan of `synthesize` on a closed, non-empty `mset`:
+    every pool clause's truth table and the suffix ANDs of the pool, held
+    at once, and the greedy pass that tests each clause against them."""
+    universe, target = mset.universe, mset.bits
+    full = (1 << (1 << len(universe))) - 1
+    keys, literals = _clause_pool(universe, fragment.clause_predicate, target)
+    tables = [full ^ functools.reduce(operator.and_, (literals[r][2] for r in key[1:]), full)
+              for key in keys]
+    suffix = list(itertools.accumulate(reversed(tables), operator.and_, initial=full))[::-1]
+    kept, prefix = [], full
+    for k, key in enumerate(keys):
+        if not minimize or prefix & suffix[k + 1] != target:
+            kept.append(Clause(frozenset(literals[r][:2] for r in key[1:])))
+            prefix &= tables[k]
+    if prefix != target:
+        raise NoSyntacticFragmentError(f"fragment {fragment.name!r} cannot express the set")
+    return _conjoin(kept, universe)
 
 
 def _conjoin(clauses, universe):

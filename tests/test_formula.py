@@ -3,7 +3,6 @@ import functools
 import itertools
 import operator
 import pickle
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,12 +32,14 @@ from fragmerge import (
     synthesize,
     to_text,
 )
-import fragmerge.formula as formula_module
-from fragmerge.formula import And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool
+from fragmerge.formula import (
+    And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool, is_horn_clause,
+)
 from helpers import (
     U2,
     U3,
     fragment_clauses,
+    greedy_synthesize,
     is_tautological,
     ms,
     slow_clause_pool,
@@ -381,14 +382,35 @@ class TestSynthesize:
         minimize=st.booleans(),
         masks=st.sets(st.integers(0, 15), min_size=1, max_size=6),
     )
-    def test_matches_slow_synthesize_in_many_blocks(self, names, fragment, minimize, masks):
-        # Atom names that are prefixes of one another, and the smallest
-        # block budget, so the scan crosses blocks and their checkpoints.
+    def test_matches_slow_synthesize_with_prefix_named_atoms(self, names, fragment, minimize, masks):
+        # Atom names that are prefixes of one another, so the pool's key
+        # order and the printed clauses' text order must agree on them.
         universe = Universe(names[:4])
         mset = closure(fragment.beta, ModelSet(universe, masks))
-        with mock.patch.object(formula_module, "_BLOCK_BITS", 0):
-            fast = synthesize(mset, fragment, minimize=minimize)
+        fast = synthesize(mset, fragment, minimize=minimize)
         assert to_text(fast) == to_text(slow_synthesize(mset, fragment, minimize=minimize))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(5, 10),
+        # Majority-closed sets under Horn clauses: some cannot be expressed.
+        fragment=st.sampled_from([HORN, KROM, Fragment("maj3-horn", MAJ3, is_horn_clause)]),
+    )
+    def test_matches_greedy_synthesize_at_five_to_ten_atoms(self, data, n, fragment):
+        # The slow oracle is out of reach here (seconds per call at 7 atoms),
+        # so the reference is the greedy pass over the whole pool's tables.
+        universe = Universe(["j", "a", "ab", "i", "b", "h", "c", "g", "d", "f"][:n])
+        masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+        mset = closure(fragment.beta, ModelSet(universe, masks))
+        for minimize in (False, True):
+            try:
+                expected = to_text(greedy_synthesize(mset, fragment, minimize=minimize))
+            except NoSyntacticFragmentError:
+                with pytest.raises(NoSyntacticFragmentError):
+                    synthesize(mset, fragment, minimize=minimize)
+            else:
+                assert to_text(synthesize(mset, fragment, minimize=minimize)) == expected
 
     def test_long_horn_pool_at_eight_atoms(self):
         # 1192 Horn clauses hold in both models; the unminimized conjunction
@@ -411,14 +433,14 @@ class TestClausePoolAgainstFullScan:
     def pools(universe, predicate, bits):
         # The pool's keys decoded to ((size, text), table, clause), in key order.
         keys, literals = _clause_pool(universe, predicate, bits)
+        full = (1 << (1 << len(universe))) - 1
         fast = []
         for key in keys:
             lits = [literals[r] for r in key[1:]]
             text = " | ".join(name if pos else f"!{name}" for name, pos, _ in lits)
-            table = functools.reduce(operator.or_, (t for _, _, t in lits), 0)
+            table = full ^ functools.reduce(operator.and_, (f for _, _, f in lits), full)
             clause = Clause(frozenset((name, pos) for name, pos, _ in lits))
             fast.append(((key[0], text), table, clause))
-        full = (1 << (1 << len(universe))) - 1
         return fast, sorted(slow_clause_pool(universe, predicate, bits, full))
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
