@@ -184,7 +184,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     return ProblemFile(universe, bases, constraints)
 
 
-_FRAGMENTS = {"horn": HORN, "krom": KROM, "none": None}
+_FRAGMENTS = {**{fragment.name: fragment for fragment in (HORN, KROM)}, "none": None}
 
 
 def _build_distance(choice: str, n: int) -> CountingDistance:
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--aggregator", default="sigma", choices=("sigma", "gmax"))
     p_merge.add_argument("--refinement", default="none",
                          choices=("none", "closure", "lex", "lex-closure"))
-    p_merge.add_argument("--fragment", default="none", choices=("horn", "krom", "none"))
+    p_merge.add_argument("--fragment", default="none", choices=tuple(_FRAGMENTS))
     p_merge.add_argument("--lex-order", default=None,
                          help="interpretations ranked first, e.g. '{} {b} {a}'")
     p_merge.add_argument("--format", default="text", choices=("text", "machine"))
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="search a bounded space for postulate violations")
     p_check.add_argument("--op", required=True, help="distance,aggregator,refinement")
-    p_check.add_argument("--fragment", default="none", choices=("horn", "krom", "none"))
+    p_check.add_argument("--fragment", default="none", choices=tuple(_FRAGMENTS))
     p_check.add_argument("--postulates", default="all",
                          help="e.g. ic0-ic3 or ic4 or ic5,ic7 or all")
     p_check.add_argument("--atoms", type=int, default=2)

@@ -374,15 +374,12 @@ class ClauseKind(Enum):
     GENERAL = "general"
 
 
-def _clause_kind(clause: Clause) -> ClauseKind:
-    horn, krom = is_horn_clause(clause), is_krom_clause(clause)
-    if horn and krom:
-        return ClauseKind.BOTH
-    if horn:
-        return ClauseKind.HORN
-    if krom:
-        return ClauseKind.KROM
-    return ClauseKind.GENERAL
+HORN = Fragment("horn", AND2, max_positive=1)
+KROM = Fragment("krom", MAJ3, max_literals=2)
+
+# (Horn?, Krom?) -> kind, for a clause and for a whole CNF.
+_KINDS = {(True, True): ClauseKind.BOTH, (True, False): ClauseKind.HORN,
+          (False, True): ClauseKind.KROM, (False, False): ClauseKind.GENERAL}
 
 
 class Classification(namedtuple("Classification", "is_cnf clauses")):
@@ -398,15 +395,7 @@ class Classification(namedtuple("Classification", "is_cnf clauses")):
 
     @property
     def verdict(self) -> str:
-        if not self.is_cnf:
-            return "non-cnf"
-        if self.horn and self.krom:
-            return "both"
-        if self.horn:
-            return "horn"
-        if self.krom:
-            return "krom"
-        return "general"
+        return _KINDS[self.horn, self.krom].value if self.is_cnf else "non-cnf"
 
 
 def _literals(phi):
@@ -429,48 +418,31 @@ def classify(phi: Formula) -> Classification:
     """
     if phi == TOP:
         return Classification(True, ())
-    if phi == BOTTOM:
-        empty = Clause(frozenset())
-        return Classification(True, ((empty, _clause_kind(empty)),))
-    kinds = []
-    for conj in _flatten(phi, And):
-        lits = _literals(conj)
-        if lits is None:
-            return Classification(False, ())
-        clause = Clause(frozenset(lits))
-        kinds.append((clause, _clause_kind(clause)))
-    return Classification(True, tuple(kinds))
-
-
-def is_horn_clause(clause: Clause) -> bool:
-    return clause.positive_count <= 1
-
-
-def is_krom_clause(clause: Clause) -> bool:
-    return len(clause.literals) <= 2
-
-
-HORN = Fragment("horn", AND2, is_horn_clause)
-KROM = Fragment("krom", MAJ3, is_krom_clause)
+    conjuncts = [[]] if phi == BOTTOM else [_literals(conj) for conj in _flatten(phi, And)]
+    if None in conjuncts:
+        return Classification(False, ())
+    clauses = [Clause(frozenset(lits)) for lits in conjuncts]
+    return Classification(True, tuple((c, _KINDS[HORN.admits(c), KROM.admits(c)]) for c in clauses))
 
 
 def _clause(key, literals) -> Clause:
     return Clause(frozenset(literals[r][:2] for r in key[1:]))
 
 
-def _clause_pool(universe: Universe, predicate, target: int):
+def _clause_pool(universe: Universe, fragment: Fragment, target: int):
     # Sorted keys bytes((size, rank, ...)) of the fragment clauses that hold
     # in `target`, and the literals by rank as (atom name, positive?,
     # falsifier).  Ranks order the tokens `a`, `!a`, ... as strings and a key
     # lists them in atom-name order, so keys sort as (size, str(clause)) do
     # unless an atom name starts with `!` or holds a character at or below
     # the space, which `parse` never reads.  A child in the walk adds a
-    # literal on an atom later in name order.  A clause's falsifier, the AND
-    # of its literals', is the truth table of where it is false; the clause
-    # holds when `target` misses it.  Horn and Krom candidates satisfy their
-    # predicates by construction; any other predicate is asked about each of
-    # the 3^n shapes.
+    # literal on an atom later in name order, and only within the
+    # fragment's bounds.  A clause's falsifier, the AND of its literals', is
+    # the truth table of where it is false; the clause holds when `target`
+    # misses it.
     n = len(universe)
+    size = n if fragment.max_literals is None else fragment.max_literals
+    positives = n if fragment.max_positive is None else fragment.max_positive
     full = (1 << (1 << n)) - 1
     atoms = universe.atoms
     tokens = sorted((atoms[i] if pos else "!" + atoms[i], i, pos, falsifier)
@@ -478,15 +450,12 @@ def _clause_pool(universe: Universe, predicate, target: int):
     literals = [(atoms[i], pos, falsifier) for _, i, pos, falsifier in tokens]
     rank = {(i, pos): (bytes((r,)), falsifier) for r, (_, i, pos, falsifier) in enumerate(tokens)}
     steps = [(rank[i, False], rank[i, True]) for i in sorted(range(n), key=atoms.__getitem__)]
-    horn, krom = predicate is is_horn_clause, predicate is is_krom_clause
-    keys, stack = [], [(b"", full, 0, 1 if horn else n)]
+    keys, stack = [], [(b"", full, 0, positives)]
     while stack:
         ranks, falsifier, start, positives = stack.pop()
         if not target & falsifier:
-            key = bytes((len(ranks),)) + ranks
-            if horn or krom or predicate(_clause(key, literals)):
-                keys.append(key)
-        if len(ranks) < (2 if krom else n):
+            keys.append(bytes((len(ranks),)) + ranks)
+        if len(ranks) < size:
             for j in range(start, n):
                 (neg, neg_falsifier), (pos, pos_falsifier) = steps[j]
                 stack.append((ranks + neg, falsifier & neg_falsifier, j + 1, positives))
@@ -515,9 +484,9 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
     one of whose listed non-models satisfies every clause kept so far.
     """
     universe = mset.universe
-    if fragment.clause_predicate is None:
+    if fragment.max_literals is None and fragment.max_positive is None:
         raise NoSyntacticFragmentError(
-            f"fragment {fragment.name!r} has no clause predicate"
+            f"fragment {fragment.name!r} has no clause language"
         )
     witness = closure_witness(fragment.beta, mset)
     if witness is not None:
@@ -533,7 +502,7 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
     _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
     target = mset.bits
-    keys, literals = _clause_pool(universe, fragment.clause_predicate, target)
+    keys, literals = _clause_pool(universe, fragment, target)
     falsifiers = [falsifier for _, _, falsifier in literals]
 
     def falsifier(key):

@@ -441,15 +441,21 @@ AND2 = BooleanFn(2, (0, 0, 0, 1), "and")
 MAJ3 = BooleanFn(3, (0, 0, 0, 1, 0, 1, 1, 1), "maj3")
 
 
-class Fragment(record_type("Fragment", "name beta clause_predicate", (None,), slice(2))):
+class Fragment(record_type("Fragment", "name beta max_literals max_positive", (None, None), slice(2))):
     """Sublanguage characterized by closure of model sets under `beta`.
 
-    `clause_predicate` is the syntactic side, a test on clauses; it is set
-    for the builtin Horn and Krom fragments and enables formula synthesis.
-    It is not compared.
+    The syntactic side is Schaefer's two counts per clause: its clauses have
+    at most `max_literals` literals, at most `max_positive` of them positive
+    (None is no bound).  A fragment that sets neither bound has no clause
+    language and no formula synthesis.  The bounds are not compared.
     """
 
     __slots__ = ()
+
+    def admits(self, clause) -> bool:
+        """Whether `clause` (a `formula.Clause`) is within both bounds."""
+        return ((self.max_literals is None or len(clause.literals) <= self.max_literals)
+                and (self.max_positive is None or clause.positive_count <= self.max_positive))
 
 
 def _apply_masks(beta: BooleanFn, masks, width: int) -> int:
@@ -464,9 +470,10 @@ def _apply_masks(beta: BooleanFn, masks, width: int) -> int:
     return out
 
 
-def _and_closure(bits: int) -> int:
+def _and_closure(bits: int, width: int) -> int:
     # Intersection closure, one member at a time.  The set found so far is
-    # closed after each step, so a member already in it adds nothing.
+    # closed after each step, so a member already in it adds nothing.  It
+    # reads no `width`; it takes one to share the kernels' form.
     found = set()
     for m in _from_bits(bits):
         if m not in found:
@@ -516,20 +523,20 @@ def _fixpoint(beta: BooleanFn, bits: int, width: int) -> int:
     return _to_bits(known)
 
 
-# Image of an argument tuple under each builtin function, as one int
-# expression over whole masks.  Keys compare by truth table.
-_IMAGES = {
-    AND2: lambda a, b: a & b,
-    MAJ3: lambda a, b, c: a & b | c & (a | b),
+# (image, closure) of each builtin function: the image of an argument tuple
+# as one int expression over whole masks, and the closure of a truth table
+# over `width` atoms.  Keys compare by truth table.
+_KERNELS = {
+    AND2: (lambda a, b: a & b, _and_closure),
+    MAJ3: (lambda a, b, c: a & b | c & (a | b), _maj3_closure),
 }
 
 
 def _closure_of(beta: BooleanFn, bits: int, width: int) -> int:
-    if beta == AND2:
-        return _and_closure(bits)
-    if beta == MAJ3:
-        return _maj3_closure(bits, width)
-    return _fixpoint(beta, bits, width)
+    kernel = _KERNELS.get(beta)
+    if kernel is None:
+        return _fixpoint(beta, bits, width)
+    return kernel[1](bits, width)
 
 
 # Closures asked for again (refinements, closedness checks) come from here;
@@ -539,7 +546,7 @@ _closure_bits = lru_cache(maxsize=CLOSURE_CACHE_SIZE)(_closure_of)
 
 
 def _is_closed(beta: BooleanFn, bits: int, width: int, close=_closure_bits) -> bool:
-    if beta in _IMAGES:
+    if beta in _KERNELS:
         return close(beta, bits, width) == bits
     return _closed_witness(beta, bits, width) is None
 
@@ -549,12 +556,10 @@ def _closed_witness(beta: BooleanFn, bits: int, width: int):
     # per multiset (beta is symmetric) in combinations_with_replacement
     # order of the ascending members.  A builtin function's closure decides
     # closedness first, so the scan runs only when a witness exists.
-    image = _IMAGES.get(beta)
-    if image is None:
-        def image(*tup):
-            return _apply_masks(beta, tup, width)
-    elif _closure_bits(beta, bits, width) == bits:
+    kernel = _KERNELS.get(beta)
+    if kernel is not None and _closure_bits(beta, bits, width) == bits:
         return None
+    image = kernel[0] if kernel is not None else lambda *tup: _apply_masks(beta, tup, width)
     masks = _from_bits(bits)
     members = set(masks)
     for tup in itertools.combinations_with_replacement(masks, beta.arity):

@@ -292,8 +292,8 @@ ROWS = {
                          ("restricted", "conjoined")),
 }
 
-# The most instances one `search` checks.  The largest space the tests and
-# the benchmark search is Krom ic5 + ic7 at 2 atoms, 137,700 + 30,375.
+# The most instances one `search` checks.  The largest spaces searched in
+# CI are 3-atom Horn ic5 and ic6 at profile size 1, 893,101 instances each.
 MAX_INSTANCES = 1_000_000
 
 

@@ -297,10 +297,18 @@ def slow_closed_witness(beta, mset):
     return None
 
 
-def slow_clause_pool(universe, predicate, target, full):
+def within_bounds(fragment, literals):
+    """Whether (atom name, positive?) literals fit the fragment's clause
+    bounds, counted here and not by `Fragment.admits`."""
+    positives = [name for name, pos in literals if pos]
+    return ((fragment.max_literals is None or len(literals) <= fragment.max_literals)
+            and (fragment.max_positive is None or len(positives) <= fragment.max_positive))
+
+
+def slow_clause_pool(universe, fragment, target, full):
     """Oracle for `formula._clause_pool`: every one of the 3^n clause shapes
-    (each atom absent, positive or negative), its truth table built from
-    per-interpretation literal tables."""
+    (each atom absent, positive or negative) within the fragment's bounds,
+    its truth table built from per-interpretation literal tables."""
     n = len(universe)
     choices = []
     for i, name in enumerate(universe.atoms):
@@ -314,7 +322,7 @@ def slow_clause_pool(universe, predicate, target, full):
             continue
         lits = [lit for lit, _ in shape if lit]
         clause = Clause(frozenset(lits))
-        if predicate(clause):
+        if within_bounds(fragment, lits):
             text = " | ".join(name if pos else f"!{name}" for name, pos in sorted(lits))
             yield (len(lits), text), bits, clause
 
@@ -348,25 +356,24 @@ def all_model_sets(universe, include_empty=True):
         yield ModelSet(universe, (m for m in range(n) if code >> m & 1))
 
 
-def fragment_clauses(universe, predicate):
-    """Every non-empty, non-tautological clause accepted by `predicate`."""
+def fragment_clauses(universe, fragment):
+    """Every non-empty, non-tautological clause within the fragment's bounds."""
     for shape in itertools.product((0, 1, 2), repeat=len(universe)):
         if not any(shape):
             continue
         lits = frozenset(
             (name, shape[i] == 1) for i, name in enumerate(universe.atoms) if shape[i]
         )
-        clause = Clause(lits)
-        if predicate(clause):
-            yield clause
+        if within_bounds(fragment, lits):
+            yield Clause(lits)
 
 
 def slow_synthesize(mset, fragment, minimize=False):
     """Oracle for `synthesize`: tests each clause model by model, builds the
     formula of every trial conjunction and enumerates its models."""
     universe = mset.universe
-    if fragment.clause_predicate is None:
-        raise NoSyntacticFragmentError(f"fragment {fragment.name!r} has no clause predicate")
+    if fragment.max_literals is None and fragment.max_positive is None:
+        raise NoSyntacticFragmentError(f"fragment {fragment.name!r} has no clause language")
     witness = closure_witness(fragment.beta, mset)
     if witness is not None:
         raise NotClosedError("model set is not closed", witness=witness)
@@ -375,7 +382,7 @@ def slow_synthesize(mset, fragment, minimize=False):
         return And(first, Not(first))
     pool = [
         clause
-        for clause in fragment_clauses(universe, fragment.clause_predicate)
+        for clause in fragment_clauses(universe, fragment)
         if all(
             any((m >> universe.index(n) & 1) == pos for n, pos in clause.literals)
             for m in mset.masks
@@ -401,7 +408,7 @@ def greedy_synthesize(mset, fragment, minimize=False):
     at once, and the greedy pass that tests each clause against them."""
     universe, target = mset.universe, mset.bits
     full = (1 << (1 << len(universe))) - 1
-    keys, literals = _clause_pool(universe, fragment.clause_predicate, target)
+    keys, literals = _clause_pool(universe, fragment, target)
     tables = [full ^ functools.reduce(operator.and_, (literals[r][2] for r in key[1:]), full)
               for key in keys]
     suffix = list(itertools.accumulate(reversed(tables), operator.and_, initial=full))[::-1]

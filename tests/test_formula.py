@@ -33,11 +33,12 @@ from fragmerge import (
     to_text,
 )
 from fragmerge.formula import (
-    And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool, is_horn_clause,
+    And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool,
 )
 from helpers import (
     U2,
     U3,
+    all_model_sets,
     fragment_clauses,
     greedy_synthesize,
     is_tautological,
@@ -271,7 +272,7 @@ class TestClassify:
     @pytest.mark.parametrize("fragment,beta", [(HORN, AND2), (KROM, MAJ3)])
     def test_classified_formulas_have_closed_models(self, fragment, beta):
         # every CNF built from fragment clauses over 3 atoms, up to 4 clauses
-        pool = list(fragment_clauses(U3, fragment.clause_predicate))
+        pool = list(fragment_clauses(U3, fragment))
         texts = [to_text(c.to_formula(U3)) for c in pool]
         for size in (1, 2, 3, 4):
             for combo in itertools.combinations(texts, size):
@@ -279,6 +280,27 @@ class TestClassify:
                 verdict = classify(phi)
                 assert getattr(verdict, fragment.name)
                 assert is_closed(beta, models(phi, U3))
+
+
+class TestFragmentRows:
+    def test_builtin_rows_admit_the_textbook_clauses(self):
+        # Every clause over 3 atoms, each atom absent, positive, negative or
+        # both: the empty clause and the tautologies included.  A Horn
+        # clause has at most one positive literal, a Krom clause at most
+        # two literals; a clause that is no tautology is one exactly when
+        # its models are closed under AND, respectively majority.
+        admitted = {"horn": 0, "krom": 0}
+        for shape in itertools.product(((), (True,), (False,), (True, False)), repeat=3):
+            clause = Clause(frozenset((name, pos) for name, signs in zip("abc", shape) for pos in signs))
+            positives = [name for name, pos in clause.literals if pos]
+            textbook = {"horn": len(positives) <= 1, "krom": len(clause.literals) <= 2}
+            for fragment in (HORN, KROM):
+                assert fragment.admits(clause) == textbook[fragment.name], (fragment.name, clause)
+                admitted[fragment.name] += textbook[fragment.name]
+                if not is_tautological(clause):
+                    closed = is_closed(fragment.beta, models(clause.to_formula(U3), U3))
+                    assert closed == textbook[fragment.name], (fragment.name, clause)
+        assert admitted == {"horn": 32, "krom": 22}
 
 
 class TestSynthesize:
@@ -311,16 +333,15 @@ class TestSynthesize:
         anonymous = Fragment("pointwise-and", AND2, None)
         with pytest.raises(NoSyntacticFragmentError):
             synthesize(ms(U2, "", "a"), anonymous)
-        # The clause predicate is not compared; the name is.
-        unnamed_horn = Fragment("horn", AND2)
-        assert unnamed_horn == HORN and not unnamed_horn != HORN and hash(unnamed_horn) == hash(HORN)
+        # The clause bounds are not compared; the name is.
+        for unnamed_horn in (Fragment("horn", AND2), Fragment("horn", AND2, 2, 0)):
+            assert unnamed_horn == HORN and not unnamed_horn != HORN
+            assert hash(unnamed_horn) == hash(HORN)
         assert anonymous != HORN and not anonymous == HORN
 
-    def test_mismatched_clause_predicate_detected(self):
+    def test_mismatched_clause_bounds_detected(self):
         # maj3-closed set that no conjunction of Horn clauses can pin down
-        from fragmerge.formula import is_horn_clause
-
-        broken = Fragment("bad", MAJ3, is_horn_clause)
+        broken = Fragment("bad", MAJ3, max_positive=1)
         with pytest.raises(NoSyntacticFragmentError):
             synthesize(ms(U2, "a", "b"), broken)
 
@@ -339,7 +360,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     def test_formula_round_trip_three_atoms(self, fragment):
         # models(synthesize(models(phi))) == models(phi) for fragment CNFs
-        pool = list(fragment_clauses(U3, fragment.clause_predicate))[:10]
+        pool = list(fragment_clauses(U3, fragment))[:10]
         for size in (1, 2, 3):
             for combo in itertools.combinations(pool, size):
                 phi = _conjoin_clauses(combo)
@@ -395,7 +416,7 @@ class TestSynthesize:
         data=st.data(),
         n=st.integers(5, 10),
         # Majority-closed sets under Horn clauses: some cannot be expressed.
-        fragment=st.sampled_from([HORN, KROM, Fragment("maj3-horn", MAJ3, is_horn_clause)]),
+        fragment=st.sampled_from([HORN, KROM, Fragment("maj3-horn", MAJ3, max_positive=1)]),
     )
     def test_matches_greedy_synthesize_at_five_to_ten_atoms(self, data, n, fragment):
         # The slow oracle is out of reach here (seconds per call at 7 atoms),
@@ -425,14 +446,14 @@ class TestSynthesize:
 
 class TestClausePoolAgainstFullScan:
     """The Krom pool from the clauses of at most two literals, the Horn pool
-    from the shapes with at most one positive literal, and the walk over
-    all shapes that any other predicate gets, against the 3^n scan: equal
-    key for key and table for table."""
+    from the shapes with at most one positive literal, and the pools of
+    bounds that no builtin fragment uses, against the 3^n scan: equal key
+    for key and table for table."""
 
     @staticmethod
-    def pools(universe, predicate, bits):
+    def pools(universe, fragment, bits):
         # The pool's keys decoded to ((size, text), table, clause), in key order.
-        keys, literals = _clause_pool(universe, predicate, bits)
+        keys, literals = _clause_pool(universe, fragment, bits)
         full = (1 << (1 << len(universe))) - 1
         fast = []
         for key in keys:
@@ -441,23 +462,23 @@ class TestClausePoolAgainstFullScan:
             table = full ^ functools.reduce(operator.and_, (f for _, _, f in lits), full)
             clause = Clause(frozenset((name, pos) for name, pos, _ in lits))
             fast.append(((key[0], text), table, clause))
-        return fast, sorted(slow_clause_pool(universe, predicate, bits, full))
+        return fast, sorted(slow_clause_pool(universe, fragment, bits, full))
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     def test_every_closed_set_up_to_three_atoms(self, fragment):
         for atoms in ("a", "ba", "cab"):
             universe = Universe(atoms)
             for mset in closed_model_sets(fragment.beta, universe, include_empty=True):
-                fast, slow = self.pools(universe, fragment.clause_predicate, mset.bits)
+                fast, slow = self.pools(universe, fragment, mset.bits)
                 assert fast == slow
 
-    def test_other_predicate_sees_every_shape(self):
-        def at_most_one_negative(clause):
-            return sum(1 for _, pos in clause.literals if not pos) <= 1
-
-        for mset in list(closed_model_sets(AND2, Universe("cab"), include_empty=True))[::7]:
-            fast, slow = self.pools(mset.universe, at_most_one_negative, mset.bits)
-            assert fast == slow
+    @pytest.mark.parametrize("bounds", [(2, 1), (3, None), (None, 0), (1, None), (0, 0)])
+    def test_other_bounds_match_the_full_scan(self, bounds):
+        fragment = Fragment("other", AND2, *bounds)
+        for atoms in ("a", "ba", "cab"):
+            for mset in all_model_sets(Universe(atoms)):
+                fast, slow = self.pools(mset.universe, fragment, mset.bits)
+                assert fast == slow
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -469,7 +490,7 @@ class TestClausePoolAgainstFullScan:
         universe = Universe(data.draw(st.permutations("abcdef"[:n])))
         masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
         mset = closure(fragment.beta, ModelSet(universe, masks))
-        fast, slow = self.pools(universe, fragment.clause_predicate, mset.bits)
+        fast, slow = self.pools(universe, fragment, mset.bits)
         assert fast == slow
 
 

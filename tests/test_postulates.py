@@ -221,6 +221,23 @@ class TestSearch:
             assert search(space, drastic_clo) == []
             assert search(space, lex_clo) == []
 
+    @pytest.mark.parametrize(
+        "aggregator, kind, witnesses",
+        [(Aggregator.SIGMA, ClosureRefinement, 0), (Aggregator.SIGMA, LexRefinement, 357),
+         (Aggregator.GMAX, ClosureRefinement, 80)],
+        ids=["sigma-closure", "sigma-lex", "gmax-closure"],
+    )
+    def test_three_atom_krom_ic4(self, aggregator, kind, witnesses):
+        # Every non-empty set over 2 atoms is Krom-closed, so there a Krom
+        # refinement is the identity; 3 atoms is the first size where MAJ3
+        # closure acts.  Exhaustive over all 49,295 ic4 instances.
+        space = SearchSpace(atoms=3, fragment=KROM, postulates=(PostulateId.IC4,))
+        assert ROWS[PostulateId.IC4].count(space) == 49_295
+        op = RefinedOperator(MergeOperator(CountingDistance.hamming(3), aggregator), kind(MAJ3))
+        found = search(space, op)
+        assert len(found) == witnesses
+        assert all(recheck(w, op) for w in found[:10])
+
     def test_limit(self):
         op = RefinedOperator(
             MergeOperator(CountingDistance.drastic(2), Aggregator.SIGMA),
@@ -666,7 +683,9 @@ class TestInstanceBudget:
     def test_largest_tested_space_fits(self):
         space = SearchSpace(atoms=2, fragment=KROM)
         assert ROWS[PostulateId.IC5].count(space) + ROWS[PostulateId.IC7].count(space) == 168_075
-        assert MAX_INSTANCES >= 168_075
+        # CI's 3-atom Horn closure searches of ic5 and of ic6, at profile size 1.
+        assert ROWS[PostulateId.IC5].count(SearchSpace(3, HORN, 1)) == 893_101 <= MAX_INSTANCES
+        assert ROWS[PostulateId.IC6].count(SearchSpace(3, HORN, 1)) == 893_101
 
     @pytest.mark.parametrize(
         "space",
