@@ -34,7 +34,7 @@ from .formula import (
     synthesize,
     to_text,
 )
-from .interp import ModelSet, Universe, _check_enum_size, record_type
+from .interp import Interpretation, ModelSet, Universe, record_type
 from .merge import (
     Aggregator,
     Base,
@@ -50,7 +50,6 @@ from .postulates import (
     SearchSpace,
     SpaceTooLargeError,
     UnknownFixtureError,
-    _guard,
     fixture_ids,
     reproduce,
     search,
@@ -141,7 +140,6 @@ def parse_problem_file(text: str) -> ProblemFile:
                     )
             try:
                 universe = Universe(names)
-                _check_enum_size(universe)
             except ValueError as exc:
                 raise ProblemFileError(f"line {lineno}: {exc}") from None
             continue
@@ -156,17 +154,15 @@ def parse_problem_file(text: str) -> ProblemFile:
                 found = _parse_interpretations(body[len("models"):], universe, ProblemFileError,
                                                f"line {lineno}", "model sets like {a,b}")
                 mset = ModelSet(universe, found)
-                source = None
             else:
                 try:
                     phi = parse(body, universe)
                 except (ParseError, UnknownAtomError) as exc:
                     raise ProblemFileError(f"line {lineno}: {exc}") from exc
                 mset = models(phi, universe)
-                source = (phi,)
             if not mset:
                 raise InconsistentBaseError(f"line {lineno}: base {name} has no models")
-            bases.append((name, Base(mset, source)))
+            bases.append((name, Base(mset)))
             continue
         if line.startswith("constraint:"):
             body = line[len("constraint:"):].strip()
@@ -228,7 +224,7 @@ def _parse_lex_order(text, universe) -> LexOrder:
     masks = _parse_interpretations(text, universe, ValueError, "bad --lex-order",
                                    "interpretations like {} {a} {a,b}")
     try:
-        return LexOrder(universe, [universe.from_mask(m) for m in masks])
+        return LexOrder(universe, [Interpretation(universe, m) for m in masks])
     except ValueError as exc:
         raise ValueError(f"bad --lex-order: {exc}") from exc
 
@@ -279,7 +275,7 @@ def cmd_merge(args) -> int:
     code = EXIT_OK
     if fragment is not None:
         try:
-            phi = synthesize(final, fragment, minimize=True)
+            phi = synthesize(final, fragment)
         except NotClosedError as exc:
             print(f"not expressible in {fragment.name} without a refinement: {exc}", file=sys.stderr)
             return EXIT_NOT_EXPRESSIBLE
@@ -341,9 +337,9 @@ def cmd_check(args) -> int:
     try:
         fragment = _FRAGMENTS[args.fragment]
         postulates = _parse_postulates(args.postulates)
+        # The space checks its caps before the distance is built, whose
+        # gauge has atoms + 1 entries.
         space = SearchSpace(args.atoms, fragment, args.max_profile_size, args.max_bases, postulates)
-        # The space's caps come first: the distance gauge has atoms + 1 entries.
-        _guard(space)
         parts = args.op.rsplit(",", 2)
         if len(parts) != 3:
             raise ValueError("--op needs distance,aggregator,refinement")

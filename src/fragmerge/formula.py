@@ -32,7 +32,6 @@ from .interp import (
     ModelSet,
     Universe,
     _atom_patterns,
-    _check_enum_size,
     _literal_falsifiers,
     closure_witness,
 )
@@ -300,7 +299,6 @@ def to_text(phi: Formula) -> str:
 
 def models(phi: Formula, universe: Universe) -> ModelSet:
     """Exact model set by enumerating all 2^|U| interpretations."""
-    _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
     tables = dict(zip(universe.atoms, _atom_patterns(len(universe))))
     # Post-order on an explicit stack: a node pushes its class, to combine
@@ -465,16 +463,16 @@ def _clause_pool(universe: Universe, fragment: Fragment, target: int):
     return keys, literals
 
 
-def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Formula:
+def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
     """Formula of the fragment whose models are exactly `mset`.
 
-    Conjoins every fragment clause satisfied by all members of `mset`, in
+    The pool is every fragment clause satisfied by all members of `mset`, in
     (size, text) order: fewer literals first, then by the clause printed
     with its literals in atom-name order (`!a | b` before `a | !b`).  For the
-    builtin Horn and Krom fragments this pins the model set exactly whenever
-    it is closed under the fragment's function.  With `minimize`, one pass in
-    that order drops each clause entailed by the clauses kept before it and
-    all clauses after it.
+    builtin Horn and Krom fragments the pool pins the model set exactly
+    whenever it is closed under the fragment's function.  One pass in that
+    order drops each clause entailed by the clauses kept before it and all
+    clauses after it, and the formula conjoins the clauses kept.
 
     Clauses are compared as truth tables (ints, bit m for interpretation
     m).  The clauses kept before a step and the pool from it on pin `mset`,
@@ -499,7 +497,6 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
     if not mset:
         first = Atom(universe.atoms[0])
         return And(first, Not(first))
-    _check_enum_size(universe)
     full = (1 << (1 << len(universe))) - 1
     target = mset.bits
     keys, literals = _clause_pool(universe, fragment, target)
@@ -523,8 +520,6 @@ def synthesize(mset: ModelSet, fragment: Fragment, minimize: bool = False) -> Fo
         raise NoSyntacticFragmentError(
             f"fragment {fragment.name!r} cannot express the given model set"
         )
-    if not minimize:
-        return _conjoin([_clause(key, literals) for key in keys], universe)
     kept, alive = [], full ^ target  # non-models that the kept clauses allow
     for key, low, hit in reversed(listed):
         if alive >> low & hit:

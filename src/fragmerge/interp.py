@@ -20,10 +20,9 @@ import itertools
 from collections import namedtuple
 from functools import lru_cache
 
-# Enumeration over all 2^|U| interpretations is capped at ENUM_CAP atoms;
-# no universe may exceed HARD_ATOM_CAP.
+# A universe has at most ENUM_CAP atoms, so every enumeration of its 2^|U|
+# interpretations is bounded where the universe is made.
 ENUM_CAP = 16
-HARD_ATOM_CAP = 24
 
 
 class UniverseMismatchError(ValueError):
@@ -50,15 +49,9 @@ class NotReproducingError(ValueError):
         self.witness = witness
 
 
-def _check_enum_size(universe):
-    if len(universe) > ENUM_CAP:
-        raise UniverseTooLargeError(
-            f"universe has {len(universe)} atoms, enumeration cap is {ENUM_CAP}"
-        )
-
-
 class Universe:
-    """Ordered alphabet of distinct atom names; order fixes bit positions."""
+    """Ordered alphabet of 1 to ENUM_CAP distinct atom names (strings);
+    order fixes bit positions."""
 
     __slots__ = ("atoms", "_index", "_hash", "_name_tables")
 
@@ -66,11 +59,14 @@ class Universe:
         atoms = tuple(atoms)
         if not atoms:
             raise ValueError("universe needs at least one atom")
+        for name in atoms:
+            if not isinstance(name, str):
+                raise TypeError(f"atom names must be str, got {name!r} ({type(name).__name__})")
         if len(set(atoms)) != len(atoms):
             raise ValueError(f"duplicate atom names in {atoms!r}")
-        if len(atoms) > HARD_ATOM_CAP:
+        if len(atoms) > ENUM_CAP:
             raise UniverseTooLargeError(
-                f"{len(atoms)} atoms exceed the hard cap of {HARD_ATOM_CAP}"
+                f"universe has {len(atoms)} atoms, enumeration cap is {ENUM_CAP}"
             )
         self.atoms = atoms
         self._index = {name: i for i, name in enumerate(atoms)}
@@ -106,13 +102,6 @@ class Universe:
         for name in true_atoms:
             mask |= 1 << self.index(name)
         return Interpretation(self, mask)
-
-    def from_mask(self, mask: int) -> "Interpretation":
-        return Interpretation(self, mask)
-
-    def all_masks(self) -> range:
-        _check_enum_size(self)
-        return range(1 << len(self.atoms))
 
     def _block_texts(self) -> tuple:
         """(half, closed, opened, tails) for `ModelSet.render`: a mask's low
@@ -255,7 +244,6 @@ class ModelSet:
 
     @classmethod
     def full(cls, universe) -> "ModelSet":
-        _check_enum_size(universe)
         return cls.from_bits(universe, (1 << (1 << len(universe))) - 1)
 
     @property
@@ -342,7 +330,6 @@ class ModelSet:
 def model_sets(universe: Universe, include_empty: bool = True):
     """Every model set over `universe` in ascending subset-code order: the
     code is the set's bitset."""
-    _check_enum_size(universe)
     start = 0 if include_empty else 1
     for code in range(start, 1 << (1 << len(universe))):
         yield ModelSet.from_bits(universe, code)
@@ -601,14 +588,15 @@ def closure_witness(beta: BooleanFn, mset: ModelSet):
 
 
 @lru_cache(maxsize=None)
-def closed_model_sets(beta: BooleanFn, universe: Universe, include_empty: bool = False):
-    """All subsets of 2^U closed under `beta`, in ascending subset-code order.
+def closed_model_sets(beta: BooleanFn, universe: Universe):
+    """All non-empty subsets of 2^U closed under `beta`, in ascending
+    subset-code order.
 
     Cached per (beta, universe); the enumeration walks all 2^(2^|U|) subsets,
     so keep |U| small (the postulate search uses |U| <= 4).
     """
     width = len(universe)
     return tuple(
-        mset for mset in model_sets(universe, include_empty)
+        mset for mset in model_sets(universe, include_empty=False)
         if _is_closed(beta, mset.bits, width, _closure_of)
     )

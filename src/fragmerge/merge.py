@@ -60,16 +60,15 @@ class CountingDistance(record_type("CountingDistance", "gauge name", ("table",),
         return cls((0,) + tuple(positive_values), name)
 
 
-class Base(record_type("Base", "models source", (None,), slice(1))):
-    """Consistent belief base: a non-empty model set, optionally with the
-    source formulas it came from (metadata, not part of equality)."""
+class Base(record_type("Base", "models")):
+    """Consistent belief base: a non-empty model set."""
 
     __slots__ = ()
 
-    def __new__(cls, models: ModelSet, source: tuple = None):
+    def __new__(cls, models: ModelSet):
         if not models:
             raise InconsistentBaseError("base has no models")
-        return super().__new__(cls, models, source)
+        return super().__new__(cls, models)
 
 
 class Profile:
@@ -311,14 +310,13 @@ class MergeOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return merge(profile, mu, self.distance, self.aggregator)
 
-    def answers(self, profile: Profile, keys, memo=None) -> dict:
+    def answers(self, profile: Profile, keys, memo: dict) -> dict:
         """{mu.bits: self(profile, mu).bits} for each bitset in `keys`, in
         their order: `merge`'s least level (`_levels` of their union) that
-        meets mu.  A `memo` (one universe's) lends `_levels` the rings and
+        meets mu.  The `memo` (one universe's) lends `_levels` the rings and
         groups that other tables of one search have found."""
         within = ModelSet.from_bits(profile.universe, reduce(or_, keys, 0))
         _check_merge_inputs(profile, within, self.distance)
-        memo = {} if memo is None else memo
         levels = _levels(profile, within, self.distance.gauge, self.aggregator, memo)
         return {bits: _least(levels, bits) for bits in keys}
 
@@ -326,7 +324,7 @@ class MergeOperator:
         return f"<{self.label}>"
 
 
-def answer_table(op, profile: Profile, keys, memo=None) -> dict:
+def answer_table(op, profile: Profile, keys, memo: dict) -> dict:
     """{mu.bits: op(profile, mu).bits} for each constraint bitset in `keys`:
     `op.answers` when the operator has it, else one call of `op` per key."""
     if hasattr(op, "answers"):

@@ -327,7 +327,26 @@ class SearchSpace(record_type("SearchSpace", "atoms fragment max_profile_size ma
                               (None, 2, None, ALL_POSTULATES))):
     """Bounded instance enumeration: universe size, fragment shaping the
     base/constraint pool, profile size cap, and the postulates to run.
+    Built only within the exhaustive caps: 1 to 4 atoms, profiles of at
+    least 1 base and a base cap of at least 0 (or None, for no cap).
     Not slotted: `_base_sets` is a cached property."""
+
+    def __new__(cls, *args, **kwargs):
+        space = super().__new__(cls, *args, **kwargs)
+        if space.atoms < 1:
+            raise SpaceTooLargeError(f"the universe needs at least 1 atom, got {space.atoms}")
+        if space.atoms > 4:
+            raise SpaceTooLargeError(f"exhaustive mode caps the universe at 4 atoms, got {space.atoms}")
+        if space.max_profile_size < 1:
+            raise SpaceTooLargeError("profile size cap must be at least 1")
+        if space.max_bases is not None and space.max_bases < 0:
+            raise SpaceTooLargeError(f"base cap must be at least 0, got {space.max_bases}")
+        return space
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's `_make`, and `_replace` through it, skip `__new__`.
+        return cls(*iterable)
 
     @property
     def universe(self) -> Universe:
@@ -366,17 +385,6 @@ class SearchSpace(record_type("SearchSpace", "atoms fragment max_profile_size ma
         return itertools.product(self.profiles(), self.base_sets())
 
 
-def _guard(space: SearchSpace):
-    if space.atoms < 1:
-        raise SpaceTooLargeError(f"the universe needs at least 1 atom, got {space.atoms}")
-    if space.atoms > 4:
-        raise SpaceTooLargeError(f"exhaustive mode caps the universe at 4 atoms, got {space.atoms}")
-    if space.max_profile_size < 1:
-        raise SpaceTooLargeError("profile size cap must be at least 1")
-    if space.max_bases is not None and space.max_bases < 0:
-        raise SpaceTooLargeError(f"base cap must be at least 0, got {space.max_bases}")
-
-
 def search(space: SearchSpace, op, limit: int = None):
     """Enumerate all instances of the selected postulates over the space, in
     deterministic order, and return the witnesses found (all, or the first
@@ -386,7 +394,6 @@ def search(space: SearchSpace, op, limit: int = None):
     yields only the violations.  Before any table is built, raises
     SpaceTooLargeError over MAX_INSTANCES instances and EmptySpaceError for
     none: finding no witness there shows nothing."""
-    _guard(space)
     pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]
     total = sum(ROWS[pid].count(space) for pid in pids)
     if total > MAX_INSTANCES:

@@ -332,13 +332,12 @@ class RefinedOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return refine(self.kind, self.base(profile, mu), profile, mu)
 
-    def answers(self, profile: Profile, keys, memo=None) -> dict:
+    def answers(self, profile: Profile, keys, memo: dict) -> dict:
         """{mu.bits: self(profile, mu).bits} for each bitset in `keys`, on
         this presentation of `profile`.  The refinement runs once per base
         output M and `kind.reads(M, X)` (all of X, in order, without `reads`)
         across the tables sharing `memo` (one universe's, read by the base
         too; this operator's part is under its own key)."""
-        memo = {} if memo is None else memo
         base = answer_table(self.base, profile, keys, memo)
         kind, universe, models = self.kind, profile.universe, profile.mmod()
         x = tuple(m.bits for m in models)

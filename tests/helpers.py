@@ -5,7 +5,7 @@ import itertools
 import operator
 import re
 
-from fragmerge import Base, Clause, ModelSet, Profile, Universe, aggregate
+from fragmerge import Base, Clause, Interpretation, ModelSet, Profile, Universe, aggregate
 from fragmerge.formula import (
     BOTTOM,
     MAX_NESTING,
@@ -293,7 +293,7 @@ def slow_closed_witness(beta, mset):
         img = slow_image(beta, tup, width)
         if img not in members:
             u = mset.universe
-            return tuple(u.from_mask(m) for m in tup), u.from_mask(img)
+            return tuple(Interpretation(u, m) for m in tup), Interpretation(u, img)
     return None
 
 
@@ -368,7 +368,7 @@ def fragment_clauses(universe, fragment):
             yield Clause(lits)
 
 
-def slow_synthesize(mset, fragment, minimize=False):
+def slow_synthesize(mset, fragment):
     """Oracle for `synthesize`: tests each clause model by model, builds the
     formula of every trial conjunction and enumerates its models."""
     universe = mset.universe
@@ -389,20 +389,18 @@ def slow_synthesize(mset, fragment, minimize=False):
         )
     ]
     pool.sort(key=lambda c: (len(c.literals), str(c)))
-    if minimize:
-        kept = list(pool)
-        for clause in list(kept):
-            trial = [c for c in kept if c is not clause]
-            if models(_conjoin(trial, universe), universe) == mset:
-                kept = trial
-        pool = kept
-    result = _conjoin(pool, universe)
+    kept = list(pool)
+    for clause in pool:
+        trial = [c for c in kept if c is not clause]
+        if models(_conjoin(trial, universe), universe) == mset:
+            kept = trial
+    result = _conjoin(kept, universe)
     if models(result, universe) != mset:
         raise NoSyntacticFragmentError(f"fragment {fragment.name!r} cannot express the set")
     return result
 
 
-def greedy_synthesize(mset, fragment, minimize=False):
+def greedy_synthesize(mset, fragment):
     """Reference for the scan of `synthesize` on a closed, non-empty `mset`:
     every pool clause's truth table and the suffix ANDs of the pool, held
     at once, and the greedy pass that tests each clause against them."""
@@ -414,7 +412,7 @@ def greedy_synthesize(mset, fragment, minimize=False):
     suffix = list(itertools.accumulate(reversed(tables), operator.and_, initial=full))[::-1]
     kept, prefix = [], full
     for k, key in enumerate(keys):
-        if not minimize or prefix & suffix[k + 1] != target:
+        if prefix & suffix[k + 1] != target:
             kept.append(Clause(frozenset(literals[r][:2] for r in key[1:])))
             prefix &= tables[k]
     if prefix != target:

@@ -115,7 +115,6 @@ class TestModelListOrFormula:
     def test_brace_after_models_is_a_list(self, body):
         problem = parse_problem_file(f"atoms: a b\nbase K: {body}\n")
         assert problem.bases[0][1].models.compact() == "{a}|{a,b}"
-        assert problem.bases[0][1].source is None
 
     def test_bare_models_without_such_atom_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bare.txt"
@@ -258,6 +257,14 @@ class TestMergeCommand:
         code, _, err = run(capsys, "merge", str(path))
         assert code == 2
         assert err.startswith("problem file error: line ")
+
+    @pytest.mark.parametrize("n", [17, 25])
+    def test_atoms_over_the_enumeration_cap(self, capsys, tmp_path, n):
+        path = tmp_path / "wide.txt"
+        path.write_text(f"atoms: {' '.join(f'x{i}' for i in range(n))}\nbase K: x0\n")
+        code, out, err = run(capsys, "merge", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"problem file error: line 1: universe has {n} atoms, enumeration cap is 16\n"
 
     def test_long_negation_and_implication_chains(self, capsys, tmp_path):
         path = tmp_path / "chains.txt"
@@ -456,13 +463,22 @@ class TestCheckCommand:
             found.append((code, out.splitlines()[-1]))
         assert found[0] == found[1]
 
-    @pytest.mark.parametrize("atoms", ["5", "1000000000"])
-    def test_too_many_atoms(self, capsys, monkeypatch, atoms):
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--atoms", "0"], "the universe needs at least 1 atom, got 0"),
+            (["--atoms", "5"], "exhaustive mode caps the universe at 4 atoms, got 5"),
+            (["--atoms", "1000000000"], "exhaustive mode caps the universe at 4 atoms, got 1000000000"),
+            (["--max-profile-size", "0"], "profile size cap must be at least 1"),
+            (["--max-bases", "-1"], "base cap must be at least 0, got -1"),
+        ],
+        ids=["atoms-0", "atoms-5", "atoms-1000000000", "profile-size-0", "max-bases--1"],
+    )
+    def test_space_caps(self, capsys, monkeypatch, extra, message):
         # Refused before the distance is built: its gauge has atoms + 1 entries.
         monkeypatch.setattr(CountingDistance, "hamming", classmethod(lambda cls, n: pytest.fail("built")))
-        code, out, err = run(capsys, "check", "--op", "hamming,sigma,none", "--atoms", atoms)
-        assert (code, out) == (2, "")
-        assert err == f"bad arguments: exhaustive mode caps the universe at 4 atoms, got {atoms}\n"
+        code, out, err = run(capsys, "check", "--op", "hamming,sigma,none", *extra)
+        assert (code, out, err) == (2, "", f"bad arguments: {message}\n")
 
     def test_space_over_the_instance_budget_exits_two(self, capsys):
         code, out, err = run(
@@ -482,10 +498,6 @@ class TestCheckCommand:
         assert err == (f"bad arguments: the selected postulates have about 10^{magnitude} instances "
                        "in this space, over the budget of 1,000,000\n")
         assert len(err) < 120
-
-    def test_zero_atoms(self, capsys):
-        code, _, err = run(capsys, "check", "--op", "hamming,sigma,none", "--atoms", "0")
-        assert code == 2 and err.startswith("bad arguments: ")
 
     @pytest.mark.parametrize(
         "extra, message",

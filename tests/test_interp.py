@@ -10,6 +10,7 @@ from fragmerge import (
     MAJ3,
     ArityMismatchError,
     BooleanFn,
+    Interpretation,
     ModelSet,
     NotReproducingError,
     NotSymmetricError,
@@ -24,6 +25,7 @@ from fragmerge import (
 from fragmerge.cli import _parse_interpretations
 from fragmerge.interp import (
     CLOSURE_CACHE_SIZE,
+    ENUM_CAP,
     _apply_masks,
     _atom_patterns,
     _closure_bits,
@@ -55,7 +57,6 @@ class TestUniverse:
         assert len(u) == 3
         assert u.index("c") == 2
         assert "b" in u and "z" not in u
-        assert list(u.all_masks()) == list(range(8))
 
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError):
@@ -63,14 +64,21 @@ class TestUniverse:
         with pytest.raises(ValueError):
             Universe(())
 
-    def test_hard_cap(self):
-        with pytest.raises(UniverseTooLargeError):
-            Universe([f"x{i}" for i in range(25)])
+    def test_enum_cap_is_checked_when_the_universe_is_made(self):
+        assert ENUM_CAP == 16
+        assert len(Universe([f"x{i}" for i in range(16)])) == 16
+        for n in (17, 25):
+            with pytest.raises(UniverseTooLargeError) as info:
+                Universe([f"x{i}" for i in range(n)])
+            assert str(info.value) == f"universe has {n} atoms, enumeration cap is 16"
 
-    def test_enum_cap(self):
-        u = Universe([f"x{i}" for i in range(17)])
-        with pytest.raises(UniverseTooLargeError):
-            u.all_masks()
+    @pytest.mark.parametrize("atoms, bad", [((1, 2), "1 (int)"), (("a", None), "None (NoneType)"),
+                                            (("a", b"b"), "b'b' (bytes)")], ids=["int", "none", "bytes"])
+    def test_atom_names_must_be_strings(self, atoms, bad):
+        # Refused when made, not later in rendering, which joins the names.
+        with pytest.raises(TypeError) as info:
+            Universe(atoms)
+        assert str(info.value) == f"atom names must be str, got {bad}"
 
 
 class TestInterpretation:
@@ -140,7 +148,7 @@ class TestApplyMasks:
 
     @pytest.mark.parametrize("beta", [AND2, MAJ3, OR2, XOR3])
     def test_reproduction_on_constant_tuple(self, beta):
-        for mask in U2.all_masks():
+        for mask in range(4):
             assert _apply_masks(beta, (mask,) * beta.arity, 2) == mask
 
     @pytest.mark.parametrize("beta", [AND2, MAJ3, OR2, XOR3])
@@ -160,7 +168,7 @@ class TestClosure:
     def test_empty_and_singletons_are_fixed(self):
         for beta in (AND2, MAJ3, OR2):
             assert closure(beta, ModelSet(U2)) == ModelSet(U2)
-            for mask in U2.all_masks():
+            for mask in range(4):
                 single = ModelSet(U2, [mask])
                 assert closure(beta, single) == single
 
@@ -235,7 +243,7 @@ class TestIsClosed:
     @pytest.mark.parametrize("beta", [AND2, MAJ3, OR2])
     def test_empty_and_singletons(self, beta):
         assert is_closed(beta, ModelSet(U2))
-        for mask in U2.all_masks():
+        for mask in range(4):
             assert is_closed(beta, ModelSet(U2, [mask]))
 
     @pytest.mark.parametrize("beta", [AND2, MAJ3])
@@ -326,10 +334,11 @@ class TestClosedModelSets:
         assert first == second
         assert all(is_closed(AND2, m) for m in first)
 
-    def test_include_empty(self):
-        with_empty = closed_model_sets(AND2, U2, include_empty=True)
-        assert len(with_empty) == 14
-        assert not with_empty[0]
+    def test_never_includes_the_empty_set(self):
+        # The empty set is closed under every beta, and left out.
+        for beta in (AND2, MAJ3):
+            assert is_closed(beta, ModelSet(U2))
+            assert ModelSet(U2) not in closed_model_sets(beta, U2)
 
 
 class TestBitsets:
@@ -355,7 +364,7 @@ class TestModelSetBasics:
     def test_rendering_matches_member_strings(self, atoms):
         # Every model set over 1 and 3 atoms, every single mask over 7.
         u = Universe(atoms)
-        sets = all_model_sets(u) if len(u) < 4 else (ModelSet(u, [m]) for m in u.all_masks())
+        sets = all_model_sets(u) if len(u) < 4 else (ModelSet(u, [m]) for m in range(1 << len(u)))
         for mset in sets:
             texts = [str(w) for w in mset.members]
             assert mset.compact() == "|".join(texts)
@@ -435,13 +444,13 @@ def assert_matches_reference(universe, left, ref_left, right, ref_right):
         ordered = sorted(ref)
         assert len(mset) == len(ref) and bool(mset) == bool(ref)
         assert mset.masks == tuple(ordered)
-        assert mset.members == tuple(universe.from_mask(m) for m in ordered)
-        texts = [str(universe.from_mask(m)) for m in ordered]
+        assert mset.members == tuple(Interpretation(universe, m) for m in ordered)
+        texts = [str(Interpretation(universe, m)) for m in ordered]
         assert mset.render() == ", ".join(texts) and mset.compact() == "|".join(texts)
         for m in range(-1, (1 << len(universe)) + 1):
             assert (m in mset) == (m in ref)
-        for m in universe.all_masks():
-            assert (universe.from_mask(m) in mset) == (m in ref)
+        for m in range(1 << len(universe)):
+            assert (Interpretation(universe, m) in mset) == (m in ref)
     assert (left & right).masks == tuple(sorted(ref_left & ref_right))
     assert (left | right).masks == tuple(sorted(ref_left | ref_right))
     assert (left - right).masks == tuple(sorted(ref_left - ref_right))

@@ -1,10 +1,12 @@
 """The package's public surface: each submodule name is its module, the
-exports are a pinned set, and no module keeps an unused import.  Its records
-and what a command-line run imports."""
+exports are a pinned set, retired names and options stay gone, and no
+module keeps an unused import.  Its records and what a command-line run
+imports."""
 
 import ast
 import copy
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -31,7 +33,10 @@ from fragmerge import (
     closure,
     score_table,
 )
+from fragmerge import interp
 from fragmerge.cli import parse_problem_file
+from fragmerge.merge import MergeOperator, answer_table
+from fragmerge.refine import RefinedOperator
 from fragmerge.postulates import CheckRow, FixtureReport
 from helpers import U2, ms, prof
 
@@ -69,6 +74,29 @@ def test_the_exports_are_pinned():
     exports = {name for name in fragmerge.__all__
                if not isinstance(getattr(fragmerge, name), types.ModuleType)}
     assert exports == EXPORTS
+
+
+@pytest.mark.parametrize("function, parameters", [
+    (fragmerge.synthesize, ["mset", "fragment"]),
+    (fragmerge.closed_model_sets, ["beta", "universe"]),
+    (MergeOperator.answers, ["self", "profile", "keys", "memo"]),
+    (RefinedOperator.answers, ["self", "profile", "keys", "memo"]),
+    (answer_table, ["op", "profile", "keys", "memo"]),
+], ids=["synthesize", "closed_model_sets", "MergeOperator.answers", "RefinedOperator.answers",
+        "answer_table"])
+def test_retired_options_stay_gone(function, parameters):
+    # synthesize always minimizes, closed_model_sets never yields the empty
+    # set, and every answer table is built with a memo that the caller owns.
+    signature = inspect.signature(function).parameters
+    assert list(signature) == parameters
+    assert all(p.default is inspect.Parameter.empty for p in signature.values())
+
+
+def test_retired_names_stay_gone():
+    assert not hasattr(interp, "HARD_ATOM_CAP")
+    assert not hasattr(fragmerge.Universe, "from_mask")
+    assert not hasattr(fragmerge.Universe, "all_masks")
+    assert Base._fields == ("models",)
 
 
 def _unused_imports(path):

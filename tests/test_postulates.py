@@ -255,9 +255,23 @@ class TestSearch:
         second = [w.render() for w in search(space, op)]
         assert first == second
 
-    def test_space_too_large(self):
-        with pytest.raises(SpaceTooLargeError):
-            search(SearchSpace(atoms=5, fragment=HORN), SIG2)
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            (dict(atoms=0), "the universe needs at least 1 atom, got 0"),
+            (dict(atoms=5, fragment=HORN), "exhaustive mode caps the universe at 4 atoms, got 5"),
+            (dict(atoms=2, max_profile_size=0), "profile size cap must be at least 1"),
+            (dict(atoms=2, max_bases=-1), "base cap must be at least 0, got -1"),
+        ],
+        ids=["atoms-0", "atoms-5", "profile-size-0", "max-bases--1"],
+    )
+    def test_space_too_large(self, space, message):
+        # Refused when the space is built, before any search, and when
+        # another space is copied with the value.
+        for build in (SearchSpace, SearchSpace(atoms=2)._replace):
+            with pytest.raises(SpaceTooLargeError) as info:
+                build(**space)
+            assert str(info.value) == message
 
     def test_max_bases_caps_the_pool(self):
         space = SearchSpace(atoms=2, fragment=HORN, max_bases=3)
@@ -591,7 +605,7 @@ class TestAnswers:
                 for op in ops:
                     table = op.answers(e, keys, memo)
                     assert list(table) == keys
-                    assert table == op.answers(e, keys), op.label
+                    assert table == op.answers(e, keys, {}), op.label
 
     @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
     def test_one_ring_search_per_base_and_within(self, fragment, monkeypatch):
@@ -623,7 +637,7 @@ class TestAnswers:
         # does, and over the same full set, so with the same levels: one memo
         # serves both, and never hands back a table built over other keys.
         class KeyedMerge(MergeOperator):
-            def answers(self, profile, keys, memo=None):
+            def answers(self, profile, keys, memo):
                 table = super().answers(profile, keys, memo)
                 asked.append((list(keys), list(table)))
                 return table
@@ -639,7 +653,7 @@ class TestAnswers:
     def test_base_output_outside_the_constraint_is_refused(self):
         op = RefinedOperator(lambda e, mu: ms(U2, "a", "b"), ClosureRefinement(AND2))
         with pytest.raises(ValueError, match="contained in the constraint"):
-            op.answers(prof(U2, ("a",)), [ms(U2, "a").bits])
+            op.answers(prof(U2, ("a",)), [ms(U2, "a").bits], {})
 
 
 class TestInstanceCounts:

@@ -270,7 +270,7 @@ class TestRefinementProperties:
                 self.calls += 1
                 return super().__call__(profile, mu)
 
-            def answers(self, profile, keys, memo=None):
+            def answers(self, profile, keys, memo):
                 self.tables += 1
                 return super().answers(profile, keys, memo)
 
