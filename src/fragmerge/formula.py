@@ -32,6 +32,7 @@ from .interp import (
     ModelSet,
     Universe,
     _atom_patterns,
+    _from_bits,
     _literal_falsifiers,
     closure_witness,
 )
@@ -427,28 +428,36 @@ def _clause(key, literals) -> Clause:
     return Clause(frozenset(literals[r][:2] for r in key[1:]))
 
 
+def _literal_ranks(universe: Universe):
+    # The literals by rank as (atom name, positive?, falsifier), and the
+    # atoms in name order as (atom index, rank of !a, rank of a).  Ranks
+    # order the tokens `a`, `!a`, ... as strings.  A literal's falsifier is
+    # the truth table of where it is false.
+    atoms = universe.atoms
+    tokens = sorted((atoms[i] if pos else "!" + atoms[i], i, pos, falsifier)
+                    for (i, pos), falsifier in _literal_falsifiers(len(atoms)))
+    literals = [(atoms[i], pos, falsifier) for _, i, pos, falsifier in tokens]
+    rank = {(i, pos): r for r, (_, i, pos, _) in enumerate(tokens)}
+    return literals, [(i, rank[i, False], rank[i, True])
+                      for i in sorted(range(len(atoms)), key=atoms.__getitem__)]
+
+
 def _clause_pool(universe: Universe, fragment: Fragment, target: int):
     # Sorted keys bytes((size, rank, ...)) of the fragment clauses that hold
-    # in `target`, and the literals by rank as (atom name, positive?,
-    # falsifier).  Ranks order the tokens `a`, `!a`, ... as strings and a key
-    # lists them in atom-name order, so keys sort as (size, str(clause)) do
-    # unless an atom name starts with `!` or holds a character at or below
-    # the space, which `parse` never reads.  A child in the walk adds a
-    # literal on an atom later in name order, and only within the
-    # fragment's bounds.  A clause's falsifier, the AND of its literals', is
-    # the truth table of where it is false; the clause holds when `target`
-    # misses it.
+    # in `target`, and the literals by rank.  A key lists the ranks in
+    # atom-name order, so keys sort as (size, str(clause)) do unless an atom
+    # name starts with `!` or holds a character at or below the space,
+    # which `parse` never reads.  A child in the walk adds a literal on an
+    # atom later in name order, and only within the fragment's bounds.  A
+    # clause's falsifier, the AND of its literals', is the truth table of
+    # where it is false; the clause holds when `target` misses it.
     n = len(universe)
     size = n if fragment.max_literals is None else fragment.max_literals
     positives = n if fragment.max_positive is None else fragment.max_positive
-    full = (1 << (1 << n)) - 1
-    atoms = universe.atoms
-    tokens = sorted((atoms[i] if pos else "!" + atoms[i], i, pos, falsifier)
-                    for (i, pos), falsifier in _literal_falsifiers(n))
-    literals = [(atoms[i], pos, falsifier) for _, i, pos, falsifier in tokens]
-    rank = {(i, pos): (bytes((r,)), falsifier) for r, (_, i, pos, falsifier) in enumerate(tokens)}
-    steps = [(rank[i, False], rank[i, True]) for i in sorted(range(n), key=atoms.__getitem__)]
-    keys, stack = [], [(b"", full, 0, positives)]
+    literals, by_name = _literal_ranks(universe)
+    steps = [((bytes((neg,)), literals[neg][2]), (bytes((pos,)), literals[pos][2]))
+             for _, neg, pos in by_name]
+    keys, stack = [], [(b"", (1 << (1 << n)) - 1, 0, positives)]
     while stack:
         ranks, falsifier, start, positives = stack.pop()
         if not target & falsifier:
@@ -461,6 +470,69 @@ def _clause_pool(universe: Universe, fragment: Fragment, target: int):
                     stack.append((ranks + pos, falsifier & pos_falsifier, j + 1, positives - 1))
     keys.sort()
     return keys, literals
+
+
+def _pool_listed(universe: Universe, fragment: Fragment, target: int):
+    # Each non-model under the last pool clause that it falsifies, as
+    # (key, lowest bit, bits >> lowest bit) in key order.
+    keys, literals = _clause_pool(universe, fragment, target)
+    unseen, listed = ((1 << (1 << len(universe))) - 1) ^ target, []
+    for key in reversed(keys):
+        hit = unseen & _falsifier(key, literals)
+        if hit:
+            low = (hit & -hit).bit_length() - 1
+            listed.append((key, low, hit >> low))
+            unseen ^= hit
+            if not unseen:
+                break
+    if unseen:  # no pool clause falsifies these non-models
+        raise NoSyntacticFragmentError(
+            f"fragment {fragment.name!r} cannot express the given model set")
+    return listed[::-1], literals
+
+
+def _horn_listed(mset: ModelSet):
+    # `_pool_listed` for Horn clauses on an AND-closed `mset`.  The last
+    # Horn clause that a non-model w falsifies is !w when w is every atom,
+    # else !w | b for an atom b of cl(w) \ w, where cl(w) is the AND of the
+    # models that contain w (every atom if none does).  Keys rank every `!x`
+    # below every `y` and list literals in name order, so b is the last of
+    # the first name-order run of atoms outside w that holds one.
+    n = len(mset.universe)
+    literals, by_name = _literal_ranks(mset.universe)
+    place = {i: j for j, (i, _, _) in enumerate(by_name)}  # atom index -> name-order bit
+    renamed, negs = [0], [b""]  # mask -> the same set in name order; that -> ranks of its !x
+    for i in range(n):
+        renamed += [v | 1 << place[i] for v in renamed]
+    for _, neg, _ in by_name:
+        negs += [ranks + bytes((neg,)) for ranks in negs]
+    top, half = (1 << n) - 1, 1 << n - 1
+    closed = [top] * (1 << n)
+    for m in mset.masks:
+        closed[renamed[m]] = renamed[m]
+    # cl by one AND pass per atom, from the sets with it to those without.
+    # A pass takes the top bit, then rotates the index bits up by one.
+    for _ in range(n):
+        high = closed[half:]
+        closed[::2] = map(operator.and_, closed[:half], high)
+        closed[1::2] = high
+    listed = []
+    for w in _from_bits(((1 << (1 << n)) - 1) ^ mset.bits):
+        v = renamed[w]
+        candidates = closed[v] & ~v
+        if candidates:
+            after = v & -(candidates & -candidates)  # atoms of w after the first candidate
+            b = (candidates & (after & -after) - 1).bit_length() - 1
+            key = b"".join((bytes((v.bit_count() + 1,)), negs[v & (1 << b) - 1],
+                            bytes((by_name[b][2],)), negs[v >> b << b]))
+        else:
+            key = bytes((n,)) + negs[v]
+        listed.append((key, w, 1))
+    return sorted(listed), literals
+
+
+def _falsifier(key, literals) -> int:
+    return functools.reduce(operator.and_, [literals[r][2] for r in key[1:]])
 
 
 def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
@@ -477,9 +549,14 @@ def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
     Clauses are compared as truth tables (ints, bit m for interpretation
     m).  The clauses kept before a step and the pool from it on pin `mset`,
     so a clause is kept exactly when a non-model falsifies it and satisfies
-    the later pool and the clauses kept.  A walk back lists each non-model
-    under the last clause it falsifies; a walk forward keeps each clause
-    one of whose listed non-models satisfies every clause kept so far.
+    the later pool and the clauses kept.  So each non-model is listed under
+    the last pool clause that it falsifies, and a walk forward keeps each
+    clause with a listed non-model that the clauses kept so far allow.
+
+    For the Horn row (AND2, at most one positive literal, no size bound),
+    each non-model w's last clause is read off the AND of the models that
+    contain w, without the pool.  Every other row, such as Krom or a Horn
+    row with a size bound, walks back through the sorted pool.
     """
     universe = mset.universe
     if fragment.max_literals is None and fragment.max_positive is None:
@@ -497,34 +574,17 @@ def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
     if not mset:
         first = Atom(universe.atoms[0])
         return And(first, Not(first))
-    full = (1 << (1 << len(universe))) - 1
-    target = mset.bits
-    keys, literals = _clause_pool(universe, fragment, target)
-    falsifiers = [falsifier for _, _, falsifier in literals]
-
-    def falsifier(key):
-        return functools.reduce(operator.and_, map(falsifiers.__getitem__, key[1:]))
-
-    # Each non-model is listed under the last clause of the pool that it
-    # falsifies, as (lowest bit, bits >> lowest bit).
-    unseen, listed = full ^ target, []
-    for key in reversed(keys):
-        hit = unseen & falsifier(key)
-        if hit:
-            low = (hit & -hit).bit_length() - 1
-            listed.append((key, low, hit >> low))
-            unseen ^= hit
-            if not unseen:
-                break
-    if unseen:  # no pool clause falsifies these non-models
-        raise NoSyntacticFragmentError(
-            f"fragment {fragment.name!r} cannot express the given model set"
-        )
-    kept, alive = [], full ^ target  # non-models that the kept clauses allow
-    for key, low, hit in reversed(listed):
+    # The Horn reading needs every `!x` token to sort before every atom name.
+    if (fragment.beta == AND2 and fragment.max_positive == 1 and fragment.max_literals is None
+            and "!" + max(universe.atoms) < min(universe.atoms)):
+        listed, literals = _horn_listed(mset)
+    else:
+        listed, literals = _pool_listed(universe, fragment, mset.bits)
+    kept, alive = [], ((1 << (1 << len(universe))) - 1) ^ mset.bits  # non-models still allowed
+    for key, low, hit in listed:
         if alive >> low & hit:
             kept.append(_clause(key, literals))
-            alive &= ~falsifier(key)
+            alive &= ~_falsifier(key, literals)
     return _conjoin(kept, universe)
 
 

@@ -346,22 +346,36 @@ class TestKromMergeAboveTenAtoms:
 
 
 class TestHornMergeAboveTenAtoms:
-    """12-atom Horn merges: 28,647 clauses hold in the refined set, and
-    `synthesize` lists its 4,094 non-models under them.  The machine output
-    is pinned by its sha256, so the printed formula stays byte for byte the
-    one the greedy pass gives.  CI runs the 16-atom file under a memory
-    limit and pins its output the same way."""
+    """12- and 16-atom Horn merges.  The 12-atom refined set has 4,094
+    non-models, and `synthesize` reads the last Horn clause that each one
+    falsifies off the AND of the models that contain it.  The machine
+    output is pinned by its sha256, so the printed formula stays byte for
+    byte the one the greedy pass over every Horn clause that holds gives.
+    CI also runs the 16-atom file under a memory limit."""
 
     SHA256 = "1122ea50be2d5069e91d2652dfe707e6d66263885000cf7da6f4af6f52b41fe1"
+    SHA256_16 = {
+        "closure": "3638ddcbd6dc9ecb8cbc7c3fb4bf07128d61879675d29bd897629301b079989f",
+        "lex": "3791510e60ff9698aed1a9ff0d1732a0560cf00f82696efef551300e891584b0",
+        "lex-closure": "3791510e60ff9698aed1a9ff0d1732a0560cf00f82696efef551300e891584b0",
+    }
 
     @pytest.mark.parametrize("refinement", ["closure", "lex", "lex-closure"])
     def test_refined_set_is_expressed_by_a_horn_formula(self, capsys, refinement):
+        self.check(capsys, "krom12.txt", refinement, self.SHA256)
+
+    @pytest.mark.parametrize("refinement", ["closure", "lex", "lex-closure"])
+    def test_sixteen_atom_refined_set_keeps_its_formula(self, capsys, refinement):
+        self.check(capsys, "krom16.txt", refinement, self.SHA256_16[refinement])
+
+    @staticmethod
+    def check(capsys, problem, refinement, sha256):
         code, out, _ = run(
-            capsys, "merge", str(DATA / "krom12.txt"), "--fragment", "horn",
+            capsys, "merge", str(DATA / problem), "--fragment", "horn",
             "--refinement", refinement, "--format", "machine",
         )
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
         records = dict(line.split("\t", 1) for line in out.splitlines())
         u = Universe(records["universe"].split())
         assert records["formula-class"] == "horn"

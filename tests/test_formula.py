@@ -5,9 +5,10 @@ import operator
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fragmerge.formula
 from fragmerge import (
     AND2,
     HORN,
@@ -373,11 +374,12 @@ class TestSynthesize:
     def test_matches_slow_synthesize_on_every_closed_set(self, fragment):
         # Atom order differs from name order: pool order sorts literals by
         # name, the printed clauses by universe index.
-        counts = {"horn": 121, "krom": 165}
-        for universe in (Universe("ba"), Universe("cab")):
+        counts = {("horn", 3): 121, ("krom", 3): 165, ("horn", 4): 4959, ("krom", 4): 4169}
+        for atoms in ("a", "ba", "cab", ["d", "b", "ca", "a"]):
+            universe = Universe(atoms)
             sets = (ModelSet(universe),) + closed_model_sets(fragment.beta, universe)
-            if len(universe) == 3:
-                assert len(sets) == counts[fragment.name] + 1
+            if len(universe) >= 3:
+                assert len(sets) == counts[fragment.name, len(universe)] + 1
             for mset in sets:
                 assert to_text(synthesize(mset, fragment)) == to_text(slow_synthesize(mset, fragment))
 
@@ -424,6 +426,61 @@ class TestSynthesize:
                 synthesize(mset, fragment)
         else:
             assert to_text(synthesize(mset, fragment)) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        names=st.permutations(["ab", "a", "b_1", "ba", "a_", "b", "abc", "a1", "bb", "c", "ca", "b1"]),
+    )
+    def test_horn_reading_matches_greedy_synthesize_at_five_to_twelve_atoms(self, data, names):
+        # Multi-character names that share prefixes, in an order that is
+        # not name order: the last falsified clause's positive atom is
+        # picked by name order, and the masks are renamed into it.
+        n = data.draw(st.integers(5, 12))
+        universe = Universe(names[:n])
+        assume(list(universe.atoms) != sorted(universe.atoms))
+        masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+        mset = closure(AND2, ModelSet(universe, masks))
+        assert to_text(synthesize(mset, HORN)) == to_text(greedy_synthesize(mset, HORN))
+
+    def test_horn_row_reads_no_clause_pool(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Horn row walked the clause pool")
+
+        monkeypatch.setattr(fragmerge.formula, "_clause_pool", refuse)
+        assert to_text(synthesize(ms(U2, "", "a", "b"), HORN)) == "!a | !b"
+        for universe in (Universe("cab"), Universe(["ab", "a", "b_"])):
+            for mset in closed_model_sets(AND2, universe):
+                assert models(synthesize(mset, HORN), universe) == mset
+
+    @pytest.mark.parametrize("fragment, atoms, members, expected", [
+        # Majority-closed sets, so the AND-closed reading does not apply.
+        (Fragment("maj3-horn", MAJ3, max_positive=1), "cab", ("", "a", "ab"),
+         "(a | !b) & (!c | b) & (!c | !a | !b)"),
+        (Fragment("maj3-horn", MAJ3, max_positive=1), "cab", ("", "b"),
+         "(c | !a) & (!c | b) & (!c | !a | !b) & (!c | a | !b)"),
+        # README's row: the size bound keeps the 3-literal clauses out.
+        (Fragment("binary-horn", AND2, max_literals=2, max_positive=1), "cab", ("", "a", "ab"),
+         "(!c | !b) & (a | !b) & (!c | b)"),
+        (Fragment("binary-horn", AND2, max_literals=2, max_positive=1), "cab", ("", "b"),
+         "(c | !a) & (!c | !b) & (!c | b)"),
+        # With an atom named `!a`, the token `!a` does not sort after every
+        # `!x`, so the pool's key order picks the clauses.
+        (HORN, ("b", "!a", "a"), (["b"], ["!a", "b"], ["a"]),
+         "(b | !!a) & (!b | !!a | !a) & (!b | !a | !a)"),
+    ])
+    def test_other_rows_walk_the_clause_pool(self, monkeypatch, fragment, atoms, members, expected):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].name)
+            return _clause_pool(*args)
+
+        monkeypatch.setattr(fragmerge.formula, "_clause_pool", counted)
+        u = Universe(atoms)
+        mset = closure(fragment.beta, ModelSet.from_sets(u, *members))
+        assert to_text(synthesize(mset, fragment)) == expected
+        assert calls == [fragment.name]
 
     def test_long_horn_pool_at_eight_atoms(self):
         # 1192 Horn clauses hold in both models; the minimizing pass keeps 14.
