@@ -27,7 +27,6 @@ from .formula import (
     NotClosedError,
     ParseError,
     UnknownAtomError,
-    _ATOM_RE,
     classify,
     models,
     parse,
@@ -133,11 +132,6 @@ def parse_problem_file(text: str) -> ProblemFile:
             names = line[len("atoms:"):].split()
             if not names:
                 raise ProblemFileError(f"line {lineno}: empty atom list")
-            for name in names:
-                if not _ATOM_RE.fullmatch(name):
-                    raise ProblemFileError(
-                        f"line {lineno}: atom name {name!r} does not match {_ATOM_RE.pattern}"
-                    )
             try:
                 universe = Universe(names)
             except ValueError as exc:

@@ -146,7 +146,6 @@ MAX_NESTING = 64
 # whitespace after the last one.  So a text that does not match fails in
 # linear time, without trying other splits.
 _TOKEN = r"[a-z][a-z0-9_]*(?![a-z0-9_])|[TF]|<->|->|[!&|()]"
-_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 _TOKEN_RE = re.compile(_TOKEN)
 _TOKENS = rf"(?:[ \t\r\n]*(?:{_TOKEN}))*"
 _PREFIX_RE = re.compile(rf"{_TOKENS}[ \t\r\n]*")
@@ -165,7 +164,7 @@ _new = tuple.__new__
 @functools.lru_cache(maxsize=64)
 def _leaves(universe):
     # Token -> node for the constants and the universe's atoms.
-    leaves = {name: Atom(name) for name in universe.atoms if _ATOM_RE.fullmatch(name)}
+    leaves = {name: Atom(name) for name in universe.atoms}
     return {**leaves, "T": TOP, "F": BOTTOM}
 
 
@@ -424,10 +423,6 @@ def classify(phi: Formula) -> Classification:
     return Classification(True, tuple((c, _KINDS[HORN.admits(c), KROM.admits(c)]) for c in clauses))
 
 
-def _clause(key, literals) -> Clause:
-    return Clause(frozenset(literals[r][:2] for r in key[1:]))
-
-
 def _literal_ranks(universe: Universe):
     # The literals by rank as (atom name, positive?, falsifier), and the
     # atoms in name order as (atom index, rank of !a, rank of a).  Ranks
@@ -445,12 +440,11 @@ def _literal_ranks(universe: Universe):
 def _clause_pool(universe: Universe, fragment: Fragment, target: int):
     # Sorted keys bytes((size, rank, ...)) of the fragment clauses that hold
     # in `target`, and the literals by rank.  A key lists the ranks in
-    # atom-name order, so keys sort as (size, str(clause)) do unless an atom
-    # name starts with `!` or holds a character at or below the space,
-    # which `parse` never reads.  A child in the walk adds a literal on an
-    # atom later in name order, and only within the fragment's bounds.  A
-    # clause's falsifier, the AND of its literals', is the truth table of
-    # where it is false; the clause holds when `target` misses it.
+    # atom-name order, so keys sort as (size, str(clause)) do.  A child in
+    # the walk adds a literal on an atom later in name order, and only within
+    # the fragment's bounds.  A clause's falsifier, the AND of its
+    # literals', is the truth table of where it is false; the clause holds
+    # when `target` misses it.
     n = len(universe)
     size = n if fragment.max_literals is None else fragment.max_literals
     positives = n if fragment.max_positive is None else fragment.max_positive
@@ -574,24 +568,22 @@ def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
     if not mset:
         first = Atom(universe.atoms[0])
         return And(first, Not(first))
-    # The Horn reading needs every `!x` token to sort before every atom name.
-    if (fragment.beta == AND2 and fragment.max_positive == 1 and fragment.max_literals is None
-            and "!" + max(universe.atoms) < min(universe.atoms)):
+    if fragment.beta == AND2 and fragment.max_positive == 1 and fragment.max_literals is None:
         listed, literals = _horn_listed(mset)
     else:
         listed, literals = _pool_listed(universe, fragment, mset.bits)
-    kept, alive = [], ((1 << (1 << len(universe))) - 1) ^ mset.bits  # non-models still allowed
+    # Each literal's node by rank, and its atom's position: a kept clause
+    # joins its literals by `|` in universe order, and the formula joins the
+    # clauses by `&` in the order kept, both left-deep.
+    nodes = [Atom(name) if pos else Not(Atom(name)) for name, pos, _ in literals]
+    place = [universe.index(name) for name, _, _ in literals]
+    formula, alive = TOP, ((1 << (1 << len(universe))) - 1) ^ mset.bits  # non-models still allowed
     for key, low, hit in listed:
         if alive >> low & hit:
-            kept.append(_clause(key, literals))
+            ranks = sorted(key[1:], key=place.__getitem__)
+            clause = nodes[ranks[0]]
+            for r in ranks[1:]:
+                clause = _new(Or, (Or, clause, nodes[r]))
+            formula = clause if formula is TOP else _new(And, (And, formula, clause))
             alive &= ~_falsifier(key, literals)
-    return _conjoin(kept, universe)
-
-
-def _conjoin(clauses, universe) -> Formula:
-    if not clauses:
-        return TOP
-    node = clauses[0].to_formula(universe)
-    for clause in clauses[1:]:
-        node = And(node, clause.to_formula(universe))
-    return node
+    return formula

@@ -17,12 +17,15 @@ fixpoint.
 """
 
 import itertools
+import re
 from collections import namedtuple
 from functools import lru_cache
 
 # A universe has at most ENUM_CAP atoms, so every enumeration of its 2^|U|
 # interpretations is bounded where the universe is made.
 ENUM_CAP = 16
+# An atom name, as the formula grammar reads it.
+_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 class UniverseMismatchError(ValueError):
@@ -50,8 +53,8 @@ class NotReproducingError(ValueError):
 
 
 class Universe:
-    """Ordered alphabet of 1 to ENUM_CAP distinct atom names (strings);
-    order fixes bit positions."""
+    """Ordered alphabet of 1 to ENUM_CAP distinct atom names, each a string
+    that the formula grammar reads as an atom; order fixes bit positions."""
 
     __slots__ = ("atoms", "_index", "_hash", "_name_tables")
 
@@ -62,6 +65,8 @@ class Universe:
         for name in atoms:
             if not isinstance(name, str):
                 raise TypeError(f"atom names must be str, got {name!r} ({type(name).__name__})")
+            if not _ATOM_RE.fullmatch(name):
+                raise ValueError(f"atom name {name!r} does not match {_ATOM_RE.pattern}")
         if len(set(atoms)) != len(atoms):
             raise ValueError(f"duplicate atom names in {atoms!r}")
         if len(atoms) > ENUM_CAP:

@@ -12,11 +12,15 @@ One kernel, `_rings`, gives `merge`, `MergeOperator.answers` and
 base, a breadth-first search over the hypercube on truth-table bitsets (ints
 with bit m for interpretation m) reaches w at step k = min over models m of
 |w xor m|, and d(w, K) = g(k) because the gauge is nondecreasing.
+
+Answer tables work on plain ints: a profile is a tuple of its bases'
+bitsets, in presentation order, and a table is the tuple of an operator's
+output bitsets for a tuple of constraint bitsets, `keys`, in their order.
 """
 
 from enum import Enum
 from functools import reduce
-from operator import and_, or_
+from operator import or_
 
 from .interp import Interpretation, ModelSet, Universe, UniverseMismatchError, record_type
 from .interp import _atom_patterns, _from_bits
@@ -97,6 +101,11 @@ class Profile:
     def from_model_sets(cls, *msets) -> "Profile":
         return cls(tuple(Base(m) for m in msets))
 
+    @classmethod
+    def from_bits(cls, universe: Universe, bases) -> "Profile":
+        """The profile of a tuple of base bitsets, in that order."""
+        return cls(tuple(Base(ModelSet.from_bits(universe, bits)) for bits in bases))
+
     @property
     def universe(self) -> Universe:
         return self.bases[0].models.universe
@@ -121,11 +130,6 @@ class Profile:
         if other.universe != self.universe:
             raise UniverseMismatchError("profiles over different universes")
         return Profile(self.bases + other.bases)
-
-    def common_models(self) -> ModelSet:
-        """Intersection of all base model sets (models of the whole profile)."""
-        bits = reduce(and_, (b.models.bits for b in self.bases))
-        return ModelSet.from_bits(self.universe, bits)
 
     def render(self) -> str:
         return "; ".join(b.models.compact() for b in self.bases)
@@ -186,13 +190,13 @@ def aggregate(f: Aggregator, dists) -> AggValue:
     return AggValue(f, tuple(sorted(dists, reverse=True)))
 
 
-def _check_merge_inputs(profile: Profile, mu: ModelSet, d: CountingDistance):
-    if mu.universe != profile.universe:
+def _check_merge_inputs(universe: Universe, d: CountingDistance, mu: ModelSet = None):
+    if mu is not None and mu.universe != universe:
         raise UniverseMismatchError("constraint and profile over different universes")
-    if len(d.gauge) <= len(profile.universe):
+    if len(d.gauge) <= len(universe):
         raise ValueError(
             f"distance gauge covers differences up to {len(d.gauge) - 1}, "
-            f"universe has {len(profile.universe)} atoms"
+            f"universe has {len(universe)} atoms"
         )
 
 
@@ -235,28 +239,29 @@ def _grow(groups: dict, hits: list, sigma: bool) -> dict:
     return grown
 
 
-def _levels(profile: Profile, mu: ModelSet, gauge: tuple, f: Aggregator, memo: dict) -> list:
-    """The models of `mu` grouped by aggregate, as bitsets in ascending
+def _levels(bases: tuple, within: int, gauge: tuple, sigma: bool, width: int, kept: tuple) -> tuple:
+    """The models of `within` grouped by aggregate, as bitsets in ascending
     order of aggregate: the sum of the distances (sigma) or their descending
-    tuple (gmax).  Built base by base: a group of the first j bases meets
-    each ring of base j + 1 in the group of the combined key.  The `memo`
-    (of one universe) keeps each base's rings per (gauge, mu) and each
-    presentation prefix's groups per (gauge, f, mu), under keys tagged
-    "rings" and "groups": a union e1 + e2 grows e1's groups by e2's bases."""
-    sigma, within = f is Aggregator.SIGMA, mu.bits
-    patterns = _atom_patterns(len(profile.universe))
-    groups, prefix = {0 if sigma else (): within}, ("groups", gauge, sigma, within)
-    for base in profile.bases:
-        bits = base.models.bits
-        prefix += (bits,)
-        grown = memo.get(prefix)
-        if grown is None:
-            key = "rings", gauge, within, bits
-            if key not in memo:
-                memo[key] = _rings(bits, within, gauge, patterns)
-            grown = memo[prefix] = _grow(groups, memo[key], sigma)
-        groups = grown
-    return [groups[key] for key in sorted(groups)]
+    tuple (gmax).  Both are symmetric, so the levels are those of the
+    multiset of `bases`, taken in ascending order.  A group of the first j
+    bases meets each ring of base j + 1 in the group of the combined key.
+    `kept` holds three dicts over this `within`, gauge and aggregator: each
+    base's rings, each sorted prefix's groups and each multiset's levels, so
+    a multiset grows the groups of its longest kept prefix."""
+    rings, groups, levels = kept
+    key = tuple(sorted(bases))
+    found = levels.get(key)
+    if found is None:
+        grown = {0 if sigma else (): within}
+        for j, bits in enumerate(key, 1):
+            prefix = key[:j]
+            if prefix not in groups:
+                if bits not in rings:
+                    rings[bits] = _rings(bits, within, gauge, _atom_patterns(width))
+                groups[prefix] = _grow(grown, rings[bits], sigma)
+            grown = groups[prefix]
+        found = levels[key] = tuple([grown[g] for g in sorted(grown)])
+    return found
 
 
 def _least(levels: list, bits: int) -> int:
@@ -272,8 +277,10 @@ def merge(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator) ->
     """Constraint models at minimal aggregated distance from the profile:
     the least of `_levels` that meets mu, as in `MergeOperator.answers`.
     Ties are all retained; an empty constraint yields an empty result."""
-    _check_merge_inputs(profile, mu, d)
-    return ModelSet.from_bits(profile.universe, _least(_levels(profile, mu, d.gauge, f, {}), mu.bits))
+    _check_merge_inputs(profile.universe, d, mu)
+    bases = tuple(b.models.bits for b in profile.bases)
+    levels = _levels(bases, mu.bits, d.gauge, f is Aggregator.SIGMA, len(mu.universe), ({}, {}, {}))
+    return ModelSet.from_bits(profile.universe, _least(levels, mu.bits))
 
 
 class ScoreRow(record_type("ScoreRow", "interpretation per_base value")):
@@ -283,7 +290,7 @@ class ScoreRow(record_type("ScoreRow", "interpretation per_base value")):
 def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator):
     """Per-interpretation distance rows in ascending mask order, from the
     ring kernel `_rings` that `merge` reads."""
-    _check_merge_inputs(profile, mu, d)
+    _check_merge_inputs(profile.universe, d, mu)
     rows = {w: [] for w in _from_bits(mu.bits)}
     patterns = _atom_patterns(len(profile.universe))
     for base in profile.bases:
@@ -293,6 +300,17 @@ def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregat
     universe = profile.universe
     return tuple(ScoreRow(Interpretation(universe, w), tuple(dists), aggregate(f, dists))
                  for w, dists in rows.items())
+
+
+class Memo(dict):
+    """What the answer tables of one `search` or checker call share, over one
+    universe.  Each operator keeps its part under a key of its own."""
+
+    __slots__ = ("universe",)
+
+    def __init__(self, universe: Universe):
+        super().__init__()
+        self.universe = universe
 
 
 class MergeOperator:
@@ -310,23 +328,35 @@ class MergeOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return merge(profile, mu, self.distance, self.aggregator)
 
-    def answers(self, profile: Profile, keys, memo: dict) -> dict:
-        """{mu.bits: self(profile, mu).bits} for each bitset in `keys`, in
-        their order: `merge`'s least level (`_levels` of their union) that
-        meets mu.  The `memo` (one universe's) lends `_levels` the rings and
-        groups that other tables of one search have found."""
-        within = ModelSet.from_bits(profile.universe, reduce(or_, keys, 0))
-        _check_merge_inputs(profile, within, self.distance)
-        levels = _levels(profile, within, self.distance.gauge, self.aggregator, memo)
-        return {bits: _least(levels, bits) for bits in keys}
+    def answers(self, bases: tuple, keys: tuple, memo: Memo) -> tuple:
+        """(self(profile, mu).bits for each mu.bits in `keys`), for the profile
+        with base bitsets `bases`: `merge`'s least level (`_levels` of the
+        keys' union) that meets mu.  The memo keeps `_levels`' rings, groups
+        and levels per gauge, aggregator and union, so profiles with one
+        multiset of bases share their levels.  The gauge is checked once per
+        memo."""
+        within = reduce(or_, keys, 0)
+        gauge, sigma = self.distance.gauge, self.aggregator is Aggregator.SIGMA
+        kept = memo.get((gauge, sigma, within))
+        if kept is None:
+            _check_merge_inputs(memo.universe, self.distance)
+            kept = memo[gauge, sigma, within] = {}, {}, {}
+        levels = _levels(bases, within, gauge, sigma, len(memo.universe), kept)
+        # Built from a list: CPython resizes a tuple built from a generator,
+        # so it bypasses the free list of its size when made but joins it when
+        # freed, and the tables a search keeps would fill those lists.
+        return tuple([_least(levels, bits) for bits in keys])
 
     def __repr__(self):
         return f"<{self.label}>"
 
 
-def answer_table(op, profile: Profile, keys, memo: dict) -> dict:
-    """{mu.bits: op(profile, mu).bits} for each constraint bitset in `keys`:
-    `op.answers` when the operator has it, else one call of `op` per key."""
+def answer_table(op, bases: tuple, keys: tuple, memo: Memo) -> tuple:
+    """(op(profile, mu).bits for each mu.bits in `keys`), for the profile with
+    base bitsets `bases`: `op.answers` when the operator has it, else one
+    call of `op` per key on a `Profile` built for it."""
     if hasattr(op, "answers"):
-        return op.answers(profile, keys, memo)
-    return {bits: op(profile, ModelSet.from_bits(profile.universe, bits)).bits for bits in keys}
+        return op.answers(bases, keys, memo)
+    universe = memo.universe
+    profile = Profile.from_bits(universe, bases)
+    return tuple(op(profile, ModelSet.from_bits(universe, bits)).bits for bits in keys)

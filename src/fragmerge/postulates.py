@@ -8,17 +8,26 @@ conjunction is intersection, consistency is non-emptiness.
 
 import itertools
 import string
-from functools import cached_property
+from functools import cached_property, reduce
 from enum import Enum
 from math import comb, log10
-from operator import add
+from operator import add, and_
 
 from .formula import HORN, KROM
-from .interp import AND2, MAJ3, ModelSet, Universe, closed_model_sets, model_sets, record_type
+from .interp import (
+    AND2,
+    MAJ3,
+    ModelSet,
+    Universe,
+    UniverseMismatchError,
+    closed_model_sets,
+    model_sets,
+    record_type,
+)
 from .merge import (
     Aggregator,
-    Base,
     CountingDistance,
+    Memo,
     MergeOperator,
     Profile,
     answer_table,
@@ -93,17 +102,20 @@ class Witness(record_type("Witness", "postulate instance operator message detail
 
 
 class _Answers(dict):
-    """Answer tables by profile (a multiset), over `keys` in that order, for
-    one `search` or `check_postulate` call, sharing one memo.  `table` makes
-    one that is not kept, for ic3's flipped presentation and ic4's narrower
-    keys."""
+    """Answer tables by profile, a tuple of base bitsets, for one `search` or
+    `check_postulate` call, sharing one memo.  A table is a tuple over
+    `keys`: the constraints' bitsets in order, then with `pairs` (ic7/ic8)
+    each pair's conjunction; `index` gives each key's position.  `table`
+    makes one that is not kept, for ic3's flipped presentation, an ic5/ic6
+    union that keeps its base order, and ic4's narrower keys."""
 
-    def __init__(self, op, constraints, pairs):
-        # The bitsets the scans read: each constraint's, and with `pairs`
-        # (ic7/ic8) each pair's conjunction.
-        bits = [mu.bits for mu in constraints]
-        self.keys = list(dict.fromkeys(bits + [b1 & b2 for b1 in bits for b2 in bits] if pairs else bits))
-        self.op, self.memo = op, {}
+    def __init__(self, op, universe, bits, pairs):
+        keys = dict.fromkeys(bits)
+        if pairs:
+            keys.update(dict.fromkeys(b1 & b2 for b1 in bits for b2 in bits))
+        self.keys = tuple(keys)
+        self.index = {b: i for i, b in enumerate(self.keys)}
+        self.op, self.memo = op, Memo(universe)
 
     def __missing__(self, profile):
         table = self[profile] = self.table(profile)
@@ -114,65 +126,67 @@ class _Answers(dict):
 
 
 # Each shape's scan walks its instances over a space in search order and
-# yields (profiles, constraints, values) for those `violated(*values)` flags;
-# its `values` reads the same ints for one instance.
+# yields (profiles, constraints, values) for those `violated(*values)` flags,
+# a profile as a tuple of base bitsets and a constraint as a bitset; the
+# constraints hold the first positions of the tables.  Its `values` reads
+# the same ints for one instance.
 def _each_scan(answers, profiles, constraints, violated):
-    keyed = [(mu, mu.bits) for mu in constraints]
     for e in profiles:
-        table, common = answers[e], e.common_models().bits
-        for mu, b in keyed:
-            if violated(table[b], b, common & b):
-                yield (e,), (mu,), (table[b], b, common & b)
+        common = reduce(and_, e)
+        for b, out in zip(constraints, answers[e]):
+            if violated(out, b, common & b):
+                yield (e,), (b,), (out, b, common & b)
 
 
 def _each_values(answers, profiles, constraints):
-    b = constraints[0].bits
-    return answers[profiles[0]][b], b, profiles[0].common_models().bits & b
+    e, b = profiles[0], constraints[0]
+    return answers[e][answers.index[b]], b, reduce(and_, e) & b
 
 
 def _flipped_scan(answers, profiles, constraints, violated):
-    keyed = [(mu, mu.bits) for mu in constraints]
     for e in profiles:
-        if len(e.bases) > 1:
-            flipped = Profile(e.bases[::-1])
-            first, second = answers[e], answers.table(flipped)
-            for mu, b in keyed:
-                if violated(first[b], second[b]):
-                    yield (e, flipped), (mu, mu), (first[b], second[b])
+        if len(e) > 1:
+            flipped = e[::-1]
+            for b, first, second in zip(constraints, answers[e], answers.table(flipped)):
+                if violated(first, second):
+                    yield (e, flipped), (b, b), (first, second)
 
 
 def _flipped_values(answers, profiles, constraints):
-    b = constraints[0].bits
-    return answers[profiles[0]][b], answers.table(profiles[1])[b]
+    i = answers.index[constraints[0]]
+    return answers[profiles[0]][i], answers.table(profiles[1])[i]
 
 
 def _two_bases_scan(answers, profiles, constraints, violated):
-    # Tables by index pair of the bases; a new one reads only the constraints holding both.
-    bits, tables, holding = [mu.bits for mu in constraints], {}, {}
-    for mu, b in zip(constraints, bits):
+    # Each two-base profile's answers by constraint, from its kept table or,
+    # if it has none, from a new one over only the constraints holding both.
+    bits, tables, holding = constraints, {}, {}
+    for b in bits:
         inside = [i for i, k in enumerate(bits) if not k & ~b]
         for i, j in itertools.combinations_with_replacement(inside, 2):
             if (i, j) not in tables:
-                e, both = Profile((Base(constraints[i]), Base(constraints[j]))), bits[i] | bits[j]
+                e, both = (bits[i], bits[j]), bits[i] | bits[j]
                 if both not in holding:
-                    holding[both] = [c for c in bits if not both & ~c]
-                tables[i, j] = e, answers[e] if e in answers else answers.table(e, holding[both])
+                    holding[both] = tuple(c for c in bits if not both & ~c)
+                keys = answers.keys if e in answers else holding[both]
+                tables[i, j] = e, dict(zip(keys, answers[e] if e in answers else answers.table(e, keys)))
             e, table = tables[i, j]
-            values = table[b], bool(table[b] & bits[i]), bool(table[b] & bits[j])
+            out = table[b]
+            values = out, bool(out & bits[i]), bool(out & bits[j])
             if violated(*values):
-                yield (e,), (mu,), values
+                yield (e,), (b,), values
 
 
 def _two_bases_values(answers, profiles, constraints):
-    k1, k2 = profiles[0].bases
-    out = answers[profiles[0]][constraints[0].bits]
-    return out, bool(out & k1.models.bits), bool(out & k2.models.bits)
+    (k1, k2), b = profiles[0], constraints[0]
+    out = answers[profiles[0]][answers.index[b]]
+    return out, bool(out & k1), bool(out & k2)
 
 
 def _two_bases_problem(profiles, constraints):
-    if len(profiles[0].bases) != 2:
+    if len(profiles[0]) != 2:
         return "ic4 needs a two-base profile"
-    if not all(k.models.issubset(constraints[0]) for k in profiles[0].bases):
+    if any(k & ~constraints[0] for k in profiles[0]):
         return "ic4 needs both bases to entail the constraint"
     return None
 
@@ -191,43 +205,50 @@ def _two_bases_count(k, p, bits, width):
 
 def _pairs_scan(answers, profiles, constraints, violated):
     # Symmetric in the two profiles, so unordered pairs suffice.  A union is a
-    # new presentation, so its table is kept only if the operator ignores that.
-    keyed = [(mu, mu.bits) for mu in constraints]
-    union_of = answers.__getitem__ if _ignores_presentation(answers.op) else answers.table
+    # new presentation, so its table is kept, by its sorted bases, only if
+    # the operator ignores base order.  Both rows test an entailment between
+    # the joint and the union output, so neither fires where they are equal.
+    ignores = _ignores_presentation(answers.op)
     for i, e1 in enumerate(profiles):
+        first = answers[e1]
         for e2 in profiles[i:]:
-            first, second, union = answers[e1], answers[e2], union_of(e1.union(e2))
-            for mu, b in keyed:
-                if violated(first[b] & second[b], union[b]):
-                    yield (e1, e2), (mu,), (first[b] & second[b], union[b])
+            union = answers[tuple(sorted(e1 + e2))] if ignores else answers.table(e1 + e2)
+            for b, out1, out2, rhs in zip(constraints, first, answers[e2], union):
+                if out1 & out2 != rhs and violated(out1 & out2, rhs):
+                    yield (e1, e2), (b,), (out1 & out2, rhs)
 
 
 def _pairs_values(answers, profiles, constraints):
-    e1, e2, b = *profiles, constraints[0].bits
-    return answers.table(e1)[b] & answers.table(e2)[b], answers.table(e1.union(e2))[b]
+    (e1, e2), i = profiles, answers.index[constraints[0]]
+    return answers.table(e1)[i] & answers.table(e2)[i], answers.table(e1 + e2)[i]
 
 
 def _constraint_pairs_scan(answers, profiles, constraints, violated):
-    # The tables hold each b1 & b2 (`_Answers` adds them for this shape), in
-    # one order: each distinct one is scanned once, for every profile with it.
-    keyed, found = [(mu, mu.bits) for mu in constraints], {}
+    # The tables hold each b1 & b2 (`_Answers` adds them for this shape), at
+    # `conjoined[i][j]`.  Each distinct table is scanned once, for every
+    # profile with it.  Both rows test an entailment between out & b2 and
+    # the table's answer at b1 & b2: neither fires where the first is empty
+    # or the two are equal.
+    index, found = answers.index, {}
+    conjoined = [[(b2, index[b1 & b2]) for b2 in constraints] for b1 in constraints]
     for e in profiles:
         table = answers[e]
-        values = tuple(table.values())
-        if values not in found:
-            found[values] = hits = []
-            for mu1, b1 in keyed:
-                out = table[b1]
-                for mu2, b2 in keyed:
-                    if violated(out & b2, table[b1 & b2]):
-                        hits.append(((mu1, mu2), (out & b2, table[b1 & b2])))
-        for cs, hit in found[values]:
+        hits = found.get(table)
+        if hits is None:
+            hits = found[table] = []
+            for b1, out, row in zip(constraints, table, conjoined):
+                for b2, k in row:
+                    lhs = out & b2
+                    if lhs and lhs != table[k] and violated(lhs, table[k]):
+                        hits.append(((b1, b2), (lhs, table[k])))
+        for cs, hit in hits:
             yield (e,), cs, hit
 
 
 def _constraint_pairs_values(answers, profiles, constraints):
-    table, b1, b2 = answers[profiles[0]], constraints[0].bits, constraints[1].bits
-    return table[b1] & b2, table[b1 & b2]
+    (b1, b2), index = constraints, answers.index
+    table = answers[profiles[0]]
+    return table[index[b1]] & b2, table[index[b1 & b2]]
 
 
 class _Shape:
@@ -242,7 +263,7 @@ class _Shape:
 _EACH = _Shape((1, 1), _each_scan, _each_values, lambda k, p, bits, width: p * k)
 _FLIPPED = _Shape(
     (2, 2), _flipped_scan, _flipped_values, lambda k, p, bits, width: (p - k) * k,
-    lambda ps, cs: (ps[0] != ps[1] or cs[0] != cs[1])
+    lambda ps, cs: (sorted(ps[0]) != sorted(ps[1]) or cs[0] != cs[1])
     and "ic3 needs equivalent profiles and constraints",
 )
 _TWO_BASES = _Shape((1, 1), _two_bases_scan, _two_bases_values, _two_bases_count, _two_bases_problem)
@@ -307,6 +328,12 @@ def _witness(pid, op, instance, values):
     return Witness(pid, instance, getattr(op, "label", repr(op)), ROWS[pid].message, details)
 
 
+def _instance(universe, profiles, constraints) -> Instance:
+    """The instance of profiles and constraints given as bitsets."""
+    return Instance(tuple(Profile.from_bits(universe, e) for e in profiles),
+                    tuple(ModelSet.from_bits(universe, b) for b in constraints))
+
+
 def check_postulate(pid: PostulateId, op, instance: Instance):
     """Evaluate one postulate on one instance; None on pass, else a Witness."""
     if pid not in ROWS:
@@ -316,10 +343,15 @@ def check_postulate(pid: PostulateId, op, instance: Instance):
         n_profiles, n_constraints = shape.sizes
         raise ShapeMismatchError(f"need {n_profiles} profile(s) and {n_constraints} constraint(s), "
                                  f"got {len(profiles)} and {len(constraints)}")
-    problem = shape.problem and shape.problem(profiles, constraints)
+    universe = profiles[0].universe
+    if any(x.universe != universe for x in (*profiles, *constraints)):
+        raise UniverseMismatchError("instance over different universes")
+    ps = [tuple(b.models.bits for b in p.bases) for p in profiles]
+    cs = [mu.bits for mu in constraints]
+    problem = shape.problem and shape.problem(ps, cs)
     if problem:
         raise ShapeMismatchError(problem)
-    values = shape.values(_Answers(op, constraints, shape is _CONSTRAINT_PAIRS), profiles, constraints)
+    values = shape.values(_Answers(op, universe, cs, shape is _CONSTRAINT_PAIRS), ps, cs)
     return _witness(pid, op, instance, values) if ROWS[pid].violated(*values) else None
 
 
@@ -373,12 +405,14 @@ class SearchSpace(record_type("SearchSpace", "atoms fragment max_profile_size ma
         return comb(k + self.max_profile_size, k) - 1 if self.max_profile_size > 0 else 0
 
     def profiles(self) -> tuple:
-        bases = tuple(Base(s) for s in self.base_sets())
-        out = []
-        for size in range(1, self.max_profile_size + 1):
-            for combo in itertools.combinations_with_replacement(bases, size):
-                out.append(Profile(combo))
-        return tuple(out)
+        universe = self.universe
+        return tuple(Profile.from_bits(universe, e) for e in self._profile_bits())
+
+    def _profile_bits(self) -> list:
+        # Each profile as the sorted tuple of its base bitsets, in search order.
+        bits = [s.bits for s in self.base_sets()]
+        return [e for size in range(1, self.max_profile_size + 1)
+                for e in itertools.combinations_with_replacement(bits, size)]
 
     def instances(self):
         """Plain (profile, constraint) pairs over the space."""
@@ -388,10 +422,11 @@ class SearchSpace(record_type("SearchSpace", "atoms fragment max_profile_size ma
 def search(space: SearchSpace, op, limit: int = None):
     """Enumerate all instances of the selected postulates over the space, in
     deterministic order, and return the witnesses found (all, or the first
-    `limit`).  Each profile, profile union (ic5/ic6) and flipped presentation
-    (ic3) gets one whole answer table, from `op.answers` if the operator has
-    it; each shape's `scan` then walks its instances as loops over ints and
-    yields only the violations.  Before any table is built, raises
+    `limit`).  A profile is a tuple of base bitsets.  Each profile, profile
+    union (ic5/ic6) and flipped presentation (ic3) gets one whole answer
+    table, from `op.answers` if the operator has it; each shape's `scan`
+    then walks its instances as loops over ints and yields only the
+    violations, and only those become `Instance`s.  Before any table is built, raises
     SpaceTooLargeError over MAX_INSTANCES instances and EmptySpaceError for
     none: finding no witness there shows nothing."""
     pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]
@@ -402,13 +437,14 @@ def search(space: SearchSpace, op, limit: int = None):
                                  f"space, over the budget of {MAX_INSTANCES:,}")
     if not total:
         raise EmptySpaceError("the selected postulates have no instances in this space")
-    profiles, constraints = space.profiles(), space.base_sets()
-    answers = _Answers(op, constraints, any(ROWS[pid].shape is _CONSTRAINT_PAIRS for pid in pids))
+    universe, constraints = space.universe, tuple(s.bits for s in space.base_sets())
+    pairs = any(ROWS[pid].shape is _CONSTRAINT_PAIRS for pid in pids)
+    profiles, answers = space._profile_bits(), _Answers(op, universe, constraints, pairs)
     witnesses = []
     for pid in pids:
         row = ROWS[pid]
         for ps, cs, values in row.shape.scan(answers, profiles, constraints, row.violated):
-            witnesses.append(_witness(pid, op, Instance(ps, cs), values))
+            witnesses.append(_witness(pid, op, _instance(universe, ps, cs), values))
             if limit is not None and len(witnesses) >= limit:
                 return witnesses
     return witnesses

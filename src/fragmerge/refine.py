@@ -17,6 +17,8 @@ containment, invariance, equivalence) and `is_fair`, on given instances.
 """
 
 import itertools
+from functools import reduce
+from operator import or_
 
 from .interp import (
     BooleanFn,
@@ -24,12 +26,14 @@ from .interp import (
     ModelSet,
     Universe,
     UniverseMismatchError,
+    _closure_bits,
+    _is_closed,
     closure,
     is_closed,
     model_sets,
     record_type,
 )
-from .merge import MergeOperator, Profile, answer_table
+from .merge import Memo, MergeOperator, Profile, answer_table
 
 
 class MappingViolationError(ValueError):
@@ -88,8 +92,7 @@ class ClosureRefinement(record_type("ClosureRefinement", "beta")):
     def __call__(self, mset: ModelSet, profile_models) -> ModelSet:
         return closure(self.beta, mset)
 
-    def reads(self, bits: int, profile_bits: tuple):
-        return None
+    reads = None
 
 
 class LexRefinement(record_type("LexRefinement", "beta order", (None,))):
@@ -105,7 +108,7 @@ class LexRefinement(record_type("LexRefinement", "beta order", (None,))):
         order = self.order or LexOrder(mset.universe)
         return ModelSet.from_bits(mset.universe, 1 << order.minimum(mset).mask)
 
-    reads = ClosureRefinement.reads
+    reads = None
 
 
 class LexClosureRefinement(LexRefinement):
@@ -120,8 +123,10 @@ class LexClosureRefinement(LexRefinement):
             return closure(self.beta, mset)
         return super().__call__(mset, profile_models)
 
-    def reads(self, bits: int, profile_bits: tuple):
-        return any(bits & b for b in profile_bits)
+    @staticmethod
+    def reads(profile_bits: tuple) -> int:
+        # M meets a base exactly when it meets their union.
+        return reduce(or_, profile_bits)
 
 
 class BetaMapping(record_type("BetaMapping", "beta fn name", ("",), slice(None, None, 2))):
@@ -221,16 +226,17 @@ class CheckReport:
 
 def _check(properties, cases, violated, keep=1, limit=None):
     """The one case loop of the checkers below.  `violated(case)` yields a
-    (property, witness) pair for each property that `case` violates.  Each
-    property keeps its first `keep` witnesses (all when `keep` is None); the
-    loop stops once one has `limit` of them."""
+    (property, witness) pair for each property that `case` violates, the
+    witness as a function that builds it.  Each property keeps its first
+    `keep` witnesses (all when `keep` is None), built only then; the loop
+    stops once one has `limit` of them."""
     report = CheckReport(properties)
     for case in cases:
         report.checked += 1
         for prop, witness in violated(case):
             found = report.violations.setdefault(prop, [])
             if keep is None or len(found) < keep:
-                found.append(witness)
+                found.append(witness())
                 if limit is not None and len(found) >= limit:
                     return report
     return report
@@ -256,26 +262,42 @@ def validate_mapping(mapping, universe: Universe, max_profile_size: int = 2) -> 
         except MappingViolationError as exc:
             hit = exc.prop, str(exc)
         if hit:
-            yield hit[0], (*case, hit[1])
+            yield hit[0], lambda: (*case, hit[1])
 
     return _check(MAPPING_PROPERTIES, itertools.product(all_sets, profiles), violated)
 
 
 def _outputs(base_op, refined_op, instances):
-    """Each instance (profile, mu) with its base and refined outputs, read off
-    one table of each operator (one memo for both) per profile presentation."""
-    instances = list(instances)
-    keys, tables, memos = {}, {}, {}
+    """Each instance (profile, mu) as (profile, mu, multiset, base output,
+    refined output): the multiset is (universe, sorted base bitsets), and the
+    outputs are bitsets read off one table of each operator (one memo for
+    both, per universe) per profile presentation."""
+    instances, xs, keys, last = list(instances), [], {}, None
     for profile, mu in instances:
-        if mu.universe != profile.universe:
+        if profile is not last:  # instances often repeat one profile in a row
+            last, universe = profile, profile.universe
+            x = universe, tuple([b.models.bits for b in profile.bases])
+        if mu.universe != universe:
             raise UniverseMismatchError("constraint and profile over different universes")
-        keys.setdefault(profile.mmod(), {})[mu.bits] = None
-    for profile, mu in instances:
-        x, universe = profile.mmod(), profile.universe
+        xs.append(x)
+        index = keys.setdefault(x, {})
+        index.setdefault(mu.bits, len(index))
+    tables, memos = {}, {}
+    for (profile, mu), x in zip(instances, xs):
         if x not in tables:
-            memo = memos.setdefault(universe, {})
-            tables[x] = tuple(answer_table(op, profile, keys[x], memo) for op in (base_op, refined_op))
-        yield profile, mu, *(ModelSet.from_bits(universe, table[mu.bits]) for table in tables[x])
+            universe, bases = x
+            memo = memos.get(universe) or memos.setdefault(universe, Memo(universe))
+            ks = tuple(keys[x])
+            base = answer_table(base_op, bases, ks, memo)
+            tables[x] = base, answer_table(refined_op, bases, ks, memo), (universe, tuple(sorted(bases)))
+        (base, refined, multiset), i = tables[x], keys[x][mu.bits]
+        yield profile, mu, multiset, base[i], refined[i]
+
+
+def _case(case):
+    """A checker's witness case: (profile, mu, base output, refined output)."""
+    profile, mu, _, base_out, refined_out = case
+    return profile, mu, *(ModelSet.from_bits(mu.universe, bits) for bits in (base_out, refined_out))
 
 
 def check_refinement_properties(base_op, refined_op, beta: BooleanFn, instances) -> CheckReport:
@@ -288,16 +310,17 @@ def check_refinement_properties(base_op, refined_op, beta: BooleanFn, instances)
     groups = {}
 
     def violated(case):
-        profile, _, base_out, refined_out = case
+        _, mu, multiset, base_out, refined_out = case
+        width, witness = len(mu.universe), lambda: _case(case)
         if bool(base_out) != bool(refined_out):
-            yield "consistency", case
-        if not refined_out.issubset(closure(beta, base_out)):
-            yield "containment", case
-        if is_closed(beta, base_out) and not base_out.issubset(refined_out):
-            yield "invariance", case
-        first = groups.setdefault((profile, base_out), case)
-        if first[3] != refined_out:
-            yield "equivalence", (first, case)
+            yield "consistency", witness
+        if refined_out & ~_closure_bits(beta, base_out, width):
+            yield "containment", witness
+        if base_out & ~refined_out and _is_closed(beta, base_out, width):
+            yield "invariance", witness
+        first = groups.setdefault((multiset, base_out), case)
+        if first[4] != refined_out:
+            yield "equivalence", lambda: (_case(first), _case(case))
 
     return _check(REFINEMENT_PROPERTIES, _outputs(base_op, refined_op, instances), violated)
 
@@ -308,11 +331,11 @@ def is_fair(base_op, refined_op, instances, limit: int = None) -> CheckReport:
     case and the number of bases each output meets, is kept up to `limit`."""
 
     def violated(case):
-        profile, _, base_out, refined_out = case
-        if cardintersection(refined_out, profile) == 1:
-            n_base = cardintersection(base_out, profile)
+        (_, bases), base_out, refined_out = case[2:]
+        if sum(1 for b in bases if refined_out & b) == 1:
+            n_base = sum(1 for b in bases if base_out & b)
             if n_base != 1:
-                yield "fairness", case + (n_base, 1)
+                yield "fairness", lambda: _case(case) + (n_base, 1)
 
     cases = _outputs(base_op, refined_op, instances)
     return _check(("fairness",), cases, violated, keep=None, limit=limit)
@@ -332,28 +355,34 @@ class RefinedOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return refine(self.kind, self.base(profile, mu), profile, mu)
 
-    def answers(self, profile: Profile, keys, memo: dict) -> dict:
-        """{mu.bits: self(profile, mu).bits} for each bitset in `keys`, on
-        this presentation of `profile`.  The refinement runs once per base
-        output M and `kind.reads(M, X)` (all of X, in order, without `reads`)
-        across the tables sharing `memo` (one universe's, read by the base
-        too; this operator's part is under its own key)."""
-        base = answer_table(self.base, profile, keys, memo)
-        kind, universe, models = self.kind, profile.universe, profile.mmod()
-        x = tuple(m.bits for m in models)
-        reads = getattr(kind, "reads", lambda bits, x: x)
-        memo = memo.setdefault(self, {})
-        refined, table = {}, {}
-        for bits, out in base.items():
+    def answers(self, bases: tuple, keys: tuple, memo: Memo) -> tuple:
+        """(self(profile, mu).bits for each mu.bits in `keys`), on this
+        presentation `bases` of the profile.  The refinement reads the base
+        output M and, of the profile's model sets X, nothing when
+        `kind.reads` is None, `kind.reads(bases)` when it is a function, and
+        all of X in order without `reads`.  So across the tables sharing
+        `memo` (this operator's part is under its own key), the refinement
+        runs once per (M, what it reads of X), and a table is made once per
+        (keys, base table, what it reads of X)."""
+        base = answer_table(self.base, bases, keys, memo)
+        kind = self.kind
+        x = (kind.reads and kind.reads(bases)) if hasattr(kind, "reads") else bases
+        outs, tables = memo.get(self) or memo.setdefault(self, ({}, {}))
+        table = tables.get((keys, base, x))
+        if table is None:
+            table = tables[keys, base, x] = self._table(bases, keys, base, x, outs, memo.universe)
+        return table
+
+    def _table(self, bases, keys, base, x, outs, universe) -> tuple:
+        models, table = tuple([ModelSet.from_bits(universe, b) for b in bases]), []
+        for bits, out in zip(keys, base):
             if out & ~bits:
                 raise ValueError(_OUTSIDE)
-            if out not in refined:
-                key = out, reads(out, x)
-                if key not in memo:
-                    memo[key] = kind(ModelSet.from_bits(universe, out), models).bits
-                refined[out] = memo[key]
-            table[bits] = refined[out]
-        return table
+            refined = outs.get((out, x))
+            if refined is None:
+                refined = outs[out, x] = self.kind(ModelSet.from_bits(universe, out), models).bits
+            table.append(refined)
+        return tuple(table)
 
     def __repr__(self):
         return f"<{self.label}>"

@@ -50,6 +50,11 @@ def prof(universe, *base_specs) -> Profile:
     return Profile(tuple(Base(ms(universe, *entry)) for entry in base_specs))
 
 
+def common_models(profile) -> ModelSet:
+    """Intersection of all base model sets (models of the whole profile)."""
+    return functools.reduce(operator.and_, (b.models for b in profile.bases))
+
+
 def is_tautological(clause) -> bool:
     """Whether the clause holds some atom in both polarities."""
     names = [n for n, _ in clause.literals]
@@ -465,7 +470,7 @@ def slow_check_postulate(pid, op, instance):
                     [("constraint", _set(mu))],
                 )
         else:
-            joint = e.common_models() & mu
+            joint = common_models(e) & mu
             if joint and out != joint:
                 return witness(
                     "profile agrees with the constraint but output differs",

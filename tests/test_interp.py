@@ -72,6 +72,12 @@ class TestUniverse:
                 Universe([f"x{i}" for i in range(n)])
             assert str(info.value) == f"universe has {n} atoms, enumeration cap is 16"
 
+    @pytest.mark.parametrize("name", ["", "!a", "A", "T", "1a", "_a", "a-b", "a b", "é"])
+    def test_atom_names_must_parse_as_atoms(self, name):
+        with pytest.raises(ValueError) as info:
+            Universe(("a", name))
+        assert str(info.value) == f"atom name {name!r} does not match [a-z][a-z0-9_]*"
+
     @pytest.mark.parametrize("atoms, bad", [((1, 2), "1 (int)"), (("a", None), "None (NoneType)"),
                                             (("a", b"b"), "b'b' (bytes)")], ids=["int", "none", "bytes"])
     def test_atom_names_must_be_strings(self, atoms, bad):

@@ -79,9 +79,9 @@ def test_the_exports_are_pinned():
 @pytest.mark.parametrize("function, parameters", [
     (fragmerge.synthesize, ["mset", "fragment"]),
     (fragmerge.closed_model_sets, ["beta", "universe"]),
-    (MergeOperator.answers, ["self", "profile", "keys", "memo"]),
-    (RefinedOperator.answers, ["self", "profile", "keys", "memo"]),
-    (answer_table, ["op", "profile", "keys", "memo"]),
+    (MergeOperator.answers, ["self", "bases", "keys", "memo"]),
+    (RefinedOperator.answers, ["self", "bases", "keys", "memo"]),
+    (answer_table, ["op", "bases", "keys", "memo"]),
 ], ids=["synthesize", "closed_model_sets", "MergeOperator.answers", "RefinedOperator.answers",
         "answer_table"])
 def test_retired_options_stay_gone(function, parameters):

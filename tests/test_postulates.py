@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import functools
+import itertools
 import operator
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import fragmerge.merge as merge_module
 import fragmerge.postulates as postulates
+from fragmerge.merge import Memo
 from fragmerge import (
     AND2,
     HORN,
@@ -32,6 +34,7 @@ from fragmerge import (
     ShapeMismatchError,
     SpaceTooLargeError,
     Universe,
+    UniverseMismatchError,
     UnknownFixtureError,
     cli,
     check_postulate,
@@ -44,6 +47,7 @@ from fragmerge import (
 from fragmerge.postulates import ALL_POSTULATES, FIXTURES, MAX_INSTANCES, ROWS
 from helpers import (
     U2,
+    U3,
     EchoConstraintOperator,
     PresentationCache,
     all_model_sets,
@@ -96,6 +100,15 @@ class TestCheckPostulate:
         instance = Instance((prof(U2, ("a",)), prof(U2, ("b",))), (ms(U2, "a"), ms(U2, "a")))
         with pytest.raises(ShapeMismatchError):
             check_postulate(PostulateId.IC3, SIG2, instance)
+
+    @pytest.mark.parametrize("pid", [PostulateId.IC0, PostulateId.IC5, PostulateId.IC7])
+    def test_an_instance_over_two_universes_is_refused(self, pid):
+        # Answer tables read bitsets, which carry no universe: it is checked once, here.
+        e, mu = prof(U2, ("a",)), ms(U2, "a")
+        other = {PostulateId.IC0: ((e,), (ms(U3, "a"),)), PostulateId.IC5: ((e, prof(U3, ("a",))), (mu,)),
+                 PostulateId.IC7: ((e,), (mu, ms(U3, "a")))}[pid]
+        with pytest.raises(UniverseMismatchError):
+            check_postulate(pid, SIG2, Instance(*other))
 
     def test_ic4_witness_for_closure_of_gmax(self):
         e = prof(U2, ("",), ("ab",))
@@ -391,41 +404,63 @@ def always(*values):
     return True
 
 
-def scanned(shape, answers, profiles, constraints):
+def bitsets(space):
+    """A space's profiles and constraints as a search walks them: tuples of
+    base bitsets and bitsets."""
+    return space._profile_bits(), tuple(s.bits for s in space.base_sets())
+
+
+def scanned(shape, answers, space):
     """Every instance a shape's scan walks, in order: its test always holds."""
-    return [Instance(ps, cs) for ps, cs, _ in shape.scan(answers, profiles, constraints, always)]
+    return [postulates._instance(space.universe, ps, cs)
+            for ps, cs, _ in shape.scan(answers, *bitsets(space), always)]
 
 
-def checks_made(shape, answers, profiles, constraints):
+def checks_made(shape, answers, space):
     """How many instances a shape's scan tests, with a test that flags none."""
     calls = [0]
 
     def count(*values):
         calls[0] += 1
 
-    assert not list(shape.scan(answers, profiles, constraints, count))
+    assert not list(shape.scan(answers, *bitsets(space), count))
     return calls[0]
 
 
-class BlankTable(dict):
-    """An answer table that reads 0 for every constraint."""
+class FlatTable:
+    """An answer table that reads `value` for every constraint."""
 
-    def __missing__(self, bits):
-        self[bits] = 0
-        return 0
+    def __init__(self, value):
+        self.value = value
+
+    def __getitem__(self, position):
+        return self.value
+
+    def __iter__(self):
+        return itertools.repeat(self.value)
 
 
-class BlankAnswers(dict):
-    """A blank table for every profile, for walking a scan without an
-    operator."""
+class FlatAnswers(dict):
+    """Tables for walking a scan without an operator: a profile's reads 1
+    for every constraint, a table not kept (an ic5/ic6 union) 0, so the two
+    sides of every ic5/ic6 instance differ and its scan tests them all."""
 
     op = None
+    index = collections.defaultdict(int)
 
     def __missing__(self, key):
-        return BlankTable()
+        return FlatTable(1)
 
     def table(self, profile, keys=None):
-        return BlankTable()
+        return FlatTable(0)
+
+
+def last_base_outside(mset, profile_models):
+    # Closure when the merge is closed or the last base has a model outside
+    # it, else its least model: reads the bases in order.
+    if is_closed(AND2, mset) or profile_models[-1].bits & ~mset.bits:
+        return closure(AND2, mset)
+    return ModelSet.from_bits(mset.universe, mset.bits & -mset.bits)
 
 
 class TestEngineAgainstSlowOracle:
@@ -462,14 +497,25 @@ class TestEngineAgainstSlowOracle:
     def test_check_postulate_and_instance_order_match(self, fragment):
         frag = FRAGMENTS[fragment]
         space = SearchSpace(atoms=2, fragment=frag, max_profile_size=2, max_bases=3)
-        profiles, constraints = space.profiles(), space.base_sets()
         for spec in OPERATORS:
             op = PresentationCache(cli_operator(frag, *spec))
-            answers = postulates._Answers(op, constraints, True)
+            answers = postulates._Answers(op, space.universe, bitsets(space)[1], True)
             for pid in PostulateId:
                 slow = list(slow_instances(pid, space))
-                fast = scanned(ROWS[pid].shape, answers, profiles, constraints)
-                assert [i.encode() for i in fast] == [i.encode() for i in slow]
+                # ic5-ic8 test entailments, so their scans skip the instances
+                # where the two sides are equal, and ic7/ic8 those where the
+                # first is empty: no row can fire there.  `check_postulate`
+                # skips none, so it is compared on every instance.
+                expected = slow
+                if ROWS[pid].shape is postulates._PAIRS:
+                    expected = [i for i in slow if op(i.profiles[0], i.constraints[0])
+                                & op(i.profiles[1], i.constraints[0])
+                                != op(i.profiles[0].union(i.profiles[1]), i.constraints[0])]
+                if ROWS[pid].shape is postulates._CONSTRAINT_PAIRS:
+                    expected = [i for i in slow if (op(i.profiles[0], i.constraints[0]) & i.constraints[1])
+                                not in (ModelSet(U2), op(i.profiles[0], i.constraints[0] & i.constraints[1]))]
+                fast = scanned(ROWS[pid].shape, answers, space)
+                assert [i.encode() for i in fast] == [i.encode() for i in expected]
                 for instance in slow:
                     assert check_postulate(pid, op, instance) == slow_check_postulate(pid, op, instance)
 
@@ -504,11 +550,6 @@ class TestEngineAgainstSlowOracle:
         # Closure when the merge is closed or the last base has a model
         # outside it, else its least model: two profiles with one merge
         # output, and one pattern of the bases it meets, can refine apart.
-        def last_base_outside(mset, profile_models):
-            if is_closed(AND2, mset) or profile_models[-1].bits & ~mset.bits:
-                return closure(AND2, mset)
-            return ModelSet.from_bits(mset.universe, mset.bits & -mset.bits)
-
         # The mapping reads X in order, so each presentation of a profile
         # union (ic5/ic6) gets its own table.
         op = RefinedOperator(SIG2, BetaMapping(AND2, last_base_outside))
@@ -531,22 +572,26 @@ class TestEngineAgainstSlowOracle:
         assert len(calls) == len(set(calls))
 
 
+def base_bits(profile):
+    return tuple(b.models.bits for b in profile.bases)
+
+
 class TestAnswers:
-    """`answers(e, keys)` gives, for every constraint bitset in `keys`, the
-    bits the operator's own call gives, in the order of `keys`."""
+    """`answers(bases, keys, memo)` gives, for every constraint bitset in
+    `keys`, the bits the operator's own call gives on the profile with base
+    bitsets `bases`, in the order of `keys`."""
 
     @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
     def test_every_two_atom_profile_and_constraint(self, fragment):
         space = SearchSpace(atoms=2, fragment=None, max_profile_size=2)
         constraints = list(all_model_sets(U2))
-        keys = [mu.bits for mu in constraints]
+        keys = tuple(mu.bits for mu in constraints)
         for spec in OPERATORS:
-            op, memo = cli_operator(fragment, *spec), {}
+            op, memo = cli_operator(fragment, *spec), Memo(U2)
             for e in space.profiles():
                 for shown in (e, Profile(e.bases[::-1])):
-                    table = op.answers(shown, keys, memo)
-                    assert list(table) == keys
-                    assert list(table.values()) == [op(shown, mu).bits for mu in constraints]
+                    table = op.answers(base_bits(shown), keys, memo)
+                    assert table == tuple(op(shown, mu).bits for mu in constraints)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -562,12 +607,12 @@ class TestAnswers:
         kind = REFINEMENTS[data.draw(st.sampled_from(list(REFINEMENTS)))]
         beta = data.draw(st.sampled_from([AND2, MAJ3]))
         op = merge_op if kind is None else RefinedOperator(merge_op, kind(beta))
-        keys, memo = list(dict.fromkeys(mu.bits for mu in constraints)), {}
+        keys, memo = tuple(dict.fromkeys(mu.bits for mu in constraints)), Memo(universe)
         # Two profiles share the memo, as the profiles of one search do.
         for _ in range(2):
             bases = data.draw(st.lists(st.frozensets(masks, min_size=1, max_size=8), min_size=1, max_size=4))
             e = Profile(tuple(Base(ModelSet(universe, b)) for b in bases))
-            table = op.answers(e, keys, memo)
+            table = dict(zip(keys, op.answers(base_bits(e), keys, memo)))
             assert [table[mu.bits] for mu in constraints] == [op(e, mu).bits for mu in constraints]
 
     def test_refinement_runs_once_per_distinct_input_per_search(self):
@@ -595,17 +640,17 @@ class TestAnswers:
         # Rings and groups are keyed on what they depend on, so one
         # memo may serve operators of other gauges and aggregators, and other
         # key lists, in any order.
-        pool = [mu.bits for mu in all_model_sets(U2)]
-        key_lists = [pool[:5], pool, pool[::-1], [b for b in pool if b & 1]]
+        pool = tuple(mu.bits for mu in all_model_sets(U2))
+        key_lists = [pool[:5], pool, pool[::-1], tuple(b for b in pool if b & 1)]
         ops = [cli_operator(HORN, *spec) for spec in OPERATORS]
         ops += [MergeOperator(CountingDistance.from_gauge((1, 3)), agg) for agg in Aggregator]
-        memo = {}
+        memo = Memo(U2)
         for e in SearchSpace(atoms=2, fragment=None, max_profile_size=2).profiles():
             for keys in key_lists:
                 for op in ops:
-                    table = op.answers(e, keys, memo)
-                    assert list(table) == keys
-                    assert table == op.answers(e, keys, {}), op.label
+                    table = op.answers(base_bits(e), keys, memo)
+                    assert table == tuple(op(e, ModelSet.from_bits(U2, b)).bits for b in keys)
+                    assert table == op.answers(base_bits(e), keys, Memo(U2)), op.label
 
     @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
     def test_one_ring_search_per_base_and_within(self, fragment, monkeypatch):
@@ -637,23 +682,96 @@ class TestAnswers:
         # does, and over the same full set, so with the same levels: one memo
         # serves both, and never hands back a table built over other keys.
         class KeyedMerge(MergeOperator):
-            def answers(self, profile, keys, memo):
-                table = super().answers(profile, keys, memo)
-                asked.append((list(keys), list(table)))
+            def answers(self, bases, keys, memo):
+                table = super().answers(bases, keys, memo)
+                asked.append((bases, keys, table))
                 return table
 
         asked = []
-        op = RefinedOperator(KeyedMerge(CountingDistance.hamming(2), Aggregator.SIGMA), ClosureRefinement(MAJ3))
+        base = KeyedMerge(CountingDistance.hamming(2), Aggregator.SIGMA)
+        op = RefinedOperator(base, ClosureRefinement(MAJ3))
         space = SearchSpace(atoms=2, fragment=KROM, max_profile_size=1, postulates=(PostulateId.IC0, PostulateId.IC4))
         found = search(space, op)
-        assert len({tuple(keys) for keys, _ in asked}) > 1
-        assert all(keys == table for keys, table in asked)
+        assert len({keys for _, keys, _ in asked}) > 1
+        for bases, keys, table in asked:
+            e = Profile.from_bits(U2, bases)
+            assert table == tuple(base(e, ModelSet.from_bits(U2, b)).bits for b in keys)
         assert [w.render() for w in found] == [w.render() for w in slow_search(space, op)]
 
     def test_base_output_outside_the_constraint_is_refused(self):
         op = RefinedOperator(lambda e, mu: ms(U2, "a", "b"), ClosureRefinement(AND2))
         with pytest.raises(ValueError, match="contained in the constraint"):
-            op.answers(prof(U2, ("a",)), [ms(U2, "a").bits], {})
+            op.answers((ms(U2, "a").bits,), (ms(U2, "a").bits,), Memo(U2))
+
+
+# The gmax merge, each Horn refinement kind on it, and an order-dependent mapping.
+HORN_OPERATORS = (GMAX2,) + tuple(RefinedOperator(GMAX2, kind) for kind in (
+    ClosureRefinement(AND2), LexRefinement(AND2), LexClosureRefinement(AND2),
+    BetaMapping(AND2, last_base_outside, "last-base")))
+
+
+class TestIntEngine:
+    """A search works on tuples of base bitsets and shares each table by
+    what it depends on."""
+
+    @pytest.mark.parametrize("index", range(5), ids=["merge", "closure", "lex", "lex-closure", "mapping"])
+    def test_search_builds_a_profile_only_for_a_witness(self, monkeypatch, index):
+        built = []
+        init = Profile.__init__
+
+        def counting(self, bases):
+            built.append(len(bases))
+            init(self, bases)
+
+        op = HORN_OPERATORS[index]
+        monkeypatch.setattr(Profile, "__init__", counting)
+        found = search(SearchSpace(atoms=2, fragment=HORN), op)
+        assert found or op is GMAX2  # the gmax merge satisfies ic0-ic8
+        assert len(built) == sum(len(w.instance.profiles) for w in found)
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
+    @pytest.mark.parametrize("kind", [ClosureRefinement, LexRefinement, LexClosureRefinement],
+                             ids=["closure", "lex", "lex-closure"])
+    def test_one_refined_table_per_distinct_base_table(self, monkeypatch, fragment, kind):
+        # Closure and lex read nothing of X, so a refined table depends on
+        # the base table alone; lex-closure reads the union of X's models.
+        base_tables, built = set(), []
+        answers, table = MergeOperator.answers, RefinedOperator._table
+
+        def merge_answers(self, bases, keys, memo):
+            out = answers(self, bases, keys, memo)
+            union = functools.reduce(operator.or_, bases) if kind is LexClosureRefinement else None
+            base_tables.add((keys, out, union))
+            return out
+
+        def refined_table(self, bases, keys, base, *rest):
+            built.append((keys, base))
+            return table(self, bases, keys, base, *rest)
+
+        monkeypatch.setattr(MergeOperator, "answers", merge_answers)
+        monkeypatch.setattr(RefinedOperator, "_table", refined_table)
+        op = RefinedOperator(GMAX2, kind(fragment.beta))
+        space = SearchSpace(atoms=2, fragment=fragment, postulates=ALL_POSTULATES[:5] + ALL_POSTULATES[7:])
+        search(space, op)
+        assert len(built) == len(base_tables) < space.profile_count
+
+    @pytest.mark.parametrize("fragment, bases, size", [(HORN, 10, 2), (KROM, 40, 1)], ids=["horn", "krom"])
+    @pytest.mark.parametrize("aggregator", list(Aggregator), ids=[a.value for a in Aggregator])
+    def test_three_atom_search_matches_the_oracle(self, fragment, bases, size, aggregator):
+        # Krom refinements first act at 3 atoms, and over the first 40 closed
+        # sets at profile size 1 they break ic5-ic8, where the merge does not.
+        space = SearchSpace(atoms=3, fragment=fragment, max_bases=bases, max_profile_size=size)
+        merge_op = MergeOperator(CountingDistance.hamming(3), aggregator)
+        ops = [RefinedOperator(merge_op, kind(fragment.beta))
+               for kind in (ClosureRefinement, LexRefinement, LexClosureRefinement)]
+        if fragment is HORN:
+            ops.append(RefinedOperator(merge_op, BetaMapping(AND2, last_base_outside)))
+        counts = []
+        for op in ops:
+            found = search(space, op)
+            assert [w.render() for w in found] == [w.render() for w in slow_search(space, PresentationCache(op))]
+            counts.append(len(found))
+        assert all(counts[:1] + counts[2:])
 
 
 class TestInstanceCounts:
@@ -672,7 +790,7 @@ class TestInstanceCounts:
             if shape not in enumerated:
                 if shape.sizes == (2, 1) and size == 3 and max_bases is None:
                     # millions of pairs: count the scan's tests, without an operator
-                    enumerated[shape] = checks_made(shape, BlankAnswers(), profiles, constraints)
+                    enumerated[shape] = checks_made(shape, FlatAnswers(), space)
                 else:
                     enumerated[shape] = sum(1 for _ in slow_instances(pid, space))
             assert ROWS[pid].count(space) == enumerated[shape], pid

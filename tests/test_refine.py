@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -427,6 +428,25 @@ def _differential_operators(beta):
 class TestCheckersAgainstSlowOracle:
     """The one case loop against the three loops it replaced: cases checked,
     the first witness per property, and every fairness witness in order."""
+
+    def test_witness_lists_are_pinned(self):
+        # Every report of both checkers, for each operator pair below on both
+        # 2-atom spaces, rendered and hashed: the checkers that built a
+        # `ModelSet` for every case gave this text.
+        lines = []
+        for fragment in (HORN, KROM):
+            instances = fragment_instances(fragment)
+            for base, refined in _differential_operators(fragment.beta):
+                report = check_refinement_properties(base, refined, fragment.beta, instances)
+                lines.append(f"{fragment.name} {refined.label} props {report.checked} "
+                             f"{sorted(report.violations.items())!r}")
+                report = is_fair(base, refined, instances)
+                lines.append(f"{fragment.name} {refined.label} fair {report.checked} "
+                             f"{sorted(report.violations.items())!r}")
+        text = "\n".join(lines)
+        assert sum(line.count("Profile[") for line in lines) == 63
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "775f0dd1a6dbc64235f90b06433612808c35fc96e3812e972d4a157ef85f1f25")
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     def test_refinement_properties_and_fairness(self, fragment):
