@@ -28,10 +28,9 @@ from .formula import (
     ParseError,
     UnknownAtomError,
     classify,
-    models,
-    parse,
     synthesize,
     to_text,
+    truth_table,
 )
 from .interp import Interpretation, ModelSet, Universe, record_type
 from .merge import (
@@ -118,6 +117,14 @@ def _parse_interpretations(text, universe, error, prefix, shape):
     return masks
 
 
+def _read_formula(text, universe, lineno) -> ModelSet:
+    """The models of a formula line, read straight to its truth table."""
+    try:
+        return ModelSet.from_bits(universe, truth_table(text, universe))
+    except (ParseError, UnknownAtomError) as exc:
+        raise ProblemFileError(f"line {lineno}: {exc}") from exc
+
+
 def parse_problem_file(text: str) -> ProblemFile:
     universe = None
     bases = []
@@ -149,22 +156,13 @@ def parse_problem_file(text: str) -> ProblemFile:
                                                f"line {lineno}", "model sets like {a,b}")
                 mset = ModelSet(universe, found)
             else:
-                try:
-                    phi = parse(body, universe)
-                except (ParseError, UnknownAtomError) as exc:
-                    raise ProblemFileError(f"line {lineno}: {exc}") from exc
-                mset = models(phi, universe)
+                mset = _read_formula(body, universe, lineno)
             if not mset:
                 raise InconsistentBaseError(f"line {lineno}: base {name} has no models")
             bases.append((name, Base(mset)))
             continue
         if line.startswith("constraint:"):
-            body = line[len("constraint:"):].strip()
-            try:
-                phi = parse(body, universe)
-            except (ParseError, UnknownAtomError) as exc:
-                raise ProblemFileError(f"line {lineno}: {exc}") from exc
-            constraints.append(models(phi, universe))
+            constraints.append(_read_formula(line[len("constraint:"):].strip(), universe, lineno))
             continue
         raise ProblemFileError(f"line {lineno}: unrecognized line {line!r}")
     if universe is None:

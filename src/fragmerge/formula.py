@@ -11,10 +11,12 @@ whitespace may follow the last one):
 
 `&` and `|` associate to the left, `->` and `<->` to the right.  The printer
 emits minimal parentheses with single spaces around binary operators, and
-printing then re-parsing yields an equal tree.  `parse` checks the text with
-one regular expression and builds the tree in one operator-precedence loop
-on explicit stacks; `models` evaluates it with an explicit post-order stack.
-Neither recurses, so only MAX_NESTING bounds how deep parentheses nest, and
+printing then re-parsing yields an equal tree.  `parse` and `truth_table`
+check the text with one regular expression and read it in one
+operator-precedence loop on explicit stacks: `parse` builds the tree, and
+`truth_table` combines the atoms' truth tables as it goes, with no tree.
+`models` gives a tree's truth table with an explicit post-order stack.  None
+of them recurses, so only MAX_NESTING bounds how deep parentheses nest, and
 chains of one connective and runs of `!` may be any length.  The printer
 loops along chains and runs and recurses once per pair of parentheses.
 """
@@ -159,6 +161,19 @@ _CONNECTIVES = {"&": (And, 4, 4), "|": (Or, 3, 3), "->": (Implies, 2, 3), "<->":
 _OPEN = (None, 0, 0)
 # What the node constructors do, without their Python-level frame.
 _new = tuple.__new__
+_NODE_JOINS = {kind: lambda left, right, kind=kind: _new(kind, (kind, left, right))
+               for kind in (And, Or, Implies, Iff)}
+# Each connective's truth table from its operands', on two's-complement ints:
+# T is -1 (every bit set) and ! is ~, so no step needs the table's width and
+# the low 2^|U| bits of the result are the formula's truth table.
+_TABLE_JOINS = {And: operator.and_, Or: operator.or_,
+                Implies: lambda left, right: ~left | right, Iff: lambda left, right: ~left ^ right}
+
+
+def _negate_node(node, count):
+    for _ in range(count):
+        node = _new(Not, (Not, node))
+    return node
 
 
 @functools.lru_cache(maxsize=64)
@@ -166,6 +181,12 @@ def _leaves(universe):
     # Token -> node for the constants and the universe's atoms.
     leaves = {name: Atom(name) for name in universe.atoms}
     return {**leaves, "T": TOP, "F": BOTTOM}
+
+
+@functools.lru_cache(maxsize=64)
+def _tables(universe):
+    # Token -> truth table for the constants and the universe's atoms.
+    return {**dict(zip(universe.atoms, _atom_patterns(len(universe)))), "T": -1, "F": 0}
 
 
 def _position(text, k):
@@ -176,19 +197,35 @@ def _position(text, k):
 
 def parse(text: str, universe: Universe) -> Formula:
     """Parse `text` into an AST; atom names must belong to `universe`."""
+    return _read(text, _leaves(universe), _NODE_JOINS, _negate_node)
+
+
+def truth_table(text: str, universe: Universe) -> int:
+    """The truth table of the formula `text` as a bitset, bit m for
+    interpretation m: `models(parse(text, universe), universe).bits`, with
+    the same errors, read without building the tree."""
+    full = (1 << (1 << len(universe))) - 1
+    return full & _read(text, _tables(universe), _TABLE_JOINS,
+                        lambda bits, count: ~bits if count & 1 else bits)
+
+
+def _read(text, leaves, joins, negate):
+    # The one operator-precedence loop of `parse` and `truth_table`: an
+    # operand's value is `leaves[token]`, `negate(value, count)` gives it
+    # under a run of `count` `!`, and `joins[kind](left, right)` applies a
+    # connective.
     if _TEXT_RE.fullmatch(text) is None:
         pos = _PREFIX_RE.match(text).end()
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")
-    leaves = _leaves(universe)
     operands, pending, groups = [], [_OPEN], []  # groups: '!' count before each open '('
     negations = 0
     want_operand = True
     for k, tok in enumerate(tokens):
         if want_operand:
-            node = leaves.get(tok)
-            if node is None:
+            value = leaves.get(tok)
+            if value is None:
                 if tok == "!":
                     negations += 1
                     continue
@@ -205,10 +242,9 @@ def parse(text: str, universe: Universe) -> Formula:
                 raise ParseError(f"expected a formula, found {tok!r}" if tok
                                  else "unexpected end of input", _position(text, k))
             if negations:
-                for _ in range(negations):
-                    node = _new(Not, (Not, node))
+                value = negate(value, negations)
                 negations = 0
-            operands.append(node)
+            operands.append(value)
             want_operand = False
             continue
         # A connective, ')' or the end: first apply the pending connectives
@@ -216,18 +252,15 @@ def parse(text: str, universe: Universe) -> Formula:
         entry = _CONNECTIVES.get(tok)
         threshold = entry[2] if entry else 1
         while pending[-1][1] >= threshold:
-            kind = pending.pop()[0]
+            join = joins[pending.pop()[0]]
             right = operands.pop()
-            operands[-1] = _new(kind, (kind, operands[-1], right))
+            operands[-1] = join(operands[-1], right)
         if entry:
             pending.append(entry)
             want_operand = True
         elif tok == ")" and groups:
             pending.pop()
-            node = operands[-1]
-            for _ in range(groups.pop()):
-                node = _new(Not, (Not, node))
-            operands[-1] = node
+            operands[-1] = negate(operands[-1], groups.pop())
         elif groups:
             raise ParseError("expected ')'", _position(text, k))
         elif tok:
@@ -298,7 +331,8 @@ def to_text(phi: Formula) -> str:
 
 
 def models(phi: Formula, universe: Universe) -> ModelSet:
-    """Exact model set by enumerating all 2^|U| interpretations."""
+    """Exact model set: the atoms' truth tables (bit m for interpretation m)
+    combined up the tree by `_TABLE_JOINS`, one int operation per node."""
     full = (1 << (1 << len(universe))) - 1
     tables = dict(zip(universe.atoms, _atom_patterns(len(universe))))
     # Post-order on an explicit stack: a node pushes its class, to combine
@@ -314,26 +348,19 @@ def models(phi: Formula, universe: Universe) -> ModelSet:
             values.append(bits)
         elif kind is type:
             if node is Not:
-                values[-1] ^= full
-                continue
-            right = values.pop()
-            if node is And:
-                values[-1] &= right
-            elif node is Or:
-                values[-1] |= right
-            elif node is Implies:
-                values[-1] = (full ^ values[-1]) | right
+                values[-1] = ~values[-1]
             else:
-                values[-1] = full ^ (values[-1] ^ right)
+                right = values.pop()
+                values[-1] = _TABLE_JOINS[node](values[-1], right)
         elif kind is Not:
             stack += (Not, node[1])
         elif kind in _SYMBOL:
             stack += (kind, node[2], node[1])
         elif kind is Const:
-            values.append(full if node[1] else 0)
+            values.append(-1 if node[1] else 0)
         else:
             raise TypeError(f"not a formula node: {node!r}")
-    return ModelSet.from_bits(universe, values[0])
+    return ModelSet.from_bits(universe, full & values[0])
 
 
 class Clause(namedtuple("Clause", "literals")):

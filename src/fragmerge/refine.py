@@ -125,7 +125,7 @@ class LexClosureRefinement(LexRefinement):
 
     @staticmethod
     def reads(profile_bits: tuple) -> int:
-        # M meets a base exactly when it meets their union.
+        # Whether M meets a base, all this reads of X, is whether it meets the union.
         return reduce(or_, profile_bits)
 
 
@@ -359,11 +359,11 @@ class RefinedOperator:
         """(self(profile, mu).bits for each mu.bits in `keys`), on this
         presentation `bases` of the profile.  The refinement reads the base
         output M and, of the profile's model sets X, nothing when
-        `kind.reads` is None, `kind.reads(bases)` when it is a function, and
-        all of X in order without `reads`.  So across the tables sharing
-        `memo` (this operator's part is under its own key), the refinement
-        runs once per (M, what it reads of X), and a table is made once per
-        (keys, base table, what it reads of X)."""
+        `kind.reads` is None, whether M meets the bitset `kind.reads(bases)`
+        when it is a function, and all of X in order without `reads`.  So
+        across the tables sharing `memo` (this operator's part is under its
+        own key), the refinement runs once per (M, what it reads of X), and
+        a table is made once per (keys, base table, `reads(bases)` or X)."""
         base = answer_table(self.base, bases, keys, memo)
         kind = self.kind
         x = (kind.reads and kind.reads(bases)) if hasattr(kind, "reads") else bases
@@ -374,13 +374,15 @@ class RefinedOperator:
         return table
 
     def _table(self, bases, keys, base, x, outs, universe) -> tuple:
+        meets = callable(getattr(self.kind, "reads", None))
         models, table = tuple([ModelSet.from_bits(universe, b) for b in bases]), []
         for bits, out in zip(keys, base):
             if out & ~bits:
                 raise ValueError(_OUTSIDE)
-            refined = outs.get((out, x))
+            seen = out & x != 0 if meets else x
+            refined = outs.get((out, seen))
             if refined is None:
-                refined = outs[out, x] = self.kind(ModelSet.from_bits(universe, out), models).bits
+                refined = outs[out, seen] = self.kind(ModelSet.from_bits(universe, out), models).bits
             table.append(refined)
         return tuple(table)
 

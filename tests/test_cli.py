@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fragmerge.formula
 from fragmerge import (
     MAJ3,
     CountingDistance,
@@ -85,6 +86,20 @@ class TestProblemFile:
         message = r"^line 2: unexpected character '\\x0c' \(at position 2\)$"
         with pytest.raises(ProblemFileError, match=message):
             parse_problem_file("atoms: a b\nbase K: a \x0c& b\n")
+
+    def test_formula_lines_build_no_formula_node(self, monkeypatch):
+        text = "atoms: a b c\nbase K1: a & (b | !c)\nbase K2: models {a}\nconstraint: !a -> b <-> c\n"
+        want = parse_problem_file(text)
+        u = want.universe
+        assert want.bases[0][1].models == models(parse("a & (b | !c)", u), u)
+        assert want.constraints == [models(parse("!a -> b <-> c", u), u)]
+
+        def refuse(*args):
+            raise AssertionError("a formula node was built")
+
+        for name in ("parse", "models", "_leaves", "_new", "_negate_node"):
+            monkeypatch.setattr(fragmerge.formula, name, refuse)
+        assert parse_problem_file(text) == want
 
     def test_inconsistent_base(self):
         with pytest.raises(InconsistentBaseError):

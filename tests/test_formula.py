@@ -34,7 +34,7 @@ from fragmerge import (
     to_text,
 )
 from fragmerge.formula import (
-    And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool,
+    MAX_NESTING, And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool, truth_table,
 )
 from helpers import (
     U2,
@@ -694,3 +694,77 @@ class TestParseAgainstSlowParser:
         universe = Universe("abcdefgh"[:data.draw(st.integers(1, 8))])
         phi = data.draw(formulas(universe))
         assert models(phi, universe).bits == slow_truth_bits(phi, universe)
+
+
+def read_outcome(reader, text, universe=PARSE_UNIVERSE):
+    try:
+        return "bits", reader(text, universe)
+    except (ParseError, UnknownAtomError) as exc:
+        return type(exc).__name__, str(exc), exc.position
+
+
+def parsed_bits(text, universe):
+    return models(parse(text, universe), universe).bits
+
+
+def oracle_bits(text, universe):
+    # Shares no code with `parse`, `models` or `truth_table`.
+    return slow_truth_bits(slow_parse(text, universe), universe)
+
+
+SEPARATORS = st.sampled_from(["", " ", "\t", "\r\n", "\n", "\r", " \t\n "])
+
+
+def formula_texts(atoms):
+    # Formula text token by token: all four connectives, T and F, runs of
+    # `!`, spaces, tabs and line breaks between tokens, and parentheses,
+    # some of them redundant.  Binary connectives are joined without
+    # parentheses, so precedence and associativity decide the grouping.
+    leaves = st.sampled_from(list(atoms) + ["T", "F"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(st.lists(st.just("!"), min_size=1, max_size=4), SEPARATORS, inner)
+            .map(lambda t: "".join(t[0]) + t[1] + t[2]),
+            st.tuples(inner, SEPARATORS, st.sampled_from(["&", "|", "->", "<->"]), SEPARATORS, inner)
+            .map("".join),
+            st.tuples(SEPARATORS, inner, SEPARATORS).map(lambda t: "(" + "".join(t) + ")"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+class TestTruthTable:
+    """`truth_table` reads a formula straight to its truth table: the bits
+    of `models(parse(text, u), u)`, or the same exception type, message and
+    position."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_formula_texts(self, data):
+        universe = Universe("abcdefgh"[:data.draw(st.integers(1, 8))])
+        text = data.draw(formula_texts(universe.atoms))
+        depth = data.draw(st.integers(0, MAX_NESTING))
+        text = "!" * data.draw(st.integers(0, 3)) + "(" * depth + text + ")" * depth
+        outcome = read_outcome(truth_table, text, universe)
+        assert outcome == read_outcome(parsed_bits, text, universe)
+        assert outcome == read_outcome(oracle_bits, text, universe)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(parts=st.lists(st.sampled_from(TOKENS), max_size=30))
+    def test_token_strings(self, parts):
+        text = "".join(parts)
+        outcome = read_outcome(truth_table, text)
+        assert outcome == read_outcome(parsed_bits, text) == read_outcome(oracle_bits, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a & z", "a $ b", "a &\xa0b", "a &\x0cb", "a b", "(a | b", "", "   ",
+         "(" * 65 + "a" + ")" * 65, "!(" * 65 + "a" + ")" * 65],
+        ids=["unknown-atom", "stray-character", "no-break-space", "form-feed", "trailing-input",
+             "missing-paren", "empty", "blank", "nest-65", "negated-nest-65"],
+    )
+    def test_malformed_texts_raise_as_parse_does(self, text):
+        outcome = read_outcome(truth_table, text)
+        assert outcome[0] != "bits"
+        assert outcome == read_outcome(parsed_bits, text)

@@ -755,6 +755,23 @@ class TestIntEngine:
         search(space, op)
         assert len(built) == len(base_tables) < space.profile_count
 
+    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
+    @pytest.mark.parametrize("postulate", [PostulateId.IC7, PostulateId.IC8], ids=["ic7", "ic8"])
+    def test_lex_closure_refines_once_per_output_and_overlap(self, monkeypatch, fragment, postulate):
+        # Lex-closure reads of X only whether M meets a base, so a search
+        # refines each M at most twice: once meeting X and once missing it.
+        calls, refine_call = [], LexClosureRefinement.__call__
+
+        def counting(self, mset, profile_models):
+            calls.append((mset.bits, any(mset.intersects(m) for m in profile_models)))
+            return refine_call(self, mset, profile_models)
+
+        monkeypatch.setattr(LexClosureRefinement, "__call__", counting)
+        op = RefinedOperator(MergeOperator(CountingDistance.drastic(2), Aggregator.GMAX),
+                             LexClosureRefinement(fragment.beta))
+        search(SearchSpace(atoms=2, fragment=fragment, postulates=(postulate,)), op)
+        assert len(calls) == len(set(calls)) <= 2 * len({m for m, _ in calls})
+
     @pytest.mark.parametrize("fragment, bases, size", [(HORN, 10, 2), (KROM, 40, 1)], ids=["horn", "krom"])
     @pytest.mark.parametrize("aggregator", list(Aggregator), ids=[a.value for a in Aggregator])
     def test_three_atom_search_matches_the_oracle(self, fragment, bases, size, aggregator):
