@@ -27,9 +27,8 @@ from .formula import (
     NotClosedError,
     ParseError,
     UnknownAtomError,
-    classify,
-    synthesize,
-    to_text,
+    _kept_clauses,
+    _text_and_verdict,
     truth_table,
 )
 from .interp import Interpretation, ModelSet, Universe, record_type
@@ -267,15 +266,15 @@ def cmd_merge(args) -> int:
     code = EXIT_OK
     if fragment is not None:
         try:
-            phi = synthesize(final, fragment)
+            clauses = _kept_clauses(final, fragment)
         except NotClosedError as exc:
             print(f"not expressible in {fragment.name} without a refinement: {exc}", file=sys.stderr)
             return EXIT_NOT_EXPRESSIBLE
         except NoSyntacticFragmentError as exc:
             print(f"synthesis failed: {exc}", file=sys.stderr)
             return EXIT_NOT_EXPRESSIBLE
-        records.append(("formula", to_text(phi)))
-        records.append(("formula-class", classify(phi).verdict))
+        text, verdict = _text_and_verdict(clauses)
+        records += [("formula", text), ("formula-class", verdict)]
 
     if args.format == "machine":
         for record in records:

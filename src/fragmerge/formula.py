@@ -19,9 +19,16 @@ operator-precedence loop on explicit stacks: `parse` builds the tree, and
 of them recurses, so only MAX_NESTING bounds how deep parentheses nest, and
 chains of one connective and runs of `!` may be any length.  The printer
 loops along chains and runs and recurses once per pair of parentheses.
+
+`synthesize` finds the clauses of its formula first (`_kept_clauses`) and
+builds the tree from them; `merge` prints those clauses and reads their
+class off them with no tree (`_text_and_verdict`).  A row's clause pool is
+walked once per universe and kept, each clause with its truth table, in a
+small cache.
 """
 
 import functools
+import math
 import operator
 import re
 from collections import namedtuple
@@ -450,6 +457,18 @@ def classify(phi: Formula) -> Classification:
     return Classification(True, tuple((c, _KINDS[HORN.admits(c), KROM.admits(c)]) for c in clauses))
 
 
+def _text_and_verdict(clauses) -> tuple:
+    # `to_text` and `classify(...).verdict` of the CNF of `clauses`, given
+    # as `_kept_clauses` gives them, read off the clauses with no tree.
+    texts = [" | ".join(name if pos else "!" + name for name, pos in clause) or "F"
+             for clause in clauses]
+    if len(clauses) > 1:
+        texts = [f"({text})" if len(clause) > 1 else text for text, clause in zip(texts, clauses)]
+    horn = all(sum(pos for _, pos in clause) <= HORN.max_positive for clause in clauses)
+    krom = all(len(clause) <= KROM.max_literals for clause in clauses)
+    return " & ".join(texts) or "T", _KINDS[horn, krom].value
+
+
 def _literal_ranks(universe: Universe):
     # The literals by rank as (atom name, positive?, falsifier), and the
     # atoms in name order as (atom index, rank of !a, rank of a).  Ranks
@@ -464,42 +483,72 @@ def _literal_ranks(universe: Universe):
                       for i in sorted(range(len(atoms)), key=atoms.__getitem__)]
 
 
-def _clause_pool(universe: Universe, fragment: Fragment, target: int):
-    # Sorted keys bytes((size, rank, ...)) of the fragment clauses that hold
-    # in `target`, and the literals by rank.  A key lists the ranks in
-    # atom-name order, so keys sort as (size, str(clause)) do.  A child in
-    # the walk adds a literal on an atom later in name order, and only within
-    # the fragment's bounds.  A clause's falsifier, the AND of its
-    # literals', is the truth table of where it is false; the clause holds
-    # when `target` misses it.
+def _clause_pool(universe: Universe, max_literals, max_positive):
+    # Sorted keys bytes((size, rank, ...)) of every clause within the bounds
+    # (None is no bound), the empty clause first, and the literals by rank.
+    # A key lists the ranks in atom-name order, so keys sort as (size,
+    # str(clause)) do.  A child in the walk adds a literal on an atom later
+    # in name order, and only within the bounds.
     n = len(universe)
-    size = n if fragment.max_literals is None else fragment.max_literals
-    positives = n if fragment.max_positive is None else fragment.max_positive
+    size = n if max_literals is None else max_literals
+    positives = n if max_positive is None else max_positive
     literals, by_name = _literal_ranks(universe)
-    steps = [((bytes((neg,)), literals[neg][2]), (bytes((pos,)), literals[pos][2]))
-             for _, neg, pos in by_name]
-    keys, stack = [], [(b"", (1 << (1 << n)) - 1, 0, positives)]
+    steps = [(bytes((neg,)), bytes((pos,))) for _, neg, pos in by_name]
+    keys, stack = [], [(b"", 0, positives)]
     while stack:
-        ranks, falsifier, start, positives = stack.pop()
-        if not target & falsifier:
-            keys.append(bytes((len(ranks),)) + ranks)
+        ranks, start, positives = stack.pop()
+        keys.append(bytes((len(ranks),)) + ranks)
         if len(ranks) < size:
             for j in range(start, n):
-                (neg, neg_falsifier), (pos, pos_falsifier) = steps[j]
-                stack.append((ranks + neg, falsifier & neg_falsifier, j + 1, positives))
+                neg, pos = steps[j]
+                stack.append((ranks + neg, j + 1, positives))
                 if positives:
-                    stack.append((ranks + pos, falsifier & pos_falsifier, j + 1, positives - 1))
+                    stack.append((ranks + pos, j + 1, positives - 1))
     keys.sort()
     return keys, literals
 
 
+# The falsifier bits that one kept pool may hold: 8 MiB.  A 16-atom Krom pool
+# (513 clauses of 2^16 bits) fits; a 16-atom pool of the clauses with at most
+# one positive literal (589,824 of them) does not.
+_POOL_BITS = 1 << 26
+
+
+def _pool_size(n: int, max_literals, max_positive) -> int:
+    # How many keys `_clause_pool` gives over n atoms: k literals on k
+    # atoms, at most `max_positive` of them positive.
+    size = n if max_literals is None else min(n, max_literals)
+    positives = n if max_positive is None else max_positive
+    return sum(math.comb(n, k) * sum(math.comb(k, p) for p in range(min(k, positives) + 1))
+               for k in range(size + 1))
+
+
+@functools.lru_cache(maxsize=4)
+def _row_pool(universe: Universe, max_literals, max_positive):
+    # `_clause_pool` as (key, falsifier) in descending key order, and the
+    # literals by rank.  Keyed on the bounds, since rows compare by name and
+    # function only.
+    keys, literals = _clause_pool(universe, max_literals, max_positive)
+    return tuple((key, _falsifier(key, literals)) for key in reversed(keys)), literals
+
+
 def _pool_listed(universe: Universe, fragment: Fragment, target: int):
     # Each non-model under the last pool clause that it falsifies, as
-    # (key, lowest bit, bits >> lowest bit) in key order.
-    keys, literals = _clause_pool(universe, fragment, target)
-    unseen, listed = ((1 << (1 << len(universe))) - 1) ^ target, []
-    for key in reversed(keys):
-        hit = unseen & _falsifier(key, literals)
+    # (key, lowest bit, bits >> lowest bit) in key order: one pass down the
+    # row's pool that skips the clauses `target` meets.  The pool is kept per
+    # universe when its falsifiers fit in _POOL_BITS, else walked on every
+    # call with each falsifier made as it is reached.
+    n, bounds = len(universe), (fragment.max_literals, fragment.max_positive)
+    if _pool_size(n, *bounds) << n <= _POOL_BITS:
+        pool, literals = _row_pool(universe, *bounds)
+    else:
+        keys, literals = _clause_pool(universe, *bounds)
+        pool = ((key, _falsifier(key, literals)) for key in reversed(keys))
+    unseen, listed = ((1 << (1 << n)) - 1) ^ target, []
+    for key, falsifier in pool:
+        if target & falsifier:
+            continue
+        hit = unseen & falsifier
         if hit:
             low = (hit & -hit).bit_length() - 1
             listed.append((key, low, hit >> low))
@@ -553,32 +602,16 @@ def _horn_listed(mset: ModelSet):
 
 
 def _falsifier(key, literals) -> int:
-    return functools.reduce(operator.and_, [literals[r][2] for r in key[1:]])
+    # The AND of the clause's literals' falsifiers: where it is false; -1,
+    # every interpretation, for the empty clause.
+    return functools.reduce(operator.and_, [literals[r][2] for r in key[1:]], -1)
 
 
-def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
-    """Formula of the fragment whose models are exactly `mset`.
-
-    The pool is every fragment clause satisfied by all members of `mset`, in
-    (size, text) order: fewer literals first, then by the clause printed
-    with its literals in atom-name order (`!a | b` before `a | !b`).  For the
-    builtin Horn and Krom fragments the pool pins the model set exactly
-    whenever it is closed under the fragment's function.  One pass in that
-    order drops each clause entailed by the clauses kept before it and all
-    clauses after it, and the formula conjoins the clauses kept.
-
-    Clauses are compared as truth tables (ints, bit m for interpretation
-    m).  The clauses kept before a step and the pool from it on pin `mset`,
-    so a clause is kept exactly when a non-model falsifies it and satisfies
-    the later pool and the clauses kept.  So each non-model is listed under
-    the last pool clause that it falsifies, and a walk forward keeps each
-    clause with a listed non-model that the clauses kept so far allow.
-
-    For the Horn row (AND2, at most one positive literal, no size bound),
-    each non-model w's last clause is read off the AND of the models that
-    contain w, without the pool.  Every other row, such as Krom or a Horn
-    row with a size bound, walks back through the sorted pool.
-    """
+def _kept_clauses(mset: ModelSet, fragment: Fragment) -> list:
+    # The clauses of `synthesize(mset, fragment)`, in the order it conjoins
+    # them, each a tuple of (atom name, positive?) literals in universe
+    # order: [] is T and [()], the empty clause, is F.  Raises as
+    # `synthesize` does.
     universe = mset.universe
     if fragment.max_literals is None and fragment.max_positive is None:
         raise NoSyntacticFragmentError(
@@ -593,24 +626,59 @@ def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
             witness=witness,
         )
     if not mset:
-        first = Atom(universe.atoms[0])
-        return And(first, Not(first))
+        # `a & !a` where the row admits the unit clause `a`, and so `!a`;
+        # else the empty clause, which every row admits.
+        a = universe.atoms[0]
+        unit = ((a, True),)
+        return [unit, ((a, False),)] if fragment.admits(Clause(unit)) else [()]
     if fragment.beta == AND2 and fragment.max_positive == 1 and fragment.max_literals is None:
         listed, literals = _horn_listed(mset)
     else:
         listed, literals = _pool_listed(universe, fragment, mset.bits)
-    # Each literal's node by rank, and its atom's position: a kept clause
-    # joins its literals by `|` in universe order, and the formula joins the
-    # clauses by `&` in the order kept, both left-deep.
-    nodes = [Atom(name) if pos else Not(Atom(name)) for name, pos, _ in literals]
+    pairs = [(name, pos) for name, pos, _ in literals]
     place = [universe.index(name) for name, _, _ in literals]
-    formula, alive = TOP, ((1 << (1 << len(universe))) - 1) ^ mset.bits  # non-models still allowed
+    kept, alive = [], ((1 << (1 << len(universe))) - 1) ^ mset.bits  # non-models still allowed
     for key, low, hit in listed:
         if alive >> low & hit:
-            ranks = sorted(key[1:], key=place.__getitem__)
-            clause = nodes[ranks[0]]
-            for r in ranks[1:]:
-                clause = _new(Or, (Or, clause, nodes[r]))
-            formula = clause if formula is TOP else _new(And, (And, formula, clause))
+            kept.append(tuple(map(pairs.__getitem__, sorted(key[1:], key=place.__getitem__))))
             alive &= ~_falsifier(key, literals)
+    return kept
+
+
+def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
+    """Formula of the fragment whose models are exactly `mset`.
+
+    The pool is every fragment clause satisfied by all members of `mset`, in
+    (size, text) order: fewer literals first, then by the clause printed
+    with its literals in atom-name order (`!a | b` before `a | !b`).  For the
+    builtin Horn and Krom fragments the pool pins the model set exactly
+    whenever it is closed under the fragment's function.  One pass in that
+    order drops each clause entailed by the clauses kept before it and all
+    clauses after it, and the formula conjoins the clauses kept, each with
+    its literals joined by `|` in universe order, both left-deep.  The empty
+    set gives `a & !a` over the first atom `a` when the fragment admits the
+    unit clause `a`, else `F`; the full set gives `T`.
+
+    Clauses are compared as truth tables (ints, bit m for interpretation
+    m).  The clauses kept before a step and the pool from it on pin `mset`,
+    so a clause is kept exactly when a non-model falsifies it and satisfies
+    the later pool and the clauses kept.  So each non-model is listed under
+    the last pool clause that it falsifies, and a walk forward keeps each
+    clause with a listed non-model that the clauses kept so far allow.
+
+    For the Horn row (AND2, at most one positive literal, no size bound),
+    each non-model w's last clause is read off the AND of the models that
+    contain w, without the pool.  Every other row, such as Krom or a Horn
+    row with a size bound, lists the non-models in one pass down its whole
+    pool, built once per universe and kept with each clause's truth table
+    when those fit in `_POOL_BITS`; it skips the clauses that `mset` meets.
+    """
+    leaves = _leaves(mset.universe)
+    formula = TOP
+    for clause in _kept_clauses(mset, fragment):
+        node = BOTTOM  # the empty clause
+        for name, pos in clause:
+            literal = leaves[name] if pos else _new(Not, (Not, leaves[name]))
+            node = literal if node is BOTTOM else _new(Or, (Or, node, literal))
+        formula = node if formula is TOP else _new(And, (And, formula, node))
     return formula

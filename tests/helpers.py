@@ -383,8 +383,10 @@ def slow_synthesize(mset, fragment):
     if witness is not None:
         raise NotClosedError("model set is not closed", witness=witness)
     if not mset.masks:
-        first = Atom(universe.atoms[0])
-        return And(first, Not(first))
+        first = universe.atoms[0]
+        if not within_bounds(fragment, [(first, True)]):
+            return BOTTOM
+        return And(Atom(first), Not(Atom(first)))
     pool = [
         clause
         for clause in fragment_clauses(universe, fragment)
@@ -405,13 +407,23 @@ def slow_synthesize(mset, fragment):
     return result
 
 
+def holding_pool(universe, fragment, target):
+    """The keys of `formula._clause_pool` whose clauses hold in `target`, in
+    key order, and the literals by rank; each clause's truth table built
+    here from its literals' falsifiers."""
+    full = (1 << (1 << len(universe))) - 1
+    keys, literals = _clause_pool(universe, fragment.max_literals, fragment.max_positive)
+    falsifiers = [functools.reduce(operator.and_, (literals[r][2] for r in key[1:]), full) for key in keys]
+    return [key for key, falsifier in zip(keys, falsifiers) if not target & falsifier], literals
+
+
 def greedy_synthesize(mset, fragment):
     """Reference for the scan of `synthesize` on a closed, non-empty `mset`:
     every pool clause's truth table and the suffix ANDs of the pool, held
     at once, and the greedy pass that tests each clause against them."""
     universe, target = mset.universe, mset.bits
     full = (1 << (1 << len(universe))) - 1
-    keys, literals = _clause_pool(universe, fragment, target)
+    keys, literals = holding_pool(universe, fragment, target)
     tables = [full ^ functools.reduce(operator.and_, (literals[r][2] for r in key[1:]), full)
               for key in keys]
     suffix = list(itertools.accumulate(reversed(tables), operator.and_, initial=full))[::-1]

@@ -339,7 +339,33 @@ DATA = Path(__file__).parent / "data"
 
 class TestKromMergeAboveTenAtoms:
     """12- and 16-atom Krom merges, each refined set closed under majority
-    and pinned exactly by the printed formula."""
+    and pinned exactly by the printed formula.  The machine output is pinned
+    by its sha256 too, so the formula stays byte for byte the same; CI
+    checks the same pins."""
+
+    SHA256 = {
+        ("krom12.txt", "closure", "hamming"): "19847ec258f1de879754b4c2cb1eca10b72626d6ce48d29ad30e9f776f76f97b",
+        ("krom12.txt", "closure", "drastic"): "0807bb9e2440204e20d603273544a5c900942acc14949a43fb50e7ba27ab0d6e",
+        ("krom12.txt", "lex", "hamming"): "19847ec258f1de879754b4c2cb1eca10b72626d6ce48d29ad30e9f776f76f97b",
+        ("krom12.txt", "lex", "drastic"): "439f589d6bb2a248732b17953894b223800e708c0c7d2a6ab068bc320753a78d",
+        ("krom12.txt", "lex-closure", "hamming"): "19847ec258f1de879754b4c2cb1eca10b72626d6ce48d29ad30e9f776f76f97b",
+        ("krom12.txt", "lex-closure", "drastic"): "0807bb9e2440204e20d603273544a5c900942acc14949a43fb50e7ba27ab0d6e",
+        ("krom16.txt", "closure", "hamming"): "c499696b044c0cc1f71ada02b5e8f2ff7cdfe607402664aa4703264dc2a42183",
+        ("krom16.txt", "closure", "drastic"): "9a1b339c879cbad21c31e6a7134612caa0beecf5c083ad00439d913a60d114d9",
+        ("krom16.txt", "lex", "hamming"): "217a589961c41d9814d634cb018a07536a36533b19c996f92947daad0a937a7d",
+        ("krom16.txt", "lex", "drastic"): "38dc8e416b1e1ff498a452f4a54bab53f8dfa82be000141827497680f5b0ebf1",
+        ("krom16.txt", "lex-closure", "hamming"): "217a589961c41d9814d634cb018a07536a36533b19c996f92947daad0a937a7d",
+        ("krom16.txt", "lex-closure", "drastic"): "38dc8e416b1e1ff498a452f4a54bab53f8dfa82be000141827497680f5b0ebf1",
+    }
+
+    @pytest.mark.parametrize("name, refinement, distance", sorted(SHA256))
+    def test_machine_output_is_pinned(self, capsys, name, refinement, distance):
+        code, out, _ = run(
+            capsys, "merge", str(DATA / name), "--fragment", "krom", "--refinement", refinement,
+            "--distance", distance, "--format", "machine",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name, refinement, distance]
 
     @pytest.mark.parametrize("name", ["krom12.txt", "krom16.txt"])
     @pytest.mark.parametrize("refinement", ["closure", "lex-closure"])

@@ -34,7 +34,8 @@ from fragmerge import (
     to_text,
 )
 from fragmerge.formula import (
-    MAX_NESTING, And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool, truth_table,
+    MAX_NESTING, And, Atom, Clause, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool, _kept_clauses,
+    _pool_size, _row_pool, _text_and_verdict, truth_table,
 )
 from helpers import (
     U2,
@@ -42,6 +43,7 @@ from helpers import (
     all_model_sets,
     fragment_clauses,
     greedy_synthesize,
+    holding_pool,
     is_tautological,
     ms,
     slow_clause_pool,
@@ -323,9 +325,20 @@ class TestSynthesize:
         args, img = exc.value.witness
         assert img == U2.interpretation("")
 
-    def test_empty_set_gives_contradiction(self):
-        phi = synthesize(ModelSet(U2), HORN)
-        assert models(phi, U2) == ModelSet(U2)
+    @pytest.mark.parametrize("fragment, text", [
+        (HORN, "b & !b"),
+        (KROM, "b & !b"),
+        (Fragment("binary-horn", AND2, max_literals=2, max_positive=1), "b & !b"),
+        (Fragment("maj3-horn", MAJ3, max_positive=1), "b & !b"),
+        # Rows that do not admit the unit clause `b` get the empty clause.
+        (Fragment("neg", AND2, max_positive=0), "F"),
+        (Fragment("z", MAJ3, max_literals=0), "F"),
+    ])
+    def test_empty_set_gives_contradiction(self, fragment, text):
+        u = Universe("ba")
+        phi = synthesize(ModelSet(u), fragment)
+        assert to_text(phi) == text and models(phi, u) == ModelSet(u)
+        assert all(fragment.admits(clause) for clause, _ in classify(phi).clauses)
 
     def test_full_set_gives_tautology(self):
         phi = synthesize(ModelSet.full(U2), HORN)
@@ -351,7 +364,7 @@ class TestSynthesize:
         target = ms(U2, "")
         small = synthesize(target, HORN)
         assert models(small, U2) == target
-        assert len(classify(small).clauses) < len(_clause_pool(U2, HORN, target.bits)[0])
+        assert len(classify(small).clauses) < len(holding_pool(U2, HORN, target.bits)[0])
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     def test_round_trip_two_atoms(self, fragment):
@@ -448,6 +461,7 @@ class TestSynthesize:
             raise AssertionError("the Horn row walked the clause pool")
 
         monkeypatch.setattr(fragmerge.formula, "_clause_pool", refuse)
+        _row_pool.cache_clear()
         assert to_text(synthesize(ms(U2, "", "a", "b"), HORN)) == "!a | !b"
         for universe in (Universe("cab"), Universe(["ab", "a", "b_"])):
             for mset in closed_model_sets(AND2, universe):
@@ -469,14 +483,22 @@ class TestSynthesize:
         calls = []
 
         def counted(*args):
-            calls.append(args[1].name)
+            calls.append(args[1:])
             return _clause_pool(*args)
 
         monkeypatch.setattr(fragmerge.formula, "_clause_pool", counted)
+        _row_pool.cache_clear()
         u = Universe(atoms)
         mset = closure(fragment.beta, ModelSet.from_sets(u, *members))
         assert to_text(synthesize(mset, fragment)) == expected
-        assert calls == [fragment.name]
+        assert calls == [fragment[2:]]
+        # The pool does not depend on the set: a second set over the same
+        # universe and row walks no pool, another universe walks its own.
+        assert models(synthesize(ModelSet.full(u), fragment), u) == ModelSet.full(u)
+        assert to_text(synthesize(mset, fragment)) == expected
+        assert calls == [fragment[2:]]
+        synthesize(ModelSet.full(Universe("ab")), fragment)
+        assert calls == [fragment[2:]] * 2
 
     def test_an_atom_name_that_parse_cannot_read_is_refused(self):
         # Over an atom named `!a`, the text `!!a` of its negation would read
@@ -489,30 +511,75 @@ class TestSynthesize:
         u = Universe("abcdefgh")
         target = ms(u, "beh", "abeh")
         phi = synthesize(target, HORN)
-        assert len(_clause_pool(u, HORN, target.bits)[0]) == 1192
+        assert len(holding_pool(u, HORN, target.bits)[0]) == 1192
         assert len(classify(phi).clauses) == 14
         assert models(phi, u) == target
         assert models(parse(to_text(phi), u), u) == target
 
 
+ROWS = [HORN, KROM, Fragment("binary-horn", AND2, max_literals=2, max_positive=1),
+        Fragment("maj3-horn", MAJ3, max_positive=1), Fragment("neg", AND2, max_positive=0)]
+
+
+class TestTextAndVerdict:
+    """`merge` prints the formula and its class off the kept clauses, with
+    no tree: both must equal `to_text(synthesize(M, row))` and
+    `classify(...).verdict`, and a set the row cannot express must raise
+    alike.  The universes are not in name order, so the pool's order and
+    the printed literals' order differ."""
+
+    @staticmethod
+    def check(mset, fragment):
+        try:
+            phi = synthesize(mset, fragment)
+        except NoSyntacticFragmentError as exc:
+            with pytest.raises(NoSyntacticFragmentError) as raised:
+                _kept_clauses(mset, fragment)
+            assert str(raised.value) == str(exc)
+            return
+        assert _text_and_verdict(_kept_clauses(mset, fragment)) == (to_text(phi), classify(phi).verdict)
+
+    @pytest.mark.parametrize("fragment", ROWS, ids=lambda row: row.name)
+    def test_every_closed_set_of_two_to_four_atoms(self, fragment):
+        for atoms in ("ba", "cab", ["d", "b", "ca", "a"]):
+            universe = Universe(atoms)
+            for mset in (ModelSet(universe),) + closed_model_sets(fragment.beta, universe):
+                self.check(mset, fragment)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(5, 10), fragment=st.sampled_from(ROWS))
+    def test_random_closed_sets_of_five_to_ten_atoms(self, data, n, fragment):
+        names = data.draw(st.permutations(["j", "a", "ab", "i", "b", "h", "c", "g", "d", "f"]))
+        universe = Universe(names[:n])
+        assume(list(universe.atoms) != sorted(universe.atoms))
+        masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+        self.check(closure(fragment.beta, ModelSet(universe, masks)), fragment)
+
+
 class TestClausePoolAgainstFullScan:
-    """The Krom pool from the clauses of at most two literals, the Horn pool
-    from the shapes with at most one positive literal, and the pools of
-    bounds that no builtin fragment uses, against the 3^n scan: equal key
-    for key and table for table."""
+    """The kept Krom pool from the clauses of at most two literals, the Horn
+    pool from the shapes with at most one positive literal, and the pools of
+    bounds that no builtin fragment uses, each filtered by the target
+    through the falsifiers kept with it, against the 3^n scan: equal key for
+    key and table for table."""
 
     @staticmethod
     def pools(universe, fragment, bits):
-        # The pool's keys decoded to ((size, text), table, clause), in key order.
-        keys, literals = _clause_pool(universe, fragment, bits)
+        # The clauses of the row's kept pool that hold in `bits`, decoded to
+        # ((size, text), table, clause) in key order; each table is read off
+        # the falsifier kept with the clause.
+        bounds = (fragment.max_literals, fragment.max_positive)
+        pool, literals = _row_pool(universe, *bounds)
+        assert len(pool) == _pool_size(len(universe), *bounds)
         full = (1 << (1 << len(universe))) - 1
         fast = []
-        for key in keys:
+        for key, falsifier in reversed(pool):
+            if bits & falsifier:
+                continue
             lits = [literals[r] for r in key[1:]]
             text = " | ".join(name if pos else f"!{name}" for name, pos, _ in lits)
-            table = full ^ functools.reduce(operator.and_, (f for _, _, f in lits), full)
             clause = Clause(frozenset((name, pos) for name, pos, _ in lits))
-            fast.append(((key[0], text), table, clause))
+            fast.append(((key[0], text), full & ~falsifier, clause))
         return fast, sorted(slow_clause_pool(universe, fragment, bits, full))
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
@@ -543,6 +610,32 @@ class TestClausePoolAgainstFullScan:
         mset = closure(fragment.beta, ModelSet(universe, masks))
         fast, slow = self.pools(universe, fragment, mset.bits)
         assert fast == slow
+
+
+    @pytest.mark.parametrize("bounds", [(2, None), (2, 1), (None, 1), (3, None), (None, 0), (0, 0), (9, 2)])
+    def test_pool_size_counts_the_walk(self, bounds):
+        for n in range(1, 9):
+            universe = Universe("abcdefgh"[:n])
+            assert _pool_size(n, *bounds) == len(_clause_pool(universe, *bounds)[0])
+
+    @pytest.mark.parametrize("fragment", [KROM, Fragment("maj3-horn", MAJ3, max_positive=1),
+                                          Fragment("binary-horn", AND2, max_literals=2, max_positive=1)])
+    def test_a_pool_too_large_to_keep_gives_the_same_formulas(self, monkeypatch, fragment):
+        # With no room to keep a pool, each call walks it and makes the
+        # falsifiers as it goes; the formulas and errors stay the same.
+        def result(mset):
+            try:
+                return to_text(synthesize(mset, fragment))
+            except NoSyntacticFragmentError as exc:
+                return str(exc)
+
+        sets = closed_model_sets(fragment.beta, Universe("cab")) + closed_model_sets(
+            fragment.beta, Universe(["b1", "a", "ab", "b"]))[::7]
+        kept = [result(mset) for mset in sets]
+        monkeypatch.setattr(fragmerge.formula, "_POOL_BITS", 0)
+        _row_pool.cache_clear()
+        assert [result(mset) for mset in sets] == kept
+        assert _row_pool.cache_info().currsize == 0
 
 
 def _conjoin_clauses(clauses):
