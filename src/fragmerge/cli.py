@@ -263,7 +263,6 @@ def cmd_merge(args) -> int:
         records.append(("refined-overlap", cardintersection(refined, profile)))
         final = refined
 
-    code = EXIT_OK
     if fragment is not None:
         try:
             clauses = _kept_clauses(final, fragment)
@@ -301,7 +300,7 @@ def cmd_merge(args) -> int:
                 print(f"base {rest[0]}: {value}")
             else:
                 print(f"{labels[key]}: {value}")
-    return code
+    return EXIT_OK
 
 
 def _parse_postulates(listing: str):

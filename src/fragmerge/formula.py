@@ -1,5 +1,7 @@
 """Propositional formulas: parsing, printing, models, clause classification,
-and synthesis of a fragment formula from a closed model set.
+and synthesis of a fragment formula from a closed model set.  Formula nodes,
+clauses and classifications are records (`interp.record_type`): each equals
+only a record of its own class with equal fields, and none is ordered.
 
 Grammar (ASCII; spaces, tabs and line breaks may separate tokens, and any
 whitespace may follow the last one):
@@ -31,7 +33,6 @@ import functools
 import math
 import operator
 import re
-from collections import namedtuple
 from enum import Enum
 
 from .interp import (
@@ -40,10 +41,12 @@ from .interp import (
     Fragment,
     ModelSet,
     Universe,
+    WitnessError,
     _atom_patterns,
     _from_bits,
     _literal_falsifiers,
     closure_witness,
+    record_type,
 )
 
 
@@ -61,75 +64,42 @@ class UnknownAtomError(ValueError):
         self.position = position
 
 
-class NotClosedError(ValueError):
+class NotClosedError(WitnessError):
     """Model set is not closed under the fragment's Boolean function."""
-
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NoSyntacticFragmentError(ValueError):
     """Fragment has no clause language, or it cannot express the given set."""
 
 
-class Formula(tuple):
-    """Immutable formula node: a tuple of its class and its fields, so nodes
-    compare and hash by (type, fields) without Python-level methods."""
+class Formula:
+    """Mixin of the formula nodes, each a record: equal only to a node of
+    its own class with equal fields, hashed by its fields, and unordered."""
 
     __slots__ = ()
-    _fields = ()
 
     def __str__(self):
         return to_text(self)
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[1:]))
-        return f"{type(self).__name__}({fields})"
 
-    def __getnewargs__(self):
-        return self[1:]
-
-
-class Atom(Formula):
+class Atom(Formula, record_type("Atom", "name")):
     __slots__ = ()
-    _fields = ("name",)
-    name = property(operator.itemgetter(1))
-
-    def __new__(cls, name):
-        return tuple.__new__(cls, (cls, name))
 
 
-class Const(Formula):
+class Const(Formula, record_type("Const", "value")):
     __slots__ = ()
-    _fields = ("value",)
-    value = property(operator.itemgetter(1))
-
-    def __new__(cls, value):
-        return tuple.__new__(cls, (cls, value))
 
 
 TOP = Const(True)
 BOTTOM = Const(False)
 
 
-class Not(Formula):
+class Not(Formula, record_type("Not", "operand")):
     __slots__ = ()
-    _fields = ("operand",)
-    operand = property(operator.itemgetter(1))
-
-    def __new__(cls, operand):
-        return tuple.__new__(cls, (cls, operand))
 
 
-class _Binary(Formula):
+class _Binary(Formula, record_type("_Binary", "left right")):
     __slots__ = ()
-    _fields = ("left", "right")
-    left = property(operator.itemgetter(1))
-    right = property(operator.itemgetter(2))
-
-    def __new__(cls, left, right):
-        return tuple.__new__(cls, (cls, left, right))
 
 
 class And(_Binary):
@@ -166,20 +136,17 @@ _TEXT_RE = re.compile(rf"{_TOKENS}\s*")
 # bottom of the stack, have rank 0 and are never applied.
 _CONNECTIVES = {"&": (And, 4, 4), "|": (Or, 3, 3), "->": (Implies, 2, 3), "<->": (Iff, 1, 2)}
 _OPEN = (None, 0, 0)
-# What the node constructors do, without their Python-level frame.
-_new = tuple.__new__
-_NODE_JOINS = {kind: lambda left, right, kind=kind: _new(kind, (kind, left, right))
-               for kind in (And, Or, Implies, Iff)}
 # Each connective's truth table from its operands', on two's-complement ints:
 # T is -1 (every bit set) and ! is ~, so no step needs the table's width and
 # the low 2^|U| bits of the result are the formula's truth table.
 _TABLE_JOINS = {And: operator.and_, Or: operator.or_,
                 Implies: lambda left, right: ~left | right, Iff: lambda left, right: ~left ^ right}
+_NODE_JOINS = {kind: kind for kind in _TABLE_JOINS}
 
 
 def _negate_node(node, count):
     for _ in range(count):
-        node = _new(Not, (Not, node))
+        node = Not(node)
     return node
 
 
@@ -349,9 +316,9 @@ def models(phi: Formula, universe: Universe) -> ModelSet:
         node = stack.pop()
         kind = type(node)
         if kind is Atom:
-            bits = tables.get(node[1])
+            bits = tables.get(node[0])
             if bits is None:
-                raise UnknownAtomError(node[1])
+                raise UnknownAtomError(node[0])
             values.append(bits)
         elif kind is type:
             if node is Not:
@@ -360,17 +327,17 @@ def models(phi: Formula, universe: Universe) -> ModelSet:
                 right = values.pop()
                 values[-1] = _TABLE_JOINS[node](values[-1], right)
         elif kind is Not:
-            stack += (Not, node[1])
+            stack += (Not, node[0])
         elif kind in _SYMBOL:
-            stack += (kind, node[2], node[1])
+            stack += (kind, node[1], node[0])
         elif kind is Const:
-            values.append(-1 if node[1] else 0)
+            values.append(-1 if node[0] else 0)
         else:
             raise TypeError(f"not a formula node: {node!r}")
     return ModelSet.from_bits(universe, full & values[0])
 
 
-class Clause(namedtuple("Clause", "literals")):
+class Clause(record_type("Clause", "literals")):
     """Disjunction of literals, each a (atom name, positive?) pair.
 
     Tautological clauses (an atom in both polarities) can be represented so
@@ -385,15 +352,10 @@ class Clause(namedtuple("Clause", "literals")):
         return sum(1 for _, pos in self.literals if pos)
 
     def to_formula(self, universe: Universe = None) -> Formula:
-        if not self.literals:
-            return BOTTOM
         key = universe.index if universe is not None else (lambda n: n)
         lits = sorted(self.literals, key=lambda lit: (key(lit[0]), not lit[1]))
         parts = [Atom(n) if pos else Not(Atom(n)) for n, pos in lits]
-        node = parts[0]
-        for part in parts[1:]:
-            node = Or(node, part)
-        return node
+        return functools.reduce(Or, parts) if parts else BOTTOM
 
     def __str__(self):
         return to_text(self.to_formula())
@@ -414,7 +376,7 @@ _KINDS = {(True, True): ClauseKind.BOTH, (True, False): ClauseKind.HORN,
           (False, True): ClauseKind.KROM, (False, False): ClauseKind.GENERAL}
 
 
-class Classification(namedtuple("Classification", "is_cnf clauses")):
+class Classification(record_type("Classification", "is_cnf clauses")):
     __slots__ = ()
 
     @property
@@ -676,9 +638,7 @@ def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
     leaves = _leaves(mset.universe)
     formula = TOP
     for clause in _kept_clauses(mset, fragment):
-        node = BOTTOM  # the empty clause
-        for name, pos in clause:
-            literal = leaves[name] if pos else _new(Not, (Not, leaves[name]))
-            node = literal if node is BOTTOM else _new(Or, (Or, node, literal))
-        formula = node if formula is TOP else _new(And, (And, formula, node))
+        literals = [leaves[name] if pos else Not(leaves[name]) for name, pos in clause]
+        node = functools.reduce(Or, literals) if literals else BOTTOM  # F: the empty clause
+        formula = node if formula is TOP else And(formula, node)
     return formula

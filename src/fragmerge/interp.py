@@ -40,16 +40,20 @@ class UniverseTooLargeError(ValueError):
     """Universe exceeds the cap for exhaustive model enumeration."""
 
 
-class NotSymmetricError(ValueError):
+class WitnessError(ValueError):
+    """A property fails, and `witness` is an input where it does."""
+
     def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
 
 
-class NotReproducingError(ValueError):
-    def __init__(self, message, witness):
-        super().__init__(message)
-        self.witness = witness
+class NotSymmetricError(WitnessError):
+    """Two inputs of equal weight give different outputs."""
+
+
+class NotReproducingError(WitnessError):
+    """The all-zero input gives 1, or the all-one input gives 0."""
 
 
 class Universe:

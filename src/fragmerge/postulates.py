@@ -426,9 +426,12 @@ def search(space: SearchSpace, op, limit: int = None):
     union (ic5/ic6) and flipped presentation (ic3) gets one whole answer
     table, from `op.answers` if the operator has it; each shape's `scan`
     then walks its instances as loops over ints and yields only the
-    violations, and only those become `Instance`s.  Before any table is built, raises
-    SpaceTooLargeError over MAX_INSTANCES instances and EmptySpaceError for
-    none: finding no witness there shows nothing."""
+    violations, and only those become `Instance`s.  Before any table is
+    built, raises ValueError for a `limit` below 1, SpaceTooLargeError over
+    MAX_INSTANCES instances and EmptySpaceError for none: finding no witness
+    there shows nothing."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]
     total = sum(ROWS[pid].count(space) for pid in pids)
     if total > MAX_INSTANCES:

@@ -242,15 +242,15 @@ def _check(properties, cases, violated, keep=1, limit=None):
     return report
 
 
-def validate_mapping(mapping, universe: Universe, max_profile_size: int = 2) -> CheckReport:
+def validate_mapping(mapping, universe: Universe) -> CheckReport:
     """Check the four mapping properties of a refinement f(M, X) on every
     (M, X) pair of the bounded space: all model sets M over `universe`, all
-    multisets X of at most `max_profile_size` non-empty model sets.  Each
-    property keeps its first witness (M, X, message).  For small universes.
+    multisets X of one or two non-empty model sets.  Each property keeps its
+    first witness (M, X, message).  For small universes.
     """
     all_sets = tuple(model_sets(universe))
     nonempty = tuple(s for s in all_sets if s)
-    profiles = [x for size in range(1, max_profile_size + 1)
+    profiles = [x for size in (1, 2)
                 for x in itertools.combinations_with_replacement(nonempty, size)]
 
     # A BetaMapping checks its own output, and raises.
@@ -328,7 +328,10 @@ def check_refinement_properties(base_op, refined_op, beta: BooleanFn, instances)
 def is_fair(base_op, refined_op, instances, limit: int = None) -> CheckReport:
     """Find instances where the base output meets a number of bases other
     than one but the refined output meets exactly one.  Every witness, the
-    case and the number of bases each output meets, is kept up to `limit`."""
+    case and the number of bases each output meets, is kept up to `limit`,
+    which must be at least 1."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
 
     def violated(case):
         (_, bases), base_out, refined_out = case[2:]

@@ -621,7 +621,7 @@ def _slow_closed(beta, mset):
     return _cached_slow_closure(beta, mset) == mset
 
 
-def slow_validate_mapping(mapping, universe, max_profile_size=2):
+def slow_validate_mapping(mapping, universe):
     """Oracle for `validate_mapping`: the nested loop it replaced, closedness
     read off `slow_closure`.  Returns (checked, {property: (M, X, message)}),
     the first witness of each property; a pair counts against the first
@@ -631,7 +631,7 @@ def slow_validate_mapping(mapping, universe, max_profile_size=2):
     nonempty = [s for s in all_sets if s]
     checked, first = 0, {}
     for mset in all_sets:
-        for size in range(1, max_profile_size + 1):
+        for size in (1, 2):
             for x in itertools.combinations_with_replacement(nonempty, size):
                 checked += 1
                 try:

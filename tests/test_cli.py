@@ -97,8 +97,12 @@ class TestProblemFile:
         def refuse(*args):
             raise AssertionError("a formula node was built")
 
-        for name in ("parse", "models", "_leaves", "_new", "_negate_node"):
+        for name in ("parse", "models", "_leaves", "_negate_node"):
             monkeypatch.setattr(fragmerge.formula, name, refuse)
+        # Every node class is built through the Formula mixin's constructor.
+        monkeypatch.setattr(fragmerge.formula.Formula, "__new__", refuse)
+        with pytest.raises(AssertionError, match="a formula node was built"):
+            fragmerge.formula.Or(fragmerge.formula.TOP, fragmerge.formula.BOTTOM)
         assert parse_problem_file(text) == want
 
     def test_inconsistent_base(self):
@@ -335,28 +339,22 @@ class TestMergeCommand:
 
 
 DATA = Path(__file__).parent / "data"
+# (file, fragment, refinement, distance) -> sha256 of the machine output of
+# that merge; the CI workflow checks the same pins.
+PINS = {tuple(row[:4]): row[4]
+        for row in map(str.split, (DATA / "merge_sha256.txt").read_text().splitlines())
+        if row[0] != "#"}
 
 
 class TestKromMergeAboveTenAtoms:
     """12- and 16-atom Krom merges, each refined set closed under majority
     and pinned exactly by the printed formula.  The machine output is pinned
-    by its sha256 too, so the formula stays byte for byte the same; CI
-    checks the same pins."""
+    by its sha256 too (`PINS`), so the formula stays byte for byte the
+    same."""
 
-    SHA256 = {
-        ("krom12.txt", "closure", "hamming"): "19847ec258f1de879754b4c2cb1eca10b72626d6ce48d29ad30e9f776f76f97b",
-        ("krom12.txt", "closure", "drastic"): "0807bb9e2440204e20d603273544a5c900942acc14949a43fb50e7ba27ab0d6e",
-        ("krom12.txt", "lex", "hamming"): "19847ec258f1de879754b4c2cb1eca10b72626d6ce48d29ad30e9f776f76f97b",
-        ("krom12.txt", "lex", "drastic"): "439f589d6bb2a248732b17953894b223800e708c0c7d2a6ab068bc320753a78d",
-        ("krom12.txt", "lex-closure", "hamming"): "19847ec258f1de879754b4c2cb1eca10b72626d6ce48d29ad30e9f776f76f97b",
-        ("krom12.txt", "lex-closure", "drastic"): "0807bb9e2440204e20d603273544a5c900942acc14949a43fb50e7ba27ab0d6e",
-        ("krom16.txt", "closure", "hamming"): "c499696b044c0cc1f71ada02b5e8f2ff7cdfe607402664aa4703264dc2a42183",
-        ("krom16.txt", "closure", "drastic"): "9a1b339c879cbad21c31e6a7134612caa0beecf5c083ad00439d913a60d114d9",
-        ("krom16.txt", "lex", "hamming"): "217a589961c41d9814d634cb018a07536a36533b19c996f92947daad0a937a7d",
-        ("krom16.txt", "lex", "drastic"): "38dc8e416b1e1ff498a452f4a54bab53f8dfa82be000141827497680f5b0ebf1",
-        ("krom16.txt", "lex-closure", "hamming"): "217a589961c41d9814d634cb018a07536a36533b19c996f92947daad0a937a7d",
-        ("krom16.txt", "lex-closure", "drastic"): "38dc8e416b1e1ff498a452f4a54bab53f8dfa82be000141827497680f5b0ebf1",
-    }
+    SHA256 = {(name, refinement, distance): sha256
+              for (name, fragment, refinement, distance), sha256 in PINS.items()
+              if fragment == "krom"}
 
     @pytest.mark.parametrize("name, refinement, distance", sorted(SHA256))
     def test_machine_output_is_pinned(self, capsys, name, refinement, distance):
@@ -390,32 +388,26 @@ class TestHornMergeAboveTenAtoms:
     """12- and 16-atom Horn merges.  The 12-atom refined set has 4,094
     non-models, and `synthesize` reads the last Horn clause that each one
     falsifies off the AND of the models that contain it.  The machine
-    output is pinned by its sha256, so the printed formula stays byte for
-    byte the one the greedy pass over every Horn clause that holds gives.
-    CI also runs the 16-atom file under a memory limit."""
-
-    SHA256 = "1122ea50be2d5069e91d2652dfe707e6d66263885000cf7da6f4af6f52b41fe1"
-    SHA256_16 = {
-        "closure": "3638ddcbd6dc9ecb8cbc7c3fb4bf07128d61879675d29bd897629301b079989f",
-        "lex": "3791510e60ff9698aed1a9ff0d1732a0560cf00f82696efef551300e891584b0",
-        "lex-closure": "3791510e60ff9698aed1a9ff0d1732a0560cf00f82696efef551300e891584b0",
-    }
+    output is pinned by its sha256 (`PINS`), so the printed formula stays
+    byte for byte the one the greedy pass over every Horn clause that holds
+    gives.  CI also runs the 16-atom file under a memory limit."""
 
     @pytest.mark.parametrize("refinement", ["closure", "lex", "lex-closure"])
     def test_refined_set_is_expressed_by_a_horn_formula(self, capsys, refinement):
-        self.check(capsys, "krom12.txt", refinement, self.SHA256)
+        self.check(capsys, "krom12.txt", refinement)
 
     @pytest.mark.parametrize("refinement", ["closure", "lex", "lex-closure"])
     def test_sixteen_atom_refined_set_keeps_its_formula(self, capsys, refinement):
-        self.check(capsys, "krom16.txt", refinement, self.SHA256_16[refinement])
+        self.check(capsys, "krom16.txt", refinement)
 
     @staticmethod
-    def check(capsys, problem, refinement, sha256):
+    def check(capsys, problem, refinement):
         code, out, _ = run(
             capsys, "merge", str(DATA / problem), "--fragment", "horn",
-            "--refinement", refinement, "--format", "machine",
+            "--refinement", refinement, "--distance", "hamming", "--format", "machine",
         )
         assert code == 0
+        sha256 = PINS[problem, "horn", refinement, "hamming"]
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
         records = dict(line.split("\t", 1) for line in out.splitlines())
         u = Universe(records["universe"].split())

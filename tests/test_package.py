@@ -22,6 +22,9 @@ from fragmerge import (
     Aggregator,
     Base,
     BetaMapping,
+    Classification,
+    Clause,
+    ClauseKind,
     ClosureRefinement,
     CountingDistance,
     Instance,
@@ -35,6 +38,7 @@ from fragmerge import (
 )
 from fragmerge import interp
 from fragmerge.cli import parse_problem_file
+from fragmerge.formula import TOP, And, Atom, Not
 from fragmerge.merge import MergeOperator, answer_table
 from fragmerge.refine import RefinedOperator
 from fragmerge.postulates import CheckRow, FixtureReport
@@ -82,11 +86,13 @@ def test_the_exports_are_pinned():
     (MergeOperator.answers, ["self", "bases", "keys", "memo"]),
     (RefinedOperator.answers, ["self", "bases", "keys", "memo"]),
     (answer_table, ["op", "bases", "keys", "memo"]),
+    (fragmerge.validate_mapping, ["mapping", "universe"]),
 ], ids=["synthesize", "closed_model_sets", "MergeOperator.answers", "RefinedOperator.answers",
-        "answer_table"])
+        "answer_table", "validate_mapping"])
 def test_retired_options_stay_gone(function, parameters):
     # synthesize always minimizes, closed_model_sets never yields the empty
-    # set, and every answer table is built with a memo that the caller owns.
+    # set, every answer table is built with a memo that the caller owns, and
+    # validate_mapping checks profiles of one or two model sets.
     signature = inspect.signature(function).parameters
     assert list(signature) == parameters
     assert all(p.default is inspect.Parameter.empty for p in signature.values())
@@ -122,7 +128,14 @@ def _records():
     instance = Instance((profile,), (ms(U2, "b"),))
     score_row = score_table(profile, ms(U2, "b"), CountingDistance.hamming(2), Aggregator.GMAX)[0]
     check_row = CheckRow("cell", "x", "x")
+    clause = Clause(frozenset({("a", True)}))
     return [
+        Atom("a"),
+        TOP,
+        Not(Atom("a")),
+        And(Atom("a"), Atom("b")),
+        clause,
+        Classification(True, ((clause, ClauseKind.BOTH),)),
         AND2,
         HORN,
         CountingDistance.hamming(2),

@@ -261,6 +261,19 @@ class TestSearch:
         assert len(all_hits) > 1
         assert len(search(space, op, limit=1)) == 1
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_a_limit_below_one_is_refused_before_any_table(self, limit):
+        class Refusing:
+            label = "refusing"
+
+            def answers(self, *args):
+                raise AssertionError("an answer table was built")
+
+            __call__ = answers
+
+        with pytest.raises(ValueError, match=f"^limit must be at least 1, got {limit}$"):
+            search(SearchSpace(atoms=2, fragment=HORN), Refusing(), limit=limit)
+
     def test_deterministic(self):
         op = RefinedOperator(GMAX2, ClosureRefinement(AND2))
         space = SearchSpace(atoms=2, fragment=HORN, postulates=(PostulateId.IC4, PostulateId.IC8))

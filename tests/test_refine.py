@@ -350,6 +350,17 @@ class TestFairness:
         limited = is_fair(base, refined, fragment_instances(HORN), limit=1)
         assert len(limited.violations["fairness"]) == 1
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_a_limit_below_one_is_refused_before_any_table(self, limit):
+        def unread():
+            raise AssertionError("an instance was read")
+            yield
+
+        base = MergeOperator(CountingDistance.hamming(2), Aggregator.GMAX)
+        refined = RefinedOperator(base, ClosureRefinement(AND2))
+        with pytest.raises(ValueError, match=f"^limit must be at least 1, got {limit}$"):
+            is_fair(base, refined, unread(), limit=limit)
+
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     @pytest.mark.parametrize("base_op", [SIG2, GMAX2])
     def test_lex_closure_preserves_overlap_counts(self, fragment, base_op):
