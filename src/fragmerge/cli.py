@@ -95,22 +95,26 @@ _MODEL_RE = re.compile(r"\{([^{}]*)\}")
 def _parse_interpretations(text, universe, error, prefix, shape):
     """The masks of the interpretations of a list like '{} {a} {a,b}'; a bad
     list raises `error` with a message that starts with `prefix` and names
-    `shape`."""
-    chunks = _MODEL_RE.findall(text)
-    if not chunks or _MODEL_RE.sub("", text).strip():
+    `shape`.  One regular-expression pass splits the list, and a name is
+    stripped of spaces only when it is not an atom's name as it stands."""
+    parts = _MODEL_RE.split(text)  # the gaps, with each model's names between two of them
+    chunks = parts[1::2]
+    if not chunks or "".join(parts[::2]).strip():
         raise error(f"{prefix}: expected {shape}")
     weights = {name: 1 << i for i, name in enumerate(universe.atoms)}
     masks = []
     for chunk in chunks:
         mask = 0
         for name in chunk.split(","):
-            weight = weights.get(name.strip())
+            weight = weights.get(name)
             if weight is None:
-                if not chunk.strip():  # `{}` or `{ }`: the empty interpretation
-                    break
                 name = name.strip()
-                raise error(f"{prefix}: " + (f"atom {name!r} not in universe {universe.atoms}" if name
-                                             else f"empty atom name in {{{chunk}}}"))
+                weight = weights.get(name)
+                if weight is None:
+                    if not chunk.strip():  # `{}` or `{ }`: the empty interpretation
+                        break
+                    raise error(f"{prefix}: " + (f"atom {name!r} not in universe {universe.atoms}"
+                                                 if name else f"empty atom name in {{{chunk}}}"))
             mask |= weight
         masks.append(mask)
     return masks
@@ -388,7 +392,8 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if report.ok else EXIT_WITNESS
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parsers() -> tuple:
+    """The top-level parser, and its subparsers by command."""
     parser = argparse.ArgumentParser(
         prog="fragmerge",
         description="distance-based belief merging with fragment refinements",
@@ -428,17 +433,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--format", default="text", choices=("text", "machine"))
     p_rep.set_defaults(func=cmd_reproduce)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first `main` call, not at import, and reused after.
-    return build_parser()
+# Built on the first `main` call, not at import, and reused after.
+_parsers = functools.cache(build_parsers)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, `--help` or an unknown command
+        args = parser.parse_args(argv)
+    else:
+        # One pass: the top-level parser would scan them all, then hand them on.
+        args, rest = command.parse_known_args(argv[1:])
+        if rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

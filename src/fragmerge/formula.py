@@ -14,13 +14,14 @@ whitespace may follow the last one):
 `&` and `|` associate to the left, `->` and `<->` to the right.  The printer
 emits minimal parentheses with single spaces around binary operators, and
 printing then re-parsing yields an equal tree.  `parse` and `truth_table`
-check the text with one regular expression and read it in one
+split the text into tokens in one scan and read them in one
 operator-precedence loop on explicit stacks: `parse` builds the tree, and
 `truth_table` combines the atoms' truth tables as it goes, with no tree.
-`models` gives a tree's truth table with an explicit post-order stack.  None
-of them recurses, so only MAX_NESTING bounds how deep parentheses nest, and
-chains of one connective and runs of `!` may be any length.  The printer
-loops along chains and runs and recurses once per pair of parentheses.
+`models` gives a tree's truth table with an explicit post-order stack, and
+nodes compare and hash on one.  None of them recurses, so only MAX_NESTING
+bounds how deep parentheses nest, and chains of one connective and runs of
+`!` may be any length.  The printer loops along chains and runs and recurses
+once per pair of parentheses.
 
 `synthesize` finds the clauses of its formula first (`_kept_clauses`) and
 builds the tree from them; `merge` prints those clauses and reads their
@@ -81,6 +82,26 @@ class Formula:
     def __str__(self):
         return to_text(self)
 
+    def __eq__(self, other):
+        return type(other) is type(self) and _preorder(self) == _preorder(other)
+
+    def __hash__(self):
+        return hash(_preorder(self))
+
+
+def _preorder(phi) -> tuple:
+    # The tree's node classes and leaf fields in pre-order, on an explicit
+    # stack: equal trees, and only they, give equal tuples, at any depth.
+    items, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Formula):
+            items.append(type(node))
+            stack += node
+        else:
+            items.append(node)
+    return tuple(items)
+
 
 class Atom(Formula, record_type("Atom", "name")):
     __slots__ = ()
@@ -126,6 +147,9 @@ MAX_NESTING = 64
 # linear time, without trying other splits.
 _TOKEN = r"[a-z][a-z0-9_]*(?![a-z0-9_])|[TF]|<->|->|[!&|()]"
 _TOKEN_RE = re.compile(_TOKEN)
+# `_read`'s one scan: the tokens, and as a token of its own each other
+# character that does not separate them, which no state of the loop accepts.
+_SCAN_RE = re.compile(rf"{_TOKEN}|[^ \t\r\n]")
 _TOKENS = rf"(?:[ \t\r\n]*(?:{_TOKEN}))*"
 _PREFIX_RE = re.compile(rf"{_TOKENS}[ \t\r\n]*")
 _TEXT_RE = re.compile(rf"{_TOKENS}\s*")
@@ -163,10 +187,14 @@ def _tables(universe):
     return {**dict(zip(universe.atoms, _atom_patterns(len(universe)))), "T": -1, "F": 0}
 
 
-def _position(text, k):
-    # Start of token k, or the end of the text for the token after the last;
-    # only errors need positions.
-    return ([m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)])[k]
+def _error(text, k, kind, message):
+    # The error to raise at token k, or at the end of the text for the token
+    # after the last: an unexpected character, at the first character outside
+    # the tokens, comes before any other error.
+    if _TEXT_RE.fullmatch(text) is None:
+        pos = _PREFIX_RE.match(text).end()
+        return ParseError(f"unexpected character {text[pos]!r}", pos)
+    return kind(message, ([m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)])[k])
 
 
 def parse(text: str, universe: Universe) -> Formula:
@@ -177,7 +205,7 @@ def parse(text: str, universe: Universe) -> Formula:
 def truth_table(text: str, universe: Universe) -> int:
     """The truth table of the formula `text` as a bitset, bit m for
     interpretation m: `models(parse(text, universe), universe).bits`, with
-    the same errors, read without building the tree."""
+    the same errors, read in one scan without building the tree."""
     full = (1 << (1 << len(universe))) - 1
     return full & _read(text, _tables(universe), _TABLE_JOINS,
                         lambda bits, count: ~bits if count & 1 else bits)
@@ -187,11 +215,9 @@ def _read(text, leaves, joins, negate):
     # The one operator-precedence loop of `parse` and `truth_table`: an
     # operand's value is `leaves[token]`, `negate(value, count)` gives it
     # under a run of `count` `!`, and `joins[kind](left, right)` applies a
-    # connective.
-    if _TEXT_RE.fullmatch(text) is None:
-        pos = _PREFIX_RE.match(text).end()
-        raise ParseError(f"unexpected character {text[pos]!r}", pos)
-    tokens = _TOKEN_RE.findall(text)
+    # connective.  A text is read in one scan; an error checks the whole text
+    # (`_error`) only once the loop meets a token it cannot take.
+    tokens = _SCAN_RE.findall(text.rstrip())
     tokens.append("")
     operands, pending, groups = [], [_OPEN], []  # groups: '!' count before each open '('
     negations = 0
@@ -205,16 +231,16 @@ def _read(text, leaves, joins, negate):
                     continue
                 if tok == "(":
                     if len(groups) == MAX_NESTING:
-                        raise ParseError(f"parentheses nested more than {MAX_NESTING} deep",
-                                         _position(text, k))
+                        raise _error(text, k, ParseError,
+                                     f"parentheses nested more than {MAX_NESTING} deep")
                     groups.append(negations)
                     pending.append(_OPEN)
                     negations = 0
                     continue
                 if "a" <= tok[:1] <= "z":
-                    raise UnknownAtomError(tok, _position(text, k))
-                raise ParseError(f"expected a formula, found {tok!r}" if tok
-                                 else "unexpected end of input", _position(text, k))
+                    raise _error(text, k, UnknownAtomError, tok)
+                raise _error(text, k, ParseError, f"expected a formula, found {tok!r}" if tok
+                             else "unexpected end of input")
             if negations:
                 value = negate(value, negations)
                 negations = 0
@@ -236,9 +262,9 @@ def _read(text, leaves, joins, negate):
             pending.pop()
             operands[-1] = negate(operands[-1], groups.pop())
         elif groups:
-            raise ParseError("expected ')'", _position(text, k))
+            raise _error(text, k, ParseError, "expected ')'")
         elif tok:
-            raise ParseError(f"trailing input {tok!r}", _position(text, k))
+            raise _error(text, k, ParseError, f"trailing input {tok!r}")
         else:
             return operands[0]
 
@@ -523,6 +549,24 @@ def _pool_listed(universe: Universe, fragment: Fragment, target: int):
     return listed[::-1], literals
 
 
+# The most atoms whose Horn tables are kept: ~0.35 MiB at 12 atoms, ~6 MiB at 16.
+_HORN_TABLES_KEPT = 12
+
+
+@functools.lru_cache(maxsize=8)
+def _horn_tables(universe: Universe):
+    # `_literal_ranks`, and two tables by mask: the same set in name order
+    # (renamed), and by a name-order set the ranks of its !x (negs).
+    literals, by_name = _literal_ranks(universe)
+    place = {i: j for j, (i, _, _) in enumerate(by_name)}  # atom index -> name-order bit
+    renamed, negs = [0], [b""]
+    for i in range(len(universe)):
+        renamed += [v | 1 << place[i] for v in renamed]
+    for _, neg, _ in by_name:
+        negs += [ranks + bytes((neg,)) for ranks in negs]
+    return tuple(literals), tuple(by_name), tuple(renamed), tuple(negs)
+
+
 def _horn_listed(mset: ModelSet):
     # `_pool_listed` for Horn clauses on an AND-closed `mset`.  The last
     # Horn clause that a non-model w falsifies is !w when w is every atom,
@@ -531,13 +575,8 @@ def _horn_listed(mset: ModelSet):
     # below every `y` and list literals in name order, so b is the last of
     # the first name-order run of atoms outside w that holds one.
     n = len(mset.universe)
-    literals, by_name = _literal_ranks(mset.universe)
-    place = {i: j for j, (i, _, _) in enumerate(by_name)}  # atom index -> name-order bit
-    renamed, negs = [0], [b""]  # mask -> the same set in name order; that -> ranks of its !x
-    for i in range(n):
-        renamed += [v | 1 << place[i] for v in renamed]
-    for _, neg, _ in by_name:
-        negs += [ranks + bytes((neg,)) for ranks in negs]
+    tables = _horn_tables if n <= _HORN_TABLES_KEPT else _horn_tables.__wrapped__
+    literals, by_name, renamed, negs = tables(mset.universe)
     top, half = (1 << n) - 1, 1 << n - 1
     closed = [top] * (1 << n)
     for m in mset.masks:

@@ -20,7 +20,7 @@ from fragmerge import (
     models,
     parse,
 )
-from fragmerge.cli import main, parse_problem_file
+from fragmerge.cli import _parse_interpretations, build_parsers, main, parse_problem_file
 from fragmerge.merge import InconsistentBaseError
 from fragmerge.postulates import fixture_ids
 
@@ -126,6 +126,38 @@ class TestProblemFile:
                 parse_problem_file(text)
 
 
+# Pieces of a `{...}` model: mostly bare atom names, as files hold them, else
+# a known atom, an unknown one, an empty name or a name with an inner space,
+# with spaces and tabs around it.
+MODEL_PIECES = st.sampled_from(["a", "b", "x1"]) | st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["a", "b", "x1", "z", "", "a b"]),
+    st.sampled_from(["", " "])).map("".join)
+MODELS = st.tuples(st.lists(MODEL_PIECES, max_size=5), st.booleans()).map(
+    lambda t: ",".join(t[0]) + ("," if t[1] else ""))  # with a trailing comma, or not
+
+
+def slow_model_mask(model, universe):
+    # The mask of one `{...}` model, name by name.
+    if not model.strip():
+        return 0
+    mask = 0
+    for piece in model.split(","):
+        name = piece.strip()
+        if not name:
+            raise ValueError(f"p: empty atom name in {{{model}}}")
+        if name not in universe:
+            raise ValueError(f"p: atom {name!r} not in universe {universe.atoms}")
+        mask |= 1 << universe.index(name)
+    return mask
+
+
+def outcome(read, *args):
+    try:
+        return list(read(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestModelListOrFormula:
     """A base body is a model list only when `models` is followed by `{`, or
     is `models` alone and no atom has that name."""
@@ -150,6 +182,15 @@ class TestModelListOrFormula:
         assert (code, out) == (2, "")
         assert err == f"problem file error: line 3: empty atom name in {model}\n"
 
+    @settings(max_examples=300, deadline=None)
+    @given(models=st.lists(MODELS, min_size=1, max_size=4))
+    def test_model_lists_decode_as_name_by_name(self, models):
+        # Duplicates OR together; the first bad name in the text is named.
+        universe = Universe(("a", "b", "x1"))
+        text = " ".join("{" + model + "}" for model in models)
+        want = outcome(lambda: [slow_model_mask(model, universe) for model in models])
+        assert outcome(_parse_interpretations, text, universe, ValueError, "p", "sets") == want
+
     @pytest.mark.parametrize("empty", ["{}", "{ }", "{\t}"])
     def test_empty_braces_are_the_empty_interpretation(self, empty):
         problem = parse_problem_file(f"atoms: a b\nbase K: models {empty} {{a}}\n")
@@ -168,6 +209,43 @@ class TestModelListOrFormula:
             outputs.append(run(capsys, "merge", str(path), "--format", "machine"))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0 and outputs[0][2] == ""
+
+
+def parse_exit(parse, argv, capsys):
+    # The exit code, stdout and stderr of an argument list that stops parsing.
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestArgvDispatch:
+    """`main` hands a command's arguments to its parser alone.  Each list
+    below stops in parsing, with the exit code, stdout and stderr of the
+    top-level parser reading it all."""
+
+    @pytest.mark.parametrize("argv, code, usage, last", [
+        (["merge", "f.txt", "--bogus"], 2, "fragmerge [-h]", "fragmerge: error: unrecognized arguments: --bogus"),
+        (["--help"], 0, "fragmerge [-h]", None),
+        ([], 2, "fragmerge [-h]", "fragmerge: error: the following arguments are required: command"),
+        (["mrege"], 2, "fragmerge [-h]", "fragmerge: error: argument command: invalid choice: 'mrege' "),
+        (["merge", "--help"], 0, "fragmerge merge [-h]", None),
+        (["merge", "f.txt", "--aggregator", "max"], 2, "fragmerge merge [-h]",
+         "fragmerge merge: error: argument --aggregator: invalid choice: 'max' "),
+        (["check", "--fragment", "horn"], 2, "fragmerge check [-h]",
+         "fragmerge check: error: the following arguments are required: --op"),
+    ], ids=["unrecognized", "help", "no-arguments", "unknown-command", "merge-help", "bad-choice",
+            "missing-option"])
+    def test_parse_errors_and_help(self, capsys, argv, code, usage, last):
+        got = parse_exit(main, argv, capsys)
+        assert got == parse_exit(build_parsers()[0].parse_args, argv, capsys)
+        assert got[0] == code
+        text = got[2] if code else got[1]
+        assert text.startswith(f"usage: {usage} ")
+        if last is None:
+            assert got[2] == ""
+        else:
+            assert got[1] == "" and text.splitlines()[-1].startswith(last)
 
 
 class TestMergeCommand:

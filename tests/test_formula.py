@@ -132,6 +132,27 @@ class TestParse:
             parse(") & z $", U2)
         assert exc.value.position == 6
 
+    @pytest.mark.parametrize("reader", [parse, truth_table])
+    @pytest.mark.parametrize("text", [") & z $", "a a $", "z $", "(a b $", "(" * 65 + "$"],
+                             ids=["no-operand", "trailing-input", "unknown-atom", "unclosed", "nest-65"])
+    def test_bad_character_wins_in_every_error_branch(self, reader, text):
+        # The reader meets another error first, at or before the `$`.
+        with pytest.raises(ParseError, match="unexpected character '\\$'") as exc:
+            reader(text, U2)
+        assert exc.value.position == text.index("$")
+
+    @pytest.mark.parametrize("reader", [parse, truth_table])
+    @pytest.mark.parametrize("text", ["", " ", "\t\n", "\x0c", " \xa0", "\u3000\u2028"])
+    def test_a_blank_text_ends_at_its_length(self, reader, text):
+        with pytest.raises(ParseError, match="^unexpected end of input ") as exc:
+            reader(text, U2)
+        assert exc.value.position == len(text)
+
+    @pytest.mark.parametrize("space", ["\x0c", "\xa0", "\x0b", "\x85", "\u3000"])
+    def test_any_whitespace_may_end_the_text(self, space):
+        assert parse("a" + space, U2) == Atom("a")
+        assert truth_table("!a" + space, U2) == truth_table("!a", U2)
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             parse("a @ b", U2)
@@ -178,6 +199,19 @@ class TestNodes:
         phi = Implies(Not(And(self.A, TOP)), Iff(self.B, self.A))
         assert copy.deepcopy(phi) == phi
         assert pickle.loads(pickle.dumps(phi)) == phi
+
+    @pytest.mark.parametrize("build", [
+        lambda leaf: functools.reduce(lambda phi, _: Not(phi), range(5000), Atom(leaf)),
+        lambda leaf: functools.reduce(And, [Atom(leaf)] + [Atom(f"x{i}") for i in range(4999)]),
+    ], ids=["not-run-5000", "and-chain-5000"])
+    def test_deep_trees_compare_and_hash(self, build):
+        # Far deeper than the recursion limit; the trees differ at most in
+        # their deepest leaf.
+        first, second, other = build("a"), build("a"), build("b")
+        assert first == second and not first != second
+        assert first != other and not first == other
+        assert hash(first) == hash(second)
+        assert len({first, second, other}) == 2
 
 
 class TestModels:
@@ -713,8 +747,10 @@ class TestPrinter:
 # Atoms in and out of the universe, constants, connectives, parentheses,
 # separators, and characters no token starts with.
 PARSE_UNIVERSE = Universe(("a", "b", "c", "x1"))
+# The last seven are whitespace that may end a text but not separate tokens.
 TOKENS = ("a", "b", "c", "x1", "z", "q_2", "T", "F", "!", "&", "|", "->", "<->", "(", ")",
-          " ", " ", "\t", "\n", "$", "-", "<", ">", "1", "_", "\x0c", "\xa0")
+          " ", " ", "\t", "\n", "$", "-", "<", ">", "1", "_",
+          "\x0c", "\xa0", "\x0b", "\x1c", "\x85", "\u2028", "\u3000")
 
 
 def parse_outcome(parser, text, universe=PARSE_UNIVERSE):

@@ -99,6 +99,7 @@ def test_retired_options_stay_gone(function, parameters):
 
 
 def test_retired_names_stay_gone():
+    assert not hasattr(importlib.import_module("fragmerge.cli"), "build_parser")
     assert not hasattr(interp, "HARD_ATOM_CAP")
     assert not hasattr(fragmerge.Universe, "from_mask")
     assert not hasattr(fragmerge.Universe, "all_masks")
