@@ -8,19 +8,16 @@ Horn and Krom, and exhaustive checking of the merging postulates ic0..ic8.
 from .formula import (
     HORN,
     KROM,
-    Classification,
-    Clause,
-    ClauseKind,
+    Cnf,
     Formula,
     NoSyntacticFragmentError,
     NotClosedError,
     ParseError,
     UnknownAtomError,
-    classify,
     models,
     parse,
     synthesize,
-    to_text,
+    truth_table,
 )
 from .interp import (
     AND2,

@@ -27,8 +27,7 @@ from .formula import (
     NotClosedError,
     ParseError,
     UnknownAtomError,
-    _kept_clauses,
-    _text_and_verdict,
+    synthesize,
     truth_table,
 )
 from .interp import Interpretation, ModelSet, Universe, record_type
@@ -269,15 +268,14 @@ def cmd_merge(args) -> int:
 
     if fragment is not None:
         try:
-            clauses = _kept_clauses(final, fragment)
+            cnf = synthesize(final, fragment)
         except NotClosedError as exc:
             print(f"not expressible in {fragment.name} without a refinement: {exc}", file=sys.stderr)
             return EXIT_NOT_EXPRESSIBLE
         except NoSyntacticFragmentError as exc:
             print(f"synthesis failed: {exc}", file=sys.stderr)
             return EXIT_NOT_EXPRESSIBLE
-        text, verdict = _text_and_verdict(clauses)
-        records += [("formula", text), ("formula-class", verdict)]
+        records += [("formula", str(cnf)), ("formula-class", cnf.verdict)]
 
     if args.format == "machine":
         for record in records:

@@ -1,6 +1,8 @@
-"""Propositional formulas: parsing, printing, models, clause classification,
-and synthesis of a fragment formula from a closed model set.  Formula nodes,
-clauses and classifications are records (`interp.record_type`): each equals
+"""Propositional formulas: parsing, models, and synthesis of a fragment
+formula from a closed model set.  Formula text is read to a tree (`parse`)
+or straight to a truth table (`truth_table`); synthesis gives a `Cnf`, the
+list of its clauses, which prints as formula text and names its class.
+Formula nodes and a `Cnf` are records (`interp.record_type`): each equals
 only a record of its own class with equal fields, and none is ordered.
 
 Grammar (ASCII; spaces, tabs and line breaks may separate tokens, and any
@@ -11,30 +13,23 @@ whitespace may follow the last one):
     operators   !  &  |  ->  <->     (precedence high to low: ! & | -> <->)
     grouping    ( ... )
 
-`&` and `|` associate to the left, `->` and `<->` to the right.  The printer
-emits minimal parentheses with single spaces around binary operators, and
-printing then re-parsing yields an equal tree.  `parse` and `truth_table`
-split the text into tokens in one scan and read them in one
+`&` and `|` associate to the left, `->` and `<->` to the right.  `parse` and
+`truth_table` split the text into tokens in one scan and read them in one
 operator-precedence loop on explicit stacks: `parse` builds the tree, and
 `truth_table` combines the atoms' truth tables as it goes, with no tree.
 `models` gives a tree's truth table with an explicit post-order stack, and
 nodes compare and hash on one.  None of them recurses, so only MAX_NESTING
 bounds how deep parentheses nest, and chains of one connective and runs of
-`!` may be any length.  The printer loops along chains and runs and recurses
-once per pair of parentheses.
+`!` may be any length.
 
-`synthesize` finds the clauses of its formula first (`_kept_clauses`) and
-builds the tree from them; `merge` prints those clauses and reads their
-class off them with no tree (`_text_and_verdict`).  A row's clause pool is
-walked once per universe and kept, each clause with its truth table, in a
-small cache.
+A row's clause pool is walked once per universe and kept, each clause with
+its truth table, in a small cache.
 """
 
 import functools
 import math
 import operator
 import re
-from enum import Enum
 
 from .interp import (
     AND2,
@@ -78,9 +73,6 @@ class Formula:
     its own class with equal fields, hashed by its fields, and unordered."""
 
     __slots__ = ()
-
-    def __str__(self):
-        return to_text(self)
 
     def __eq__(self, other):
         return type(other) is type(self) and _preorder(self) == _preorder(other)
@@ -269,67 +261,6 @@ def _read(text, leaves, joins, negate):
             return operands[0]
 
 
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Const: 6}
-_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
-_RIGHT_ASSOC = (Iff, Implies)
-
-
-def _operands(phi) -> list:
-    # Operands of the chain of phi's connective, left to right: left-deep
-    # for & and |, right-deep for -> and <->.  Collected with a loop so long
-    # chains print and evaluate without recursion.
-    kind = type(phi)
-    if kind in _RIGHT_ASSOC:
-        lefts = []
-        while type(phi) is kind:
-            lefts.append(phi.left)
-            phi = phi.right
-        return lefts + [phi]
-    rights = []
-    while type(phi) is kind:
-        rights.append(phi.right)
-        phi = phi.left
-    rights.append(phi)
-    return rights[::-1]
-
-
-def _flatten(phi, kind):
-    # Operands of nested `kind` nodes, left to right, without recursion.
-    out, stack = [], [phi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, kind):
-            stack += (node.right, node.left)
-        else:
-            out.append(node)
-    return out
-
-
-def to_text(phi: Formula) -> str:
-    """Print with minimal parentheses; inverse of `parse`."""
-    if isinstance(phi, Atom):
-        return phi.name
-    if isinstance(phi, Const):
-        return "T" if phi.value else "F"
-    if isinstance(phi, Not):
-        negations = 0
-        while isinstance(phi, Not):
-            negations += 1
-            phi = phi.operand
-        inner = to_text(phi)
-        if _PREC[type(phi)] < _PREC[Not]:
-            inner = f"({inner})"
-        return "!" * negations + inner
-    # Each connective has its own precedence, so an operand of equal
-    # precedence is one the chain did not absorb: it needs parentheses.
-    prec = _PREC[type(phi)]
-    parts = []
-    for operand in _operands(phi):
-        text = to_text(operand)
-        parts.append(f"({text})" if _PREC[type(operand)] <= prec else text)
-    return f" {_SYMBOL[type(phi)]} ".join(parts)
-
-
 def models(phi: Formula, universe: Universe) -> ModelSet:
     """Exact model set: the atoms' truth tables (bit m for interpretation m)
     combined up the tree by `_TABLE_JOINS`, one int operation per node."""
@@ -354,7 +285,7 @@ def models(phi: Formula, universe: Universe) -> ModelSet:
                 values[-1] = _TABLE_JOINS[node](values[-1], right)
         elif kind is Not:
             stack += (Not, node[0])
-        elif kind in _SYMBOL:
+        elif kind in _TABLE_JOINS:
             stack += (kind, node[1], node[0])
         elif kind is Const:
             values.append(-1 if node[0] else 0)
@@ -363,98 +294,36 @@ def models(phi: Formula, universe: Universe) -> ModelSet:
     return ModelSet.from_bits(universe, full & values[0])
 
 
-class Clause(record_type("Clause", "literals")):
-    """Disjunction of literals, each a (atom name, positive?) pair.
-
-    Tautological clauses (an atom in both polarities) can be represented so
-    classification can report on arbitrary CNF input, but they are never
-    generated for synthesis.
-    """
-
-    __slots__ = ()
-
-    @property
-    def positive_count(self) -> int:
-        return sum(1 for _, pos in self.literals if pos)
-
-    def to_formula(self, universe: Universe = None) -> Formula:
-        key = universe.index if universe is not None else (lambda n: n)
-        lits = sorted(self.literals, key=lambda lit: (key(lit[0]), not lit[1]))
-        parts = [Atom(n) if pos else Not(Atom(n)) for n, pos in lits]
-        return functools.reduce(Or, parts) if parts else BOTTOM
-
-    def __str__(self):
-        return to_text(self.to_formula())
-
-
-class ClauseKind(Enum):
-    HORN = "horn"
-    KROM = "krom"
-    BOTH = "both"
-    GENERAL = "general"
-
-
 HORN = Fragment("horn", AND2, max_positive=1)
 KROM = Fragment("krom", MAJ3, max_literals=2)
 
-# (Horn?, Krom?) -> kind, for a clause and for a whole CNF.
-_KINDS = {(True, True): ClauseKind.BOTH, (True, False): ClauseKind.HORN,
-          (False, True): ClauseKind.KROM, (False, False): ClauseKind.GENERAL}
+# (every clause Horn?, every clause Krom?) -> a CNF's verdict.
+_KINDS = {(True, True): "both", (True, False): "horn", (False, True): "krom", (False, False): "general"}
 
 
-class Classification(record_type("Classification", "is_cnf clauses")):
+class Cnf(record_type("Cnf", "clauses")):
+    """A conjunction of clauses, each a tuple of (atom name, positive?)
+    literals: no clauses is T, and the empty clause () is F.
+
+    `str` joins each clause's literals with `|` and the clauses with `&`,
+    a clause of two or more literals in parentheses when there are several
+    clauses; `parse` reads the text back.  `verdict` names the builtin rows
+    that admit every clause: "both", "horn", "krom" or "general".
+    """
+
     __slots__ = ()
 
-    @property
-    def horn(self) -> bool:
-        return self.is_cnf and all(k in (ClauseKind.HORN, ClauseKind.BOTH) for _, k in self.clauses)
-
-    @property
-    def krom(self) -> bool:
-        return self.is_cnf and all(k in (ClauseKind.KROM, ClauseKind.BOTH) for _, k in self.clauses)
+    def __str__(self):
+        clauses = self.clauses
+        texts = [" | ".join(name if pos else "!" + name for name, pos in clause) or "F"
+                 for clause in clauses]
+        if len(clauses) > 1:
+            texts = [f"({text})" if len(clause) > 1 else text for text, clause in zip(texts, clauses)]
+        return " & ".join(texts) or "T"
 
     @property
     def verdict(self) -> str:
-        return _KINDS[self.horn, self.krom].value if self.is_cnf else "non-cnf"
-
-
-def _literals(phi):
-    lits = []
-    for leaf in _flatten(phi, Or):
-        if isinstance(leaf, Atom):
-            lits.append((leaf.name, True))
-        elif isinstance(leaf, Not) and isinstance(leaf.operand, Atom):
-            lits.append((leaf.operand.name, False))
-        else:
-            return None
-    return lits
-
-
-def classify(phi: Formula) -> Classification:
-    """Syntactic clause classification; no equivalence search.
-
-    Accepts conjunctions of clauses; the constants T (empty conjunction) and
-    F (single empty clause) are allowed at top level only.
-    """
-    if phi == TOP:
-        return Classification(True, ())
-    conjuncts = [[]] if phi == BOTTOM else [_literals(conj) for conj in _flatten(phi, And)]
-    if None in conjuncts:
-        return Classification(False, ())
-    clauses = [Clause(frozenset(lits)) for lits in conjuncts]
-    return Classification(True, tuple((c, _KINDS[HORN.admits(c), KROM.admits(c)]) for c in clauses))
-
-
-def _text_and_verdict(clauses) -> tuple:
-    # `to_text` and `classify(...).verdict` of the CNF of `clauses`, given
-    # as `_kept_clauses` gives them, read off the clauses with no tree.
-    texts = [" | ".join(name if pos else "!" + name for name, pos in clause) or "F"
-             for clause in clauses]
-    if len(clauses) > 1:
-        texts = [f"({text})" if len(clause) > 1 else text for text, clause in zip(texts, clauses)]
-    horn = all(sum(pos for _, pos in clause) <= HORN.max_positive for clause in clauses)
-    krom = all(len(clause) <= KROM.max_literals for clause in clauses)
-    return " & ".join(texts) or "T", _KINDS[horn, krom].value
+        return _KINDS[all(map(HORN.admits, self.clauses)), all(map(KROM.admits, self.clauses))]
 
 
 def _literal_ranks(universe: Universe):
@@ -608,11 +477,34 @@ def _falsifier(key, literals) -> int:
     return functools.reduce(operator.and_, [literals[r][2] for r in key[1:]], -1)
 
 
-def _kept_clauses(mset: ModelSet, fragment: Fragment) -> list:
-    # The clauses of `synthesize(mset, fragment)`, in the order it conjoins
-    # them, each a tuple of (atom name, positive?) literals in universe
-    # order: [] is T and [()], the empty clause, is F.  Raises as
-    # `synthesize` does.
+def synthesize(mset: ModelSet, fragment: Fragment) -> Cnf:
+    """The CNF of the fragment's clauses whose models are exactly `mset`.
+
+    The pool is every fragment clause satisfied by all members of `mset`, in
+    (size, text) order: fewer literals first, then by the clause printed
+    with its literals in atom-name order (`!a | b` before `a | !b`).  For the
+    builtin Horn and Krom fragments the pool pins the model set exactly
+    whenever it is closed under the fragment's function.  One pass in that
+    order drops each clause entailed by the clauses kept before it and all
+    clauses after it.  The `Cnf` lists the clauses kept in that order, each
+    with its literals in universe order.  The empty set gives `a & !a` over
+    the first atom `a` when the fragment admits the unit clause `a`, else
+    `F`, the empty clause; the full set gives `T`, no clauses.
+
+    Clauses are compared as truth tables (ints, bit m for interpretation
+    m).  The clauses kept before a step and the pool from it on pin `mset`,
+    so a clause is kept exactly when a non-model falsifies it and satisfies
+    the later pool and the clauses kept.  So each non-model is listed under
+    the last pool clause that it falsifies, and a walk forward keeps each
+    clause with a listed non-model that the clauses kept so far allow.
+
+    For the Horn row (AND2, at most one positive literal, no size bound),
+    each non-model w's last clause is read off the AND of the models that
+    contain w, without the pool.  Every other row, such as Krom or a Horn
+    row with a size bound, lists the non-models in one pass down its whole
+    pool, built once per universe and kept with each clause's truth table
+    when those fit in `_POOL_BITS`; it skips the clauses that `mset` meets.
+    """
     universe = mset.universe
     if fragment.max_literals is None and fragment.max_positive is None:
         raise NoSyntacticFragmentError(
@@ -631,7 +523,7 @@ def _kept_clauses(mset: ModelSet, fragment: Fragment) -> list:
         # else the empty clause, which every row admits.
         a = universe.atoms[0]
         unit = ((a, True),)
-        return [unit, ((a, False),)] if fragment.admits(Clause(unit)) else [()]
+        return Cnf((unit, ((a, False),)) if fragment.admits(unit) else ((),))
     if fragment.beta == AND2 and fragment.max_positive == 1 and fragment.max_literals is None:
         listed, literals = _horn_listed(mset)
     else:
@@ -643,41 +535,4 @@ def _kept_clauses(mset: ModelSet, fragment: Fragment) -> list:
         if alive >> low & hit:
             kept.append(tuple(map(pairs.__getitem__, sorted(key[1:], key=place.__getitem__))))
             alive &= ~_falsifier(key, literals)
-    return kept
-
-
-def synthesize(mset: ModelSet, fragment: Fragment) -> Formula:
-    """Formula of the fragment whose models are exactly `mset`.
-
-    The pool is every fragment clause satisfied by all members of `mset`, in
-    (size, text) order: fewer literals first, then by the clause printed
-    with its literals in atom-name order (`!a | b` before `a | !b`).  For the
-    builtin Horn and Krom fragments the pool pins the model set exactly
-    whenever it is closed under the fragment's function.  One pass in that
-    order drops each clause entailed by the clauses kept before it and all
-    clauses after it, and the formula conjoins the clauses kept, each with
-    its literals joined by `|` in universe order, both left-deep.  The empty
-    set gives `a & !a` over the first atom `a` when the fragment admits the
-    unit clause `a`, else `F`; the full set gives `T`.
-
-    Clauses are compared as truth tables (ints, bit m for interpretation
-    m).  The clauses kept before a step and the pool from it on pin `mset`,
-    so a clause is kept exactly when a non-model falsifies it and satisfies
-    the later pool and the clauses kept.  So each non-model is listed under
-    the last pool clause that it falsifies, and a walk forward keeps each
-    clause with a listed non-model that the clauses kept so far allow.
-
-    For the Horn row (AND2, at most one positive literal, no size bound),
-    each non-model w's last clause is read off the AND of the models that
-    contain w, without the pool.  Every other row, such as Krom or a Horn
-    row with a size bound, lists the non-models in one pass down its whole
-    pool, built once per universe and kept with each clause's truth table
-    when those fit in `_POOL_BITS`; it skips the clauses that `mset` meets.
-    """
-    leaves = _leaves(mset.universe)
-    formula = TOP
-    for clause in _kept_clauses(mset, fragment):
-        literals = [leaves[name] if pos else Not(leaves[name]) for name, pos in clause]
-        node = functools.reduce(Or, literals) if literals else BOTTOM  # F: the empty clause
-        formula = node if formula is TOP else And(formula, node)
-    return formula
+    return Cnf(tuple(kept))

@@ -449,9 +449,11 @@ class Fragment(record_type("Fragment", "name beta max_literals max_positive", (N
     __slots__ = ()
 
     def admits(self, clause) -> bool:
-        """Whether `clause` (a `formula.Clause`) is within both bounds."""
-        return ((self.max_literals is None or len(clause.literals) <= self.max_literals)
-                and (self.max_positive is None or clause.positive_count <= self.max_positive))
+        """Whether `clause`, a tuple of (atom name, positive?) literals as in
+        a `formula.Cnf`, is within both bounds.  Literals are counted as
+        given, so `(("a", True), ("a", False))` has two."""
+        return ((self.max_literals is None or len(clause) <= self.max_literals)
+                and (self.max_positive is None or sum(pos for _, pos in clause) <= self.max_positive))
 
 
 def _apply_masks(beta: BooleanFn, masks, width: int) -> int:

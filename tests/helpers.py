@@ -5,12 +5,15 @@ import itertools
 import operator
 import re
 
-from fragmerge import Base, Clause, Interpretation, ModelSet, Profile, Universe, aggregate
+from fragmerge import Base, Interpretation, ModelSet, Profile, Universe, aggregate
 from fragmerge.formula import (
     BOTTOM,
+    HORN,
+    KROM,
     MAX_NESTING,
     And,
     Atom,
+    Cnf,
     Const,
     Iff,
     Implies,
@@ -21,10 +24,7 @@ from fragmerge.formula import (
     ParseError,
     TOP,
     UnknownAtomError,
-    _RIGHT_ASSOC,
     _clause_pool,
-    _flatten,
-    _operands,
     models,
 )
 from fragmerge.interp import _atom_patterns, closure_witness
@@ -56,8 +56,8 @@ def common_models(profile) -> ModelSet:
 
 
 def is_tautological(clause) -> bool:
-    """Whether the clause holds some atom in both polarities."""
-    names = [n for n, _ in clause.literals]
+    """Whether the literal tuple holds some atom in both polarities."""
+    names = [n for n, _ in clause]
     return len(set(names)) != len(names)
 
 
@@ -205,6 +205,76 @@ def slow_parse(text, universe):
     return node
 
 
+_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Atom: 6, Const: 6}
+_SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+
+
+def _chain(phi):
+    # Operands of the chain of phi's connective, left to right: left-deep
+    # for & and |, right-deep for -> and <->.  Collected with a loop so long
+    # chains print without recursion.
+    kind = type(phi)
+    if kind in (Iff, Implies):
+        lefts = []
+        while type(phi) is kind:
+            lefts.append(phi.left)
+            phi = phi.right
+        return lefts + [phi]
+    rights = []
+    while type(phi) is kind:
+        rights.append(phi.right)
+        phi = phi.left
+    rights.append(phi)
+    return rights[::-1]
+
+
+def to_text(phi) -> str:
+    """Reference printer of a formula tree, with minimal parentheses: the
+    oracle for `str(Cnf)`, and text that `parse` reads back to `phi`."""
+    if isinstance(phi, Atom):
+        return phi.name
+    if isinstance(phi, Const):
+        return "T" if phi.value else "F"
+    if isinstance(phi, Not):
+        negations = 0
+        while isinstance(phi, Not):
+            negations += 1
+            phi = phi.operand
+        inner = to_text(phi)
+        if _PREC[type(phi)] < _PREC[Not]:
+            inner = f"({inner})"
+        return "!" * negations + inner
+    # Each connective has its own precedence, so an operand of equal
+    # precedence is one the chain did not absorb: it needs parentheses.
+    prec = _PREC[type(phi)]
+    parts = []
+    for operand in _chain(phi):
+        text = to_text(operand)
+        parts.append(f"({text})" if _PREC[type(operand)] <= prec else text)
+    return f" {_SYMBOL[type(phi)]} ".join(parts)
+
+
+def conjoin(clauses):
+    """The formula tree of a CNF given as literal tuples: each clause's
+    literals joined by Or and the clauses by And, both left-deep; T for no
+    clauses and F for the empty clause."""
+    node = TOP
+    for clause in clauses:
+        literals = [Atom(name) if pos else Not(Atom(name)) for name, pos in clause]
+        disjunction = functools.reduce(Or, literals) if literals else BOTTOM
+        node = disjunction if node is TOP else And(node, disjunction)
+    return node
+
+
+def slow_verdict(clauses) -> str:
+    """Reference for `Cnf.verdict`: the clauses counted against the Horn
+    and Krom bounds here, not by `Fragment.admits`."""
+    horn = all(within_bounds(HORN, clause) for clause in clauses)
+    krom = all(within_bounds(KROM, clause) for clause in clauses)
+    kinds = {(True, True): "both", (True, False): "horn", (False, True): "krom", (False, False): "general"}
+    return kinds[horn, krom]
+
+
 def slow_truth_bits(phi, universe):
     """Oracle for `models(phi, universe).bits`: recursion over the tree,
     with loops only along chains of one connective and runs of `!`."""
@@ -226,15 +296,29 @@ def _slow_truth_bits(phi, universe, full):
             flip ^= full
             phi = phi.operand
         return flip ^ _slow_truth_bits(phi, universe, full)
-    if isinstance(phi, (And, Or)):
-        combine = operator.and_ if isinstance(phi, And) else operator.or_
-        operands = _flatten(phi, type(phi))
-        return functools.reduce(combine, (_slow_truth_bits(op, universe, full) for op in operands))
-    if not isinstance(phi, _RIGHT_ASSOC):
+    kind = type(phi)
+    if kind in (And, Or):
+        # Down the left spine of the chain, then its right operands upward.
+        rights = []
+        while type(phi) is kind:
+            rights.append(phi.right)
+            phi = phi.left
+        bits = _slow_truth_bits(phi, universe, full)
+        for right in reversed(rights):
+            right = _slow_truth_bits(right, universe, full)
+            bits = bits & right if kind is And else bits | right
+        return bits
+    if kind not in (Implies, Iff):
         raise TypeError(f"not a formula node: {phi!r}")
-    *lefts, bits = (_slow_truth_bits(op, universe, full) for op in _operands(phi))
+    # Down the right spine of the chain, then its left operands upward.
+    lefts = []
+    while type(phi) is kind:
+        lefts.append(phi.left)
+        phi = phi.right
+    bits = _slow_truth_bits(phi, universe, full)
     for left in reversed(lefts):
-        bits = (full ^ left) | bits if isinstance(phi, Implies) else full ^ (left ^ bits)
+        left = _slow_truth_bits(left, universe, full)
+        bits = (full ^ left) | bits if kind is Implies else full ^ (left ^ bits)
     return bits
 
 
@@ -325,11 +409,9 @@ def slow_clause_pool(universe, fragment, target, full):
             bits |= lit_bits
         if target & ~bits:
             continue
-        lits = [lit for lit, _ in shape if lit]
-        clause = Clause(frozenset(lits))
+        lits = tuple(lit for lit, _ in shape if lit)
         if within_bounds(fragment, lits):
-            text = " | ".join(name if pos else f"!{name}" for name, pos in sorted(lits))
-            yield (len(lits), text), bits, clause
+            yield (len(lits), clause_text(lits)), bits, lits
 
 
 def slow_score_rows(profile, mu, d, f):
@@ -362,20 +444,26 @@ def all_model_sets(universe, include_empty=True):
 
 
 def fragment_clauses(universe, fragment):
-    """Every non-empty, non-tautological clause within the fragment's bounds."""
+    """Every non-empty, non-tautological clause within the fragment's
+    bounds, each a tuple of (atom name, positive?) literals in universe
+    order."""
     for shape in itertools.product((0, 1, 2), repeat=len(universe)):
         if not any(shape):
             continue
-        lits = frozenset(
-            (name, shape[i] == 1) for i, name in enumerate(universe.atoms) if shape[i]
-        )
+        lits = tuple((name, shape[i] == 1) for i, name in enumerate(universe.atoms) if shape[i])
         if within_bounds(fragment, lits):
-            yield Clause(lits)
+            yield lits
+
+
+def clause_text(clause) -> str:
+    """A non-tautological clause printed with its literals in atom-name
+    order: the text part of the pool's (size, text) order."""
+    return " | ".join(name if pos else f"!{name}" for name, pos in sorted(clause))
 
 
 def slow_synthesize(mset, fragment):
     """Oracle for `synthesize`: tests each clause model by model, builds the
-    formula of every trial conjunction and enumerates its models."""
+    formula tree of every trial conjunction and enumerates its models."""
     universe = mset.universe
     if fragment.max_literals is None and fragment.max_positive is None:
         raise NoSyntacticFragmentError(f"fragment {fragment.name!r} has no clause language")
@@ -385,26 +473,25 @@ def slow_synthesize(mset, fragment):
     if not mset.masks:
         first = universe.atoms[0]
         if not within_bounds(fragment, [(first, True)]):
-            return BOTTOM
-        return And(Atom(first), Not(Atom(first)))
+            return Cnf(((),))
+        return Cnf((((first, True),), ((first, False),)))
     pool = [
         clause
         for clause in fragment_clauses(universe, fragment)
         if all(
-            any((m >> universe.index(n) & 1) == pos for n, pos in clause.literals)
+            any((m >> universe.index(n) & 1) == pos for n, pos in clause)
             for m in mset.masks
         )
     ]
-    pool.sort(key=lambda c: (len(c.literals), str(c)))
+    pool.sort(key=lambda c: (len(c), clause_text(c)))
     kept = list(pool)
     for clause in pool:
         trial = [c for c in kept if c is not clause]
-        if models(_conjoin(trial, universe), universe) == mset:
+        if models(conjoin(trial), universe) == mset:
             kept = trial
-    result = _conjoin(kept, universe)
-    if models(result, universe) != mset:
+    if models(conjoin(kept), universe) != mset:
         raise NoSyntacticFragmentError(f"fragment {fragment.name!r} cannot express the set")
-    return result
+    return Cnf(tuple(kept))
 
 
 def holding_pool(universe, fragment, target):
@@ -430,20 +517,12 @@ def greedy_synthesize(mset, fragment):
     kept, prefix = [], full
     for k, key in enumerate(keys):
         if prefix & suffix[k + 1] != target:
-            kept.append(Clause(frozenset(literals[r][:2] for r in key[1:])))
+            lits = sorted((literals[r][:2] for r in key[1:]), key=lambda lit: universe.index(lit[0]))
+            kept.append(tuple(lits))
             prefix &= tables[k]
     if prefix != target:
         raise NoSyntacticFragmentError(f"fragment {fragment.name!r} cannot express the set")
-    return _conjoin(kept, universe)
-
-
-def _conjoin(clauses, universe):
-    if not clauses:
-        return TOP
-    node = clauses[0].to_formula(universe)
-    for clause in clauses[1:]:
-        node = And(node, clause.to_formula(universe))
-    return node
+    return Cnf(tuple(kept))
 
 
 def _set(mset):

@@ -22,10 +22,10 @@ from fragmerge import (
     check_refinement_properties,
     closed_model_sets,
     is_fair,
-    models,
     reproduce,
     search,
     synthesize,
+    truth_table,
 )
 from helpers import U3, EchoConstraintOperator
 
@@ -178,4 +178,4 @@ def test_criterion_9_synthesis_round_trip():
             sets = closed_model_sets(fragment.beta, u)
             assert len(sets) > 100  # the space is genuinely exhaustive
             for mset in sets:
-                assert models(synthesize(mset, fragment), u) == mset
+                assert truth_table(str(synthesize(mset, fragment)), u) == mset.bits

@@ -22,10 +22,8 @@ from fragmerge import (
     Aggregator,
     Base,
     BetaMapping,
-    Classification,
-    Clause,
-    ClauseKind,
     ClosureRefinement,
+    Cnf,
     CountingDistance,
     Instance,
     LexClosureRefinement,
@@ -51,7 +49,7 @@ MODULES = ("cli", "formula", "interp", "merge", "postulates", "refine")
 # an export changes this set in the same diff.
 EXPORTS = {
     "ALL_POSTULATES", "AND2", "Aggregator", "AggValue", "ArityMismatchError", "Base", "BetaMapping",
-    "BooleanFn", "Classification", "Clause", "ClauseKind", "ClosureRefinement", "CountingDistance",
+    "BooleanFn", "ClosureRefinement", "Cnf", "CountingDistance",
     "EmptyInputError", "EmptySpaceError", "Formula", "Fragment", "HORN", "InconsistentBaseError",
     "Instance", "Interpretation", "KROM", "LexClosureRefinement", "LexOrder", "LexRefinement",
     "MAJ3", "MappingViolationError", "MergeOperator", "ModelSet", "NoSyntacticFragmentError",
@@ -59,9 +57,9 @@ EXPORTS = {
     "Profile", "RefinedOperator", "SearchSpace", "ShapeMismatchError", "SpaceTooLargeError",
     "Universe", "UniverseMismatchError", "UniverseTooLargeError", "UnknownAtomError",
     "UnknownFixtureError", "Witness", "aggregate", "cardintersection", "check_postulate",
-    "check_refinement_properties", "classify", "closed_model_sets", "closure", "closure_witness",
+    "check_refinement_properties", "closed_model_sets", "closure", "closure_witness",
     "fixture_ids", "is_closed", "is_fair", "models", "parse", "reproduce", "score_table", "search",
-    "synthesize", "to_text", "validate_mapping",
+    "synthesize", "truth_table", "validate_mapping",
 }
 
 
@@ -99,6 +97,11 @@ def test_retired_options_stay_gone(function, parameters):
 
 
 def test_retired_names_stay_gone():
+    # The formula-tree output that `Cnf` replaced: the printer and the classifier.
+    for name in ("to_text", "_operands", "_flatten", "_PREC", "_SYMBOL", "_RIGHT_ASSOC", "Clause", "ClauseKind",
+                 "Enum", "Classification", "_literals", "classify", "_kept_clauses", "_text_and_verdict"):
+        assert not hasattr(fragmerge, name) and not hasattr(fragmerge.formula, name), name
+    assert "__str__" not in fragmerge.formula.Formula.__dict__
     assert not hasattr(importlib.import_module("fragmerge.cli"), "build_parser")
     assert not hasattr(interp, "HARD_ATOM_CAP")
     assert not hasattr(fragmerge.Universe, "from_mask")
@@ -129,14 +132,12 @@ def _records():
     instance = Instance((profile,), (ms(U2, "b"),))
     score_row = score_table(profile, ms(U2, "b"), CountingDistance.hamming(2), Aggregator.GMAX)[0]
     check_row = CheckRow("cell", "x", "x")
-    clause = Clause(frozenset({("a", True)}))
     return [
         Atom("a"),
         TOP,
         Not(Atom("a")),
         And(Atom("a"), Atom("b")),
-        clause,
-        Classification(True, ((clause, ClauseKind.BOTH),)),
+        Cnf(((("a", True),),)),
         AND2,
         HORN,
         CountingDistance.hamming(2),
