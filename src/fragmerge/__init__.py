@@ -38,15 +38,12 @@ from .interp import (
     is_closed,
 )
 from .merge import (
-    AggValue,
     Aggregator,
     Base,
     CountingDistance,
-    EmptyInputError,
     InconsistentBaseError,
     MergeOperator,
     Profile,
-    aggregate,
     score_table,
 )
 from .postulates import (

@@ -12,11 +12,13 @@ lines are conjoined.  Exit codes for `merge`: 0 success, 2 parse/flag error,
 3 inconsistent base, 4 result not expressible in the selected fragment
 without a refinement.  `check` exits 1 when witnesses were found, `reproduce`
 exits 1 on any mismatching cell; both use 2 for bad arguments, and `check`
-also for a space in which the selected postulates have no instances.
+also for a space in which the selected postulates have no instances.  Every
+command exits 141 when its reader closes stdout before the output is written.
 """
 
 import argparse
 import functools
+import os
 import re
 import sys
 
@@ -65,6 +67,7 @@ EXIT_WITNESS = 1
 EXIT_USAGE = 2
 EXIT_INCONSISTENT = 3
 EXIT_NOT_EXPRESSIBLE = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the output was written
 
 
 class ProblemFileError(ValueError):
@@ -252,19 +255,17 @@ def cmd_merge(args) -> int:
     mu = problem.constraint()
     merged = merge(profile, mu, distance, aggregator)
 
-    records = [("universe", " ".join(universe.atoms))]
-    for name, b in problem.bases:
-        records.append(("base", name, b.models.compact() or "none"))
-    records.append(("constraint", mu.compact() or "none"))
-    records.append(("merged", merged.compact() or "none"))
-    records.append(("merged-overlap", cardintersection(merged, profile)))
+    # Each record: its machine key, its text label and its value.
+    records = [("universe", "atoms", " ".join(universe.atoms))]
+    records += [(f"base\t{name}", f"base {name}", b.models) for name, b in problem.bases]
+    records += [("constraint", "constraint", mu), ("merged", "merged models", merged),
+                ("merged-overlap", "bases met by merge", cardintersection(merged, profile))]
 
     final = merged
     if refinement is not None:
-        refined = refine(refinement, merged, profile, mu)
-        records.append(("refined", refined.compact() or "none"))
-        records.append(("refined-overlap", cardintersection(refined, profile)))
-        final = refined
+        final = refined = refine(refinement, merged, profile, mu)
+        records += [("refined", "refined models", refined),
+                    ("refined-overlap", "bases met by refinement", cardintersection(refined, profile))]
 
     if fragment is not None:
         try:
@@ -275,33 +276,13 @@ def cmd_merge(args) -> int:
         except NoSyntacticFragmentError as exc:
             print(f"synthesis failed: {exc}", file=sys.stderr)
             return EXIT_NOT_EXPRESSIBLE
-        records += [("formula", str(cnf)), ("formula-class", cnf.verdict)]
+        records += [("formula", "fragment formula", cnf), ("formula-class", "formula class", cnf.verdict)]
 
-    if args.format == "machine":
-        for record in records:
-            print("\t".join(str(p) for p in record))
-    else:
-        labels = {
-            "universe": "atoms",
-            "base": "base",
-            "constraint": "constraint",
-            "merged": "merged models",
-            "merged-overlap": "bases met by merge",
-            "refined": "refined models",
-            "refined-overlap": "bases met by refinement",
-            "formula": "fragment formula",
-            "formula-class": "formula class",
-        }
-        model_keys = {"base", "constraint", "merged", "refined"}
-        for record in records:
-            key, rest = record[0], record[1:]
-            value = str(rest[-1])
-            if key in model_keys:
-                value = value.replace("|", ", ")
-            if key == "base":
-                print(f"base {rest[0]}: {value}")
-            else:
-                print(f"{labels[key]}: {value}")
+    machine = args.format == "machine"
+    for key, label, value in records:
+        if isinstance(value, ModelSet):
+            value = value.render("|" if machine else ", ") or "none"
+        print(f"{key}\t{value}" if machine else f"{label}: {value}")
     return EXIT_OK
 
 
@@ -449,7 +430,14 @@ def main(argv=None) -> int:
         args, rest = command.parse_known_args(argv[1:])
         if rest:
             parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: send what is left to devnull, so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

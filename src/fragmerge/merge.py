@@ -3,9 +3,10 @@
 A counting distance between interpretations is g(|symmetric difference|)
 for a nondecreasing gauge g with g(0)=0 and g(k)>0 otherwise; Hamming is
 g=id, drastic is g=1 off zero.  Per-interpretation distances to the bases
-are aggregated by sum or by the descending-sorted vector compared
-lexicographically, and merging keeps the constraint models with minimal
-aggregate.  Distances are integer-valued, so comparisons are exact.
+are aggregated by sum, an int, or by the descending-sorted tuple, which
+compares lexicographically; merging keeps the constraint models with
+minimal aggregate, and `score_table` rows carry the same plain value.
+Distances are integer-valued, so comparisons are exact.
 
 One kernel, `_rings`, gives `merge`, `MergeOperator.answers` and
 `score_table` every distance d(w, K) without scanning (w, model) pairs: per
@@ -28,10 +29,6 @@ from .interp import _atom_patterns, _from_bits
 
 class InconsistentBaseError(ValueError):
     """Bases in a profile must be consistent (non-empty model sets)."""
-
-
-class EmptyInputError(ValueError):
-    """Aggregation needs at least one distance value."""
 
 
 class CountingDistance(record_type("CountingDistance", "gauge name", ("table",), slice(1))):
@@ -143,53 +140,6 @@ class Aggregator(Enum):
     GMAX = "gmax"
 
 
-class AggValue(record_type("AggValue", "kind value")):
-    """Aggregated distance: a scalar for sigma, a descending vector for gmax.
-
-    Values of different kinds refuse to compare; gmax vectors additionally
-    must have equal length (they come from profiles of the same size).
-    """
-
-    __slots__ = ()
-
-    def _other(self, other):
-        if not isinstance(other, AggValue) or other.kind != self.kind:
-            raise TypeError(f"cannot compare {self!r} with {other!r}")
-        if self.kind is Aggregator.GMAX and len(self.value) != len(other.value):
-            raise TypeError("gmax vectors of different lengths are incomparable")
-        return other.value
-
-    def __lt__(self, other):
-        return self.value < self._other(other)
-
-    def __le__(self, other):
-        return self.value <= self._other(other)
-
-    def __gt__(self, other):
-        return self.value > self._other(other)
-
-    def __ge__(self, other):
-        return self.value >= self._other(other)
-
-    def __str__(self):
-        if self.kind is Aggregator.SIGMA:
-            return str(self.value)
-        return "(" + ",".join(str(v) for v in self.value) + ")"
-
-    def __repr__(self):
-        return f"AggValue({self.kind.value}, {self})"
-
-
-def aggregate(f: Aggregator, dists) -> AggValue:
-    """Sum for sigma; descending-sorted tuple for gmax."""
-    dists = tuple(dists)
-    if not dists:
-        raise EmptyInputError("no distances to aggregate")
-    if f is Aggregator.SIGMA:
-        return AggValue(f, sum(dists))
-    return AggValue(f, tuple(sorted(dists, reverse=True)))
-
-
 def _check_merge_inputs(universe: Universe, d: CountingDistance, mu: ModelSet = None):
     if mu is not None and mu.universe != universe:
         raise UniverseMismatchError("constraint and profile over different universes")
@@ -284,6 +234,9 @@ def merge(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregator) ->
 
 
 class ScoreRow(record_type("ScoreRow", "interpretation per_base value")):
+    """`value` is the aggregate that `_levels` groups by: the sum of
+    `per_base` (sigma) or its descending tuple (gmax)."""
+
     __slots__ = ()
 
 
@@ -297,8 +250,9 @@ def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregat
         for g, hit in _rings(base.models.bits, mu.bits, d.gauge, patterns):
             for w in _from_bits(hit):
                 rows[w].append(g)
-    universe = profile.universe
-    return tuple(ScoreRow(Interpretation(universe, w), tuple(dists), aggregate(f, dists))
+    universe, sigma = profile.universe, f is Aggregator.SIGMA
+    return tuple(ScoreRow(Interpretation(universe, w), tuple(dists),
+                          sum(dists) if sigma else tuple(sorted(dists, reverse=True)))
                  for w, dists in rows.items())
 
 

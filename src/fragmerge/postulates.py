@@ -38,7 +38,6 @@ from .refine import (
     LexClosureRefinement,
     LexRefinement,
     RefinedOperator,
-    _ignores_presentation,
     cardintersection,
     is_fair,
 )
@@ -106,8 +105,8 @@ class _Answers(dict):
     `check_postulate` call, sharing one memo.  A table is a tuple over
     `keys`: the constraints' bitsets in order, then with `pairs` (ic7/ic8)
     each pair's conjunction; `index` gives each key's position.  `table`
-    makes one that is not kept, for ic3's flipped presentation, an ic5/ic6
-    union that keeps its base order, and ic4's narrower keys."""
+    makes one that is not kept, for ic3's flipped presentation and ic4's
+    narrower keys."""
 
     def __init__(self, op, universe, bits, pairs):
         keys = dict.fromkeys(bits)
@@ -204,16 +203,15 @@ def _two_bases_count(k, p, bits, width):
 
 
 def _pairs_scan(answers, profiles, constraints, violated):
-    # Symmetric in the two profiles, so unordered pairs suffice.  A union is a
-    # new presentation, so its table is kept, by its sorted bases, only if
-    # the operator ignores base order.  Both rows test an entailment between
-    # the joint and the union output, so neither fires where they are equal.
-    ignores = _ignores_presentation(answers.op)
+    # Symmetric in the two profiles, so unordered pairs suffice.  A union's
+    # table is kept by its presentation, like any profile's; an operator that
+    # ignores base order shares its parts through its own memo.  Both rows
+    # test an entailment between the joint and the union output, so neither
+    # fires where they are equal.
     for i, e1 in enumerate(profiles):
         first = answers[e1]
         for e2 in profiles[i:]:
-            union = answers[tuple(sorted(e1 + e2))] if ignores else answers.table(e1 + e2)
-            for b, out1, out2, rhs in zip(constraints, first, answers[e2], union):
+            for b, out1, out2, rhs in zip(constraints, first, answers[e2], answers[e1 + e2]):
                 if out1 & out2 != rhs and violated(out1 & out2, rhs):
                     yield (e1, e2), (b,), (out1 & out2, rhs)
 
@@ -402,7 +400,7 @@ class SearchSpace(record_type("SearchSpace", "atoms fragment max_profile_size ma
     def profile_count(self) -> int:
         """Number of profiles: multisets of 1 to max_profile_size bases."""
         k = len(self.base_sets())
-        return comb(k + self.max_profile_size, k) - 1 if self.max_profile_size > 0 else 0
+        return comb(k + self.max_profile_size, k) - 1
 
     def profiles(self) -> tuple:
         universe = self.universe
@@ -507,7 +505,8 @@ class _Rows(list):
         for got, (w, *dists, score) in zip(score_table(e, mu, op.distance, op.aggregator), table):
             if dists:
                 self.add(f"row {w} distances", dists[0], ",".join(map(str, got.per_base)))
-            self.add(f"row {w} {op.aggregator.value}{note}", score, got.value)
+            value = got.value if op.aggregator is Aggregator.SIGMA else f"({','.join(map(str, got.value))})"
+            self.add(f"row {w} {op.aggregator.value}{note}", score, value)
 
     def pair(self, pid, ref, e1, e2, mu, expected, note=""):
         """`ref` on e1, e2 and their union against `expected`, then the

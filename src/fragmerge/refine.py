@@ -33,7 +33,7 @@ from .interp import (
     model_sets,
     record_type,
 )
-from .merge import Memo, MergeOperator, Profile, answer_table
+from .merge import Memo, Profile, answer_table
 
 
 class MappingViolationError(ValueError):
@@ -391,10 +391,3 @@ class RefinedOperator:
 
     def __repr__(self):
         return f"<{self.label}>"
-
-
-def _ignores_presentation(op) -> bool:
-    """Whether `op`'s answers ignore base order, by the rule `answers` keys its memo on."""
-    if isinstance(op, RefinedOperator):
-        return hasattr(op.kind, "reads") and _ignores_presentation(op.base)
-    return isinstance(op, MergeOperator)

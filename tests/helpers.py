@@ -5,7 +5,7 @@ import itertools
 import operator
 import re
 
-from fragmerge import Base, Interpretation, ModelSet, Profile, Universe, aggregate
+from fragmerge import Aggregator, Base, Interpretation, ModelSet, Profile, Universe
 from fragmerge.formula import (
     BOTTOM,
     HORN,
@@ -417,13 +417,14 @@ def slow_clause_pool(universe, fragment, target, full):
 def slow_score_rows(profile, mu, d, f):
     """(mask, per-base distances, aggregate) for each constraint model in
     ascending mask order; each distance is a minimum over every
-    (interpretation, model) pair."""
+    (interpretation, model) pair, and the aggregate is their sum (sigma) or
+    their descending tuple (gmax)."""
     rows = []
     for w in sorted(mu.masks):
         dists = tuple(
             min(d.gauge[(w ^ m).bit_count()] for m in b.models.masks) for b in profile.bases
         )
-        rows.append((w, dists, aggregate(f, dists)))
+        rows.append((w, dists, sum(dists) if f is Aggregator.SIGMA else tuple(sorted(dists, reverse=True))))
     return rows
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fragmerge
 import fragmerge.formula
 from fragmerge import (
     MAJ3,
@@ -256,6 +259,26 @@ class TestMergeCommand:
         assert "merged models: {a}, {b}" in out
         assert "refined models: {}, {a}, {b}" in out
         assert "fragment formula: !a | !b" in out
+
+    @pytest.mark.parametrize("problem, argv, want", [
+        (EXAMPLE1, ("--refinement", "closure", "--fragment", "horn"),
+         "atoms: a b\nbase K1: {a}, {a,b}\nbase K2: {b}, {a,b}\nconstraint: {}, {a}, {b}\n"
+         "merged models: {a}, {b}\nbases met by merge: 2\nrefined models: {}, {a}, {b}\n"
+         "bases met by refinement: 2\nfragment formula: !a | !b\nformula class: both\n"),
+        (EXAMPLE1, ("--fragment", "krom"),
+         "atoms: a b\nbase K1: {a}, {a,b}\nbase K2: {b}, {a,b}\nconstraint: {}, {a}, {b}\n"
+         "merged models: {a}, {b}\nbases met by merge: 2\n"
+         "fragment formula: (!a | !b) & (a | b)\nformula class: krom\n"),
+        ("atoms: a b c\nbase K1: models {a} {a,b}\nbase K2: b & c\nconstraint: a & !a\n",
+         ("--fragment", "krom", "--refinement", "lex"),
+         "atoms: a b c\nbase K1: {a}, {a,b}\nbase K2: {b,c}, {a,b,c}\nconstraint: none\n"
+         "merged models: none\nbases met by merge: 0\nrefined models: none\n"
+         "bases met by refinement: 0\nfragment formula: a & !a\nformula class: both\n"),
+    ], ids=["horn-closure", "krom", "empty-constraint"])
+    def test_text_output_is_pinned(self, capsys, tmp_path, problem, argv, want):
+        path = tmp_path / "problem.txt"
+        path.write_text(problem)
+        assert run(capsys, "merge", str(path), *argv) == (0, want, "")
 
     def test_merge_builds_no_answer_tables(self, capsys, monkeypatch, example1):
         # One (profile, constraint) needs one merge, not a table of them.
@@ -652,6 +675,39 @@ class TestCheckCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("witness\tic4\t")
         assert lines[-1] == "witnesses\t1"
+
+
+def run_with_stdout_closed(argv, after):
+    """Exit code and stderr of the command line, with Python's default
+    buffering, when the reader of its stdout closes it after `after` bytes
+    (0: before the command starts)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fragmerge.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    if not after:
+        os.close(read)
+    with subprocess.Popen([sys.executable, "-m", "fragmerge.cli", *argv], env=env,
+                          stdout=write, stderr=subprocess.PIPE) as proc:
+        os.close(write)
+        if after:
+            with open(read, "rb") as out:
+                assert len(out.read(after)) == after
+        _, err = proc.communicate(timeout=120)
+        return proc.returncode, err
+
+
+@pytest.mark.parametrize("argv, after", [
+    # 574 KB and 6,669 witnesses: more than a pipe holds, so the command is
+    # still writing when its reader goes.
+    (("merge", str(DATA / "krom16.txt"), "--fragment", "krom", "--refinement", "closure",
+      "--distance", "drastic", "--format", "machine"), 20),
+    (("check", "--op", "hamming,sigma,closure", "--fragment", "horn", "--atoms", "3",
+      "--max-profile-size", "1", "--postulates", "ic5"), 20),
+    # A short output is still in its buffer when the command returns.
+    (("reproduce", "--list"), 0),
+], ids=["merge", "check", "short"])
+def test_a_closed_stdout_exits_141_quietly(argv, after):
+    assert run_with_stdout_closed(argv, after) == (141, b"")
 
 
 class TestReproduceCommand:

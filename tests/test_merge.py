@@ -9,7 +9,6 @@ from fragmerge import (
     Aggregator,
     Base,
     CountingDistance,
-    EmptyInputError,
     InconsistentBaseError,
     Interpretation,
     MergeOperator,
@@ -17,7 +16,6 @@ from fragmerge import (
     Profile,
     Universe,
     UniverseMismatchError,
-    aggregate,
     score_table,
 )
 from fragmerge.merge import merge
@@ -93,40 +91,6 @@ class TestDistances:
     def test_member_distance_is_zero(self):
         k = Base(ms(U2, "a", "b"))
         assert distance(DH2, U2.interpretation("b"), k) == 0
-
-
-class TestAggregate:
-    def test_sigma(self):
-        assert aggregate(Aggregator.SIGMA, (1, 1)).value == 2
-
-    def test_gmax_sorts_descending(self):
-        assert aggregate(Aggregator.GMAX, (0, 1)).value == (1, 0)
-
-    def test_gmax_lexicographic_order(self):
-        worse = aggregate(Aggregator.GMAX, (1, 1, 0))
-        better = aggregate(Aggregator.GMAX, (1, 0, 0))
-        assert better < worse
-
-    def test_sigma_of_zeros(self):
-        assert aggregate(Aggregator.SIGMA, (0, 0, 0)).value == 0
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
-            aggregate(Aggregator.SIGMA, ())
-
-    @pytest.mark.parametrize("order", [operator.lt, operator.le, operator.gt, operator.ge])
-    def test_cross_kind_comparison_rejected(self, order):
-        with pytest.raises(TypeError):
-            order(aggregate(Aggregator.SIGMA, (1,)), aggregate(Aggregator.GMAX, (1,)))
-
-    @pytest.mark.parametrize("order", [operator.lt, operator.le, operator.gt, operator.ge])
-    def test_cross_length_gmax_rejected(self, order):
-        with pytest.raises(TypeError):
-            order(aggregate(Aggregator.GMAX, (1,)), aggregate(Aggregator.GMAX, (1, 0)))
-
-    def test_render(self):
-        assert str(aggregate(Aggregator.SIGMA, (1, 2))) == "3"
-        assert str(aggregate(Aggregator.GMAX, (0, 2, 1))) == "(2,1,0)"
 
 
 class TestBaseAndProfile:
@@ -302,17 +266,57 @@ class TestScoreTable:
         e = prof(U2, ("a", "ab"), ("b", "ab"))
         mu = ms(U2, "", "a", "b")
         rows = score_table(e, mu, DH2, Aggregator.SIGMA)
-        assert [(str(r.interpretation), r.per_base, r.value.value) for r in rows] == [
+        assert [(str(r.interpretation), r.per_base, r.value) for r in rows] == [
             ("{}", (1, 1), 2),
             ("{a}", (0, 1), 1),
             ("{b}", (1, 0), 1),
         ]
 
     def test_gmax_rows(self):
+        # A gmax value is the descending tuple of the distances.
         e = prof(U2, ("a", "ab"), ("b", "ab"))
         mu = ms(U2, "", "a", "b")
         rows = score_table(e, mu, DH2, Aggregator.GMAX)
-        assert [str(r.value) for r in rows] == ["(1,1)", "(1,0)", "(1,0)"]
+        assert [r.value for r in rows] == [(1, 1), (1, 0), (1, 0)]
+
+    def test_gmax_values_compare_lexicographically(self):
+        e, mu = prof(U3, ("",), ("ab",), ("abc",)), ms(U3, "a", "ab")
+        worse, better = (r.value for r in score_table(e, mu, CountingDistance.hamming(3), Aggregator.GMAX))
+        assert (worse, better) == ((2, 1, 1), (2, 1, 0)) and better < worse
+
+    @pytest.mark.parametrize("order", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_sigma_and_gmax_values_do_not_compare(self, order):
+        e, mu = prof(U2, ("a",)), ms(U2, "b")
+        sigma, gmax = (score_table(e, mu, DH2, f)[0].value for f in Aggregator)
+        with pytest.raises(TypeError):
+            order(sigma, gmax)
+
+    @pytest.mark.parametrize(
+        "order, expected",
+        [(operator.lt, True), (operator.le, True), (operator.gt, False), (operator.ge, False)],
+        ids=["lt", "le", "gt", "ge"],
+    )
+    def test_gmax_values_of_different_profile_sizes_compare_lexicographically(self, order, expected):
+        # A one-base value is a prefix of a two-base one, so it sorts first.
+        mu = ms(U2, "b")
+        profiles = prof(U2, ("a",)), prof(U2, ("a",), ("b",))
+        (short,), (long,) = (score_table(e, mu, DH2, Aggregator.GMAX) for e in profiles)
+        assert (short.value, long.value) == ((2,), (2, 0))
+        assert order(short.value, long.value) is expected
+
+    def test_values_of_a_model_of_every_base_are_zero(self):
+        e, mu = prof(U3, ("a", "ab"), ("a",), ("a", "c")), ms(U3, "a")
+        (sigma,), (gmax,) = (score_table(e, mu, CountingDistance.hamming(3), f) for f in Aggregator)
+        assert (sigma.value, gmax.value) == (0, (0, 0, 0))
+
+    @pytest.mark.parametrize("f", list(Aggregator), ids=lambda f: f.value)
+    def test_merge_keeps_the_rows_of_least_value(self, f):
+        for e in (prof(U2, ("a", "ab"), ("b", "ab")), prof(U2, ("",), ("ab",), ("a",))):
+            for mu in all_model_sets(U2, include_empty=False):
+                rows = score_table(e, mu, DH2, f)
+                least = min(r.value for r in rows)
+                kept = ModelSet(U2, [r.interpretation.mask for r in rows if r.value == least])
+                assert merge(e, mu, DH2, f) == kept
 
 
 class TestMergeOperator:

@@ -344,6 +344,16 @@ class TestFixtures:
         assert all(r[0] == "check" and r[-1] == "pass" for r in records)
         assert len(records) == len(report.rows)
 
+    def test_score_cells_print_sigma_as_int_and_gmax_as_tuple(self):
+        e, mu = prof(U3, ("ab",), ("a",), ("",)), ms(U3, "ab")
+        rows = postulates._Rows()
+        for f, score in ((Aggregator.SIGMA, "3"), (Aggregator.GMAX, "(2,1,0)")):
+            rows.scores(e, mu, MergeOperator(CountingDistance.hamming(3), f), (("{a,b}", score),))
+        assert [(r.label, r.actual, r.ok) for r in rows] == [
+            ("row {a,b} sigma", "3", True),
+            ("row {a,b} gmax", "(2,1,0)", True),
+        ]
+
     def test_ex1_table_cells(self):
         report = reproduce("ex1")
         cells = {r.label: r.actual for r in report.rows}
@@ -454,18 +464,13 @@ class FlatTable:
 
 
 class FlatAnswers(dict):
-    """Tables for walking a scan without an operator: a profile's reads 1
-    for every constraint, a table not kept (an ic5/ic6 union) 0, so the two
-    sides of every ic5/ic6 instance differ and its scan tests them all."""
-
-    op = None
-    index = collections.defaultdict(int)
+    """Tables for walking a scan without an operator: a profile of n bases
+    reads 2^n for every constraint.  An ic5/ic6 union is longer than both
+    its parts, so its bit is in neither, the two sides of every ic5/ic6
+    instance differ and the scan tests them all."""
 
     def __missing__(self, key):
-        return FlatTable(1)
-
-    def table(self, profile, keys=None):
-        return FlatTable(0)
+        return FlatTable(1 << len(key))
 
 
 def last_base_outside(mset, profile_models):
