@@ -423,17 +423,19 @@ def main(argv=None) -> int:
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else argv
     command = commands.get(argv[0]) if argv else None
-    if command is None:  # no arguments, `--help` or an unknown command
-        args = parser.parse_args(argv)
-    else:
-        # One pass: the top-level parser would scan them all, then hand them on.
-        args, rest = command.parse_known_args(argv[1:])
-        if rest:
-            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed stdout shows here, not in the flush at exit
-        return code
+        try:
+            if command is None:  # no arguments, `--help` or an unknown command
+                args = parser.parse_args(argv)
+            else:
+                # One pass: the top-level parser would scan them all, then hand them on.
+                args, rest = command.parse_known_args(argv[1:])
+                if rest:
+                    parser.error(f"unrecognized arguments: {' '.join(rest)}")
+            return args.func(args)
+        finally:
+            # Also after `--help`, which exits: a closed stdout shows here, not in the flush at exit.
+            sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout: send what is left to devnull, so the flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

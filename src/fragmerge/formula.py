@@ -17,10 +17,10 @@ whitespace may follow the last one):
 `truth_table` split the text into tokens in one scan and read them in one
 operator-precedence loop on explicit stacks: `parse` builds the tree, and
 `truth_table` combines the atoms' truth tables as it goes, with no tree.
-`models` gives a tree's truth table with an explicit post-order stack, and
-nodes compare and hash on one.  None of them recurses, so only MAX_NESTING
-bounds how deep parentheses nest, and chains of one connective and runs of
-`!` may be any length.
+Nodes compare and hash on a pre-order walk with an explicit stack, and
+`models` reads a tree's truth table off that walk backwards.  None of them
+recurses, so only MAX_NESTING bounds how deep parentheses nest, and chains
+of one connective and runs of `!` may be any length.
 
 A row's clause pool is walked once per universe and kept, each clause with
 its truth table, in a small cache.
@@ -142,9 +142,6 @@ _TOKEN_RE = re.compile(_TOKEN)
 # `_read`'s one scan: the tokens, and as a token of its own each other
 # character that does not separate them, which no state of the loop accepts.
 _SCAN_RE = re.compile(rf"{_TOKEN}|[^ \t\r\n]")
-_TOKENS = rf"(?:[ \t\r\n]*(?:{_TOKEN}))*"
-_PREFIX_RE = re.compile(rf"{_TOKENS}[ \t\r\n]*")
-_TEXT_RE = re.compile(rf"{_TOKENS}\s*")
 
 # Connective -> (class, rank, threshold).  Before a connective is pushed,
 # pending connectives of rank >= its threshold are applied, so & and | group
@@ -180,13 +177,15 @@ def _tables(universe):
 
 
 def _error(text, k, kind, message):
-    # The error to raise at token k, or at the end of the text for the token
-    # after the last: an unexpected character, at the first character outside
-    # the tokens, comes before any other error.
-    if _TEXT_RE.fullmatch(text) is None:
-        pos = _PREFIX_RE.match(text).end()
-        return ParseError(f"unexpected character {text[pos]!r}", pos)
-    return kind(message, ([m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)])[k])
+    # The error to raise at item k of `_read`'s scan, or at the end of the
+    # text for the item after the last: an unexpected character, the first
+    # scanned item that is not a token, comes before any other error.
+    starts = []
+    for m in _SCAN_RE.finditer(text.rstrip()):
+        if _TOKEN_RE.fullmatch(m[0]) is None:
+            return ParseError(f"unexpected character {m[0]!r}", m.start())
+        starts.append(m.start())
+    return kind(message, (starts + [len(text)])[k])
 
 
 def parse(text: str, universe: Universe) -> Formula:
@@ -207,8 +206,8 @@ def _read(text, leaves, joins, negate):
     # The one operator-precedence loop of `parse` and `truth_table`: an
     # operand's value is `leaves[token]`, `negate(value, count)` gives it
     # under a run of `count` `!`, and `joins[kind](left, right)` applies a
-    # connective.  A text is read in one scan; an error checks the whole text
-    # (`_error`) only once the loop meets a token it cannot take.
+    # connective.  A text is read in one scan, and `_error` scans it again
+    # only once the loop meets an item it cannot take.
     tokens = _SCAN_RE.findall(text.rstrip())
     tokens.append("")
     operands, pending, groups = [], [_OPEN], []  # groups: '!' count before each open '('
@@ -263,34 +262,30 @@ def _read(text, leaves, joins, negate):
 
 def models(phi: Formula, universe: Universe) -> ModelSet:
     """Exact model set: the atoms' truth tables (bit m for interpretation m)
-    combined up the tree by `_TABLE_JOINS`, one int operation per node."""
+    combined up the tree by `_TABLE_JOINS`, one int operation per node, on
+    the walk that nodes compare and hash on, `_preorder`, read backwards."""
     full = (1 << (1 << len(universe))) - 1
     tables = dict(zip(universe.atoms, _atom_patterns(len(universe))))
-    # Post-order on an explicit stack: a node pushes its class, to combine
-    # its operands' truth tables, then its operands, right above left.
-    values, stack = [], [phi]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Atom:
-            bits = tables.get(node[0])
-            if bits is None:
-                raise UnknownAtomError(node[0])
-            values.append(bits)
-        elif kind is type:
-            if node is Not:
-                values[-1] = ~values[-1]
-            else:
-                right = values.pop()
-                values[-1] = _TABLE_JOINS[node](values[-1], right)
-        elif kind is Not:
-            stack += (Not, node[0])
-        elif kind in _TABLE_JOINS:
-            stack += (kind, node[1], node[0])
-        elif kind is Const:
-            values.append(-1 if node[0] else 0)
+    # Backwards, each node comes after its operands, the right one on top of
+    # the stack, and each leaf's class after its field.
+    values, items = [], iter(reversed(_preorder(phi)))
+    for item in items:
+        if item is Not:
+            values[-1] = ~values[-1]
+        elif item in _TABLE_JOINS:
+            right = values.pop()
+            values[-1] = _TABLE_JOINS[item](values[-1], right)
         else:
-            raise TypeError(f"not a formula node: {node!r}")
+            kind = next(items, None)
+            if kind is Atom:
+                bits = tables.get(item)
+                if bits is None:
+                    raise UnknownAtomError(item)
+                values.append(bits)
+            elif kind is Const:
+                values.append(-1 if item else 0)
+            else:
+                raise TypeError(f"not a formula node: {item!r}")
     return ModelSet.from_bits(universe, full & values[0])
 
 

@@ -20,10 +20,15 @@ import itertools
 import re
 from collections import namedtuple
 from functools import lru_cache
+from math import log10
 
 # A universe has at most ENUM_CAP atoms, so every enumeration of its 2^|U|
 # interpretations is bounded where the universe is made.
 ENUM_CAP = 16
+# The most instances one `search`, or cases one `validate_mapping`, checks.
+# The largest spaces searched in CI are 3-atom Horn ic5 and ic6 at profile
+# size 1, 893,101 instances each.
+MAX_INSTANCES = 1_000_000
 # An atom name, as the formula grammar reads it.
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -334,6 +339,12 @@ class ModelSet:
 
     def __repr__(self):
         return f"ModelSet[{self.render()}]"
+
+
+def _count_text(count: int) -> str:
+    # A count over MAX_INSTANCES as printed: exact below 10^12, else its power
+    # of ten, since a count over 16 atoms has more digits than `str` may give.
+    return f"{count:,}" if count < 10 ** 12 else f"about 10^{int(log10(count))}"
 
 
 def model_sets(universe: Universe, include_empty: bool = True):

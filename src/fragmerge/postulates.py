@@ -10,16 +10,18 @@ import itertools
 import string
 from functools import cached_property, reduce
 from enum import Enum
-from math import comb, log10
+from math import comb
 from operator import add, and_
 
 from .formula import HORN, KROM
 from .interp import (
     AND2,
     MAJ3,
+    MAX_INSTANCES,
     ModelSet,
     Universe,
     UniverseMismatchError,
+    _count_text,
     closed_model_sets,
     model_sets,
     record_type,
@@ -311,10 +313,6 @@ ROWS = {
                          ("restricted", "conjoined")),
 }
 
-# The most instances one `search` checks.  The largest spaces searched in
-# CI are 3-atom Horn ic5 and ic6 at profile size 1, 893,101 instances each.
-MAX_INSTANCES = 1_000_000
-
 
 def _witness(pid, op, instance, values):
     universe = instance.profiles[0].universe
@@ -433,9 +431,8 @@ def search(space: SearchSpace, op, limit: int = None):
     pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]
     total = sum(ROWS[pid].count(space) for pid in pids)
     if total > MAX_INSTANCES:
-        count = f"{total:,}" if total < 10 ** 12 else f"about 10^{int(log10(total))}"
-        raise SpaceTooLargeError(f"the selected postulates have {count} instances in this "
-                                 f"space, over the budget of {MAX_INSTANCES:,}")
+        raise SpaceTooLargeError(f"the selected postulates have {_count_text(total)} instances "
+                                 f"in this space, over the budget of {MAX_INSTANCES:,}")
     if not total:
         raise EmptySpaceError("the selected postulates have no instances in this space")
     universe, constraints = space.universe, tuple(s.bits for s in space.base_sets())

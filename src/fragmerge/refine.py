@@ -21,12 +21,15 @@ from functools import reduce
 from operator import or_
 
 from .interp import (
+    MAX_INSTANCES,
     BooleanFn,
     Interpretation,
     ModelSet,
     Universe,
     UniverseMismatchError,
+    UniverseTooLargeError,
     _closure_bits,
+    _count_text,
     _is_closed,
     closure,
     is_closed,
@@ -92,7 +95,8 @@ class ClosureRefinement(record_type("ClosureRefinement", "beta")):
     def __call__(self, mset: ModelSet, profile_models) -> ModelSet:
         return closure(self.beta, mset)
 
-    reads = None
+    # No M meets 0, so this reads nothing of X.
+    reads = staticmethod(lambda profile_bits: 0)
 
 
 class LexRefinement(record_type("LexRefinement", "beta order", (None,))):
@@ -108,7 +112,7 @@ class LexRefinement(record_type("LexRefinement", "beta order", (None,))):
         order = self.order or LexOrder(mset.universe)
         return ModelSet.from_bits(mset.universe, 1 << order.minimum(mset).mask)
 
-    reads = None
+    reads = staticmethod(lambda profile_bits: 0)
 
 
 class LexClosureRefinement(LexRefinement):
@@ -224,12 +228,11 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _check(properties, cases, violated, keep=1, limit=None):
+def _check(properties, cases, violated, keep=1):
     """The one case loop of the checkers below.  `violated(case)` yields a
     (property, witness) pair for each property that `case` violates, the
     witness as a function that builds it.  Each property keeps its first
-    `keep` witnesses (all when `keep` is None), built only then; the loop
-    stops once one has `limit` of them."""
+    `keep` witnesses (all when `keep` is None), built only then."""
     report = CheckReport(properties)
     for case in cases:
         report.checked += 1
@@ -237,8 +240,6 @@ def _check(properties, cases, violated, keep=1, limit=None):
             found = report.violations.setdefault(prop, [])
             if keep is None or len(found) < keep:
                 found.append(witness())
-                if limit is not None and len(found) >= limit:
-                    return report
     return report
 
 
@@ -246,8 +247,14 @@ def validate_mapping(mapping, universe: Universe) -> CheckReport:
     """Check the four mapping properties of a refinement f(M, X) on every
     (M, X) pair of the bounded space: all model sets M over `universe`, all
     multisets X of one or two non-empty model sets.  Each property keeps its
-    first witness (M, X, message).  For small universes.
+    first witness (M, X, message).  Before any set is listed, raises
+    UniverseTooLargeError over MAX_INSTANCES cases, as from 3 atoms on.
     """
+    sets = 1 << (1 << len(universe))
+    count = sets * (sets - 1 + (sets - 1) * sets // 2)  # M, then X of one or two sets
+    if count > MAX_INSTANCES:
+        raise UniverseTooLargeError(f"validate_mapping has {_count_text(count)} cases over "
+                                    f"{len(universe)} atoms, over the budget of {MAX_INSTANCES:,}")
     all_sets = tuple(model_sets(universe))
     nonempty = tuple(s for s in all_sets if s)
     profiles = [x for size in (1, 2)
@@ -271,27 +278,21 @@ def _outputs(base_op, refined_op, instances):
     """Each instance (profile, mu) as (profile, mu, multiset, base output,
     refined output): the multiset is (universe, sorted base bitsets), and the
     outputs are bitsets read off one table of each operator (one memo for
-    both, per universe) per profile presentation."""
-    instances, xs, keys, last = list(instances), [], {}, None
-    for profile, mu in instances:
-        if profile is not last:  # instances often repeat one profile in a row
-            last, universe = profile, profile.universe
-            x = universe, tuple([b.models.bits for b in profile.bases])
-        if mu.universe != universe:
+    both, per universe) for each run of instances of one profile object, over
+    the run's constraints.  Listed, the instances keep each profile, and so
+    its `id`, alive."""
+    instances, memos = list(instances), {}
+    for _, run in itertools.groupby(instances, lambda instance: id(instance[0])):
+        run = list(run)
+        universe, bases = run[0][0].universe, tuple([b.models.bits for b in run[0][0].bases])
+        if any(mu.universe != universe for _, mu in run):
             raise UniverseMismatchError("constraint and profile over different universes")
-        xs.append(x)
-        index = keys.setdefault(x, {})
-        index.setdefault(mu.bits, len(index))
-    tables, memos = {}, {}
-    for (profile, mu), x in zip(instances, xs):
-        if x not in tables:
-            universe, bases = x
-            memo = memos.get(universe) or memos.setdefault(universe, Memo(universe))
-            ks = tuple(keys[x])
-            base = answer_table(base_op, bases, ks, memo)
-            tables[x] = base, answer_table(refined_op, bases, ks, memo), (universe, tuple(sorted(bases)))
-        (base, refined, multiset), i = tables[x], keys[x][mu.bits]
-        yield profile, mu, multiset, base[i], refined[i]
+        keys = tuple(dict.fromkeys([mu.bits for _, mu in run]))
+        memo = memos.get(universe) or memos.setdefault(universe, Memo(universe))
+        base, refined = (dict(zip(keys, answer_table(op, bases, keys, memo))) for op in (base_op, refined_op))
+        multiset = universe, tuple(sorted(bases))
+        for profile, mu in run:
+            yield profile, mu, multiset, base[mu.bits], refined[mu.bits]
 
 
 def _case(case):
@@ -325,13 +326,10 @@ def check_refinement_properties(base_op, refined_op, beta: BooleanFn, instances)
     return _check(REFINEMENT_PROPERTIES, _outputs(base_op, refined_op, instances), violated)
 
 
-def is_fair(base_op, refined_op, instances, limit: int = None) -> CheckReport:
+def is_fair(base_op, refined_op, instances) -> CheckReport:
     """Find instances where the base output meets a number of bases other
     than one but the refined output meets exactly one.  Every witness, the
-    case and the number of bases each output meets, is kept up to `limit`,
-    which must be at least 1."""
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    case and the number of bases each output meets, is kept."""
 
     def violated(case):
         (_, bases), base_out, refined_out = case[2:]
@@ -341,7 +339,7 @@ def is_fair(base_op, refined_op, instances, limit: int = None) -> CheckReport:
                 yield "fairness", lambda: _case(case) + (n_base, 1)
 
     cases = _outputs(base_op, refined_op, instances)
-    return _check(("fairness",), cases, violated, keep=None, limit=limit)
+    return _check(("fairness",), cases, violated, keep=None)
 
 
 class RefinedOperator:
@@ -360,16 +358,14 @@ class RefinedOperator:
 
     def answers(self, bases: tuple, keys: tuple, memo: Memo) -> tuple:
         """(self(profile, mu).bits for each mu.bits in `keys`), on this
-        presentation `bases` of the profile.  The refinement reads the base
-        output M and, of the profile's model sets X, nothing when
-        `kind.reads` is None, whether M meets the bitset `kind.reads(bases)`
-        when it is a function, and all of X in order without `reads`.  So
-        across the tables sharing `memo` (this operator's part is under its
-        own key), the refinement runs once per (M, what it reads of X), and
-        a table is made once per (keys, base table, `reads(bases)` or X)."""
+        presentation `bases` of the profile.  Of the profile's model sets X,
+        the refinement reads whether the base output M meets the bitset
+        `kind.reads(bases)` when the kind has `reads`, else all of X in order.
+        Across the tables sharing `memo` (under this operator's own key), it
+        runs once per (M, what it reads of X), and a table is made once per
+        (keys, base table, `reads(bases)` or X)."""
         base = answer_table(self.base, bases, keys, memo)
-        kind = self.kind
-        x = (kind.reads and kind.reads(bases)) if hasattr(kind, "reads") else bases
+        x = self.kind.reads(bases) if hasattr(self.kind, "reads") else bases
         outs, tables = memo.get(self) or memo.setdefault(self, ({}, {}))
         table = tables.get((keys, base, x))
         if table is None:
@@ -377,7 +373,7 @@ class RefinedOperator:
         return table
 
     def _table(self, bases, keys, base, x, outs, universe) -> tuple:
-        meets = callable(getattr(self.kind, "reads", None))
+        meets = hasattr(self.kind, "reads")
         models, table = tuple([ModelSet.from_bits(universe, b) for b in bases]), []
         for bits, out in zip(keys, base):
             if out & ~bits:

@@ -758,10 +758,10 @@ def slow_check_refinement_properties(base_op, refined_op, beta, instances):
     return checked, first
 
 
-def slow_is_fair(base_op, refined_op, instances, limit=None):
+def slow_is_fair(base_op, refined_op, instances):
     """Oracle for `is_fair`: (checked, witnesses), each witness the case
     (profile, mu, base output, refined output) and the number of bases each
-    output meets, stopping after `limit` witnesses."""
+    output meets."""
     checked, witnesses = 0, []
     for profile, mu in instances:
         base_out = base_op(profile, mu)
@@ -771,6 +771,4 @@ def slow_is_fair(base_op, refined_op, instances, limit=None):
         n_refined = sum(1 for b in profile.bases if b.models.intersects(refined_out))
         if n_base != 1 and n_refined == 1:
             witnesses.append((profile, mu, base_out, refined_out, n_base, n_refined))
-            if limit is not None and len(witnesses) >= limit:
-                break
     return checked, witnesses

@@ -16,8 +16,10 @@ from fragmerge import (
     MAJ3,
     CountingDistance,
     MergeOperator,
+    NoSyntacticFragmentError,
     RefinedOperator,
     Universe,
+    cli,
     is_closed,
     models,
     parse,
@@ -377,6 +379,31 @@ class TestMergeCommand:
         assert code == 2
         assert err.startswith("problem file error: line ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("atoms:\nbase K: a\n", "line 1: empty atom list"),
+        ("atoms: a\nbaseline K: a\n", "line 2: malformed base line"),
+        ("# no atoms\n\n", "missing atoms declaration"),
+    ], ids=["empty-atom-list", "malformed-base", "no-atoms"])
+    def test_problem_file_errors_are_named(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert run(capsys, "merge", str(path)) == (2, "", f"problem file error: {message}\n")
+
+    @pytest.mark.parametrize("distance, message", [
+        ("bogus", "unknown distance 'bogus'"),
+        ("table:1,x", "bad distance table in 'table:1,x'"),
+    ], ids=["unknown", "not-an-int"])
+    def test_bad_distance_exits_two(self, capsys, example1, distance, message):
+        assert run(capsys, "merge", example1, "--distance", distance) == (2, "", f"bad arguments: {message}\n")
+
+    def test_failed_synthesis_exits_four(self, capsys, monkeypatch, example1):
+        def refuse(mset, fragment):
+            raise NoSyntacticFragmentError(f"fragment {fragment.name!r} cannot express the given model set")
+
+        monkeypatch.setattr(cli, "synthesize", refuse)
+        assert run(capsys, "merge", example1, "--fragment", "krom") == (
+            4, "", "synthesis failed: fragment 'krom' cannot express the given model set\n")
+
     @pytest.mark.parametrize("n", [17, 25])
     def test_atoms_over_the_enumeration_cap(self, capsys, tmp_path, n):
         path = tmp_path / "wide.txt"
@@ -405,6 +432,11 @@ class TestMergeCommand:
             "--lex-order", "{z}",
         )
         assert code == 2 and err.startswith("bad arguments: bad --lex-order")
+
+    def test_duplicate_entry_in_lex_order(self, capsys, example1):
+        assert run(capsys, "merge", example1, "--refinement", "lex", "--fragment", "horn",
+                   "--lex-order", "{a} {b} {a}") == (
+            2, "", "bad arguments: bad --lex-order: duplicate entry {a} in order\n")
 
     def test_eight_atom_horn_closure(self, capsys, tmp_path):
         path = tmp_path / "horn8.txt"
@@ -591,6 +623,13 @@ class TestCheckCommand:
         )
         assert code == 2 and "unknown postulate" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (("--op", "hamming,sigma,bogus", "--fragment", "horn"), "unknown refinement 'bogus'"),
+        (("--op", "hamming,sigma,none", "--postulates", "ic5-ic3"), "empty postulate range 'ic5-ic3'"),
+    ], ids=["unknown-refinement", "empty-range"])
+    def test_bad_check_arguments_are_named(self, capsys, extra, message):
+        assert run(capsys, "check", "--atoms", "2", *extra) == (2, "", f"bad arguments: {message}\n")
+
     def test_bad_op_spec(self, capsys):
         code, _, err = run(capsys, "check", "--op", "hamming,sigma", "--atoms", "2")
         assert code == 2
@@ -705,7 +744,9 @@ def run_with_stdout_closed(argv, after):
       "--max-profile-size", "1", "--postulates", "ic5"), 20),
     # A short output is still in its buffer when the command returns.
     (("reproduce", "--list"), 0),
-], ids=["merge", "check", "short"])
+    # argparse prints the help, then exits before the command runs.
+    *[((*command, "--help"), 0) for command in ((), ("merge",), ("check",), ("reproduce",))],
+], ids=["merge", "check", "short", "help", "merge-help", "check-help", "reproduce-help"])
 def test_a_closed_stdout_exits_141_quietly(argv, after):
     assert run_with_stdout_closed(argv, after) == (141, b"")
 

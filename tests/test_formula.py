@@ -249,6 +249,12 @@ class TestModels:
         with pytest.raises(UnknownAtomError):
             models(Atom("zz"), U2)
 
+    @pytest.mark.parametrize("phi, item", [("a", "'a'"), (None, "None"), (Not("a"), "'a'"),
+                                           (And(Atom("a"), 5), "5")])
+    def test_a_non_node_is_refused(self, phi, item):
+        with pytest.raises(TypeError, match=f"^not a formula node: {item}$"):
+            models(phi, U2)
+
 
 class TestCnf:
     @pytest.mark.parametrize("clauses, text, verdict", [

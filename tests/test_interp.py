@@ -57,6 +57,13 @@ class TestUniverse:
         assert len(u) == 3
         assert u.index("c") == 2
         assert "b" in u and "z" not in u
+        assert list(u) == ["a", "b", "c"]
+        assert repr(u) == "Universe(('a', 'b', 'c'))"
+
+    def test_index_of_an_unknown_atom(self):
+        with pytest.raises(KeyError) as info:
+            U2.index("z")
+        assert info.value.args == ("atom 'z' not in universe ('a', 'b')",)
 
     def test_rejects_duplicates_and_empty(self):
         with pytest.raises(ValueError):
@@ -102,6 +109,18 @@ class TestInterpretation:
         with pytest.raises(UniverseMismatchError):
             U2.interpretation("a") < U3.interpretation("a")
 
+    @pytest.mark.parametrize("mask", [-1, 4])
+    def test_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError, match=f"^mask {mask} out of range for 2 atoms$"):
+            Interpretation(U2, mask)
+
+    def test_hash_repr_and_order_against_other_types(self):
+        w = Interpretation(U2, 1)
+        assert hash(w) == hash(U2.interpretation("a")) and {w, U2.interpretation("a")} == {w}
+        assert repr(w) == "Interpretation({a})"
+        with pytest.raises(TypeError):
+            w < 1
+
 
 class TestBooleanFnValidation:
     def test_and_is_valid(self):
@@ -126,6 +145,19 @@ class TestBooleanFnValidation:
     def test_wrong_table_length(self):
         with pytest.raises(ValueError):
             BooleanFn(2, (0, 1))
+
+    def test_arity_zero_is_rejected(self):
+        with pytest.raises(ValueError, match="^arity must be positive$"):
+            BooleanFn(0, (0,))
+
+    def test_constant_zero_rejected_not_one_reproducing(self):
+        with pytest.raises(NotReproducingError, match="^not 1-reproducing") as exc:
+            BooleanFn(2, (0, 0, 0, 0))
+        assert exc.value.witness == (1, 1)
+
+    def test_records_are_unordered(self):
+        with pytest.raises(TypeError):
+            AND2 < MAJ3
 
     def test_renamed_and_is_and(self, monkeypatch):
         # The name is not compared: a renamed AND2 equals and hashes as AND2,
@@ -365,6 +397,13 @@ class TestModelSetBasics:
     def test_render_sorted_by_weight(self):
         assert str(ms(U2, "b", "", "a")) == "{}, {a}, {b}"
         assert ms(U2, "ab", "a").compact() == "{a}|{a,b}"
+
+    def test_iterates_over_its_members(self):
+        assert list(ms(U2, "ab", "a")) == [U2.interpretation("a"), U2.interpretation("ab")]
+
+    def test_set_operations_take_model_sets_only(self):
+        with pytest.raises(TypeError, match="^expected ModelSet, got int$"):
+            ms(U2, "a") & 3
 
     @pytest.mark.parametrize("atoms", ["cab", "z", "gfedcba"])
     def test_rendering_matches_member_strings(self, atoms):

@@ -118,6 +118,13 @@ class TestBaseAndProfile:
     def test_union_is_multiset(self):
         e = prof(U2, ("a",)).union(prof(U2, ("a",)))
         assert len(e) == 2
+        assert list(e) == [Base(ms(U2, "a"))] * 2
+
+    def test_bases_share_one_universe(self):
+        with pytest.raises(UniverseMismatchError, match="^bases over different universes$"):
+            Profile((Base(ms(U2, "a")), Base(ms(U3, "a"))))
+        with pytest.raises(UniverseMismatchError, match="^profiles over different universes$"):
+            prof(U2, ("a",)).union(prof(U3, ("a",)))
 
     def test_common_models(self):
         e = prof(U2, ("a", "ab"), ("b", "ab"))
@@ -322,6 +329,7 @@ class TestScoreTable:
 class TestMergeOperator:
     def test_label(self):
         assert MergeOperator(DH2, Aggregator.SIGMA).label == "merge(hamming,sigma)"
+        assert repr(MergeOperator(DH2, Aggregator.GMAX)) == "<merge(hamming,gmax)>"
 
     def test_memoized(self):
         op = MergeOperator(DH2, Aggregator.GMAX)

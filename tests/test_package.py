@@ -85,12 +85,14 @@ def test_the_exports_are_pinned():
     (RefinedOperator.answers, ["self", "bases", "keys", "memo"]),
     (answer_table, ["op", "bases", "keys", "memo"]),
     (fragmerge.validate_mapping, ["mapping", "universe"]),
+    (fragmerge.is_fair, ["base_op", "refined_op", "instances"]),
 ], ids=["synthesize", "closed_model_sets", "MergeOperator.answers", "RefinedOperator.answers",
-        "answer_table", "validate_mapping"])
+        "answer_table", "validate_mapping", "is_fair"])
 def test_retired_options_stay_gone(function, parameters):
     # synthesize always minimizes, closed_model_sets never yields the empty
-    # set, every answer table is built with a memo that the caller owns, and
-    # validate_mapping checks profiles of one or two model sets.
+    # set, every answer table is built with a memo that the caller owns,
+    # validate_mapping checks profiles of one or two model sets, and is_fair
+    # keeps every witness.
     signature = inspect.signature(function).parameters
     assert list(signature) == parameters
     assert all(p.default is inspect.Parameter.empty for p in signature.values())
@@ -111,6 +113,11 @@ def test_retired_names_stay_gone():
     for name in ("AggValue", "aggregate", "EmptyInputError"):
         assert not hasattr(fragmerge, name) and not hasattr(fragmerge.merge, name), name
     assert not hasattr(fragmerge.refine, "_ignores_presentation")
+    # Closure and lex read the bitset 0, which no merge output meets, not `reads = None`.
+    assert ClosureRefinement(AND2).reads((1, 2)) == LexRefinement(AND2).reads((1, 2)) == 0
+    # Error positions come from the scan that reads the text, with no regex of their own.
+    for name in ("_TOKENS", "_PREFIX_RE", "_TEXT_RE"):
+        assert not hasattr(fragmerge.formula, name), name
 
 
 def _unused_imports(path):

@@ -70,6 +70,11 @@ def simple(e, mu):
 
 
 class TestCheckPostulate:
+    def test_an_unknown_postulate_is_refused(self):
+        e, mu = prof(U2, ("a",)), ms(U2, "a")
+        with pytest.raises(ShapeMismatchError, match="^unknown postulate 'ic9'$"):
+            check_postulate("ic9", SIG2, simple(e, mu))
+
     def test_ic0_ic1_ic2_pass_for_merge(self):
         e, mu = prof(U2, ("a", "ab"), ("b", "ab")), ms(U2, "", "a", "b")
         for pid in (PostulateId.IC0, PostulateId.IC1, PostulateId.IC2):
@@ -481,6 +486,30 @@ def last_base_outside(mset, profile_models):
     return ModelSet.from_bits(mset.universe, mset.bits & -mset.bits)
 
 
+class FirstBaseKind:
+    """A refinement kind of its own, not a `BetaMapping`: the closure of M
+    when `holds(M, X[0])`, else M's least model."""
+
+    def __init__(self, beta, holds):
+        self.beta, self.holds, self.label = beta, holds, f"first-base({beta})"
+
+    def __call__(self, mset, profile_models):
+        if self.holds(mset, profile_models[0]):
+            return closure(self.beta, mset)
+        return ModelSet.from_bits(mset.universe, mset.bits & -mset.bits)
+
+
+class MeetsFirstBaseKind(FirstBaseKind):
+    """`FirstBaseKind` on whether M meets X[0], which it says with `reads`."""
+
+    def __init__(self, beta):
+        super().__init__(beta, ModelSet.intersects)
+
+    @staticmethod
+    def reads(profile_bits):
+        return profile_bits[0]
+
+
 class TestEngineAgainstSlowOracle:
     """The table engine gives the witnesses of the per-instance if-chain,
     in the same order and with the same text."""
@@ -577,6 +606,25 @@ class TestEngineAgainstSlowOracle:
         assert [w.render() for w in found] == [w.render() for w in slow]
         counts = collections.Counter(w.postulate for w in found)
         assert counts[PostulateId.IC5] == 159 and counts[PostulateId.IC6] == 109
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
+    def test_a_kind_that_reads_whether_m_meets_a_bitset_keeps_its_witnesses(self, fragment):
+        # A kind's output may depend on X only through whether M meets the
+        # bitset that its `reads` returns: here the first base's models.
+        op = RefinedOperator(SIG2, MeetsFirstBaseKind(fragment.beta))
+        space = SearchSpace(atoms=2, fragment=fragment)
+        found = search(space, op)
+        assert found
+        assert [w.render() for w in found] == [w.render() for w in slow_search(space, PresentationCache(op))]
+
+    def test_a_kind_without_reads_is_asked_on_all_of_x(self):
+        # Whether M holds the first base is not whether M meets some bitset,
+        # so the kind has no `reads`, and the engine asks it on X in order.
+        op = RefinedOperator(SIG2, FirstBaseKind(AND2, lambda mset, first: first.issubset(mset)))
+        space = SearchSpace(atoms=2, fragment=HORN)
+        found = search(space, op)
+        assert len(found) == 1876
+        assert [w.render() for w in found] == [w.render() for w in slow_search(space, PresentationCache(op))]
 
     def test_operator_is_asked_once_per_profile_and_constraint(self):
         calls = []

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -24,6 +25,7 @@ from fragmerge import (
     RefinedOperator,
     Universe,
     UniverseMismatchError,
+    UniverseTooLargeError,
     cardintersection,
     check_refinement_properties,
     closed_model_sets,
@@ -72,6 +74,15 @@ class TestLexOrder:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             LexOrder(U2, [U2.interpretation("b"), U2.interpretation("b")])
+
+    def test_entries_of_another_universe_rejected(self):
+        with pytest.raises(ValueError, match="^order entries must share the universe$"):
+            LexOrder(U2, [U3.interpretation("a")])
+
+    def test_repr(self):
+        assert repr(LexOrder(U2)) == "LexOrder(ascending)"
+        order = LexOrder(U2, [U2.interpretation("b"), U2.interpretation("")])
+        assert repr(order) == "LexOrder({b}, {}, then ascending)"
 
     def test_empty_set_has_no_minimum(self):
         with pytest.raises(ValueError):
@@ -232,6 +243,29 @@ class TestMappings:
         report = validate_mapping(BetaMapping(AND2, lambda mset, x: closure(AND2, mset)), U2)
         assert report.ok and report.checked == len(calls) == 2160
 
+    @pytest.mark.parametrize("atoms, cases", [(1, 36), (2, 2160)])
+    def test_the_budget_counts_every_case(self, monkeypatch, atoms, cases):
+        # 2^(2^n) sets M, each with k profiles of one set and k(k+1)/2 of two,
+        # for the k = 2^(2^n) - 1 non-empty sets.
+        universe = Universe(["a", "b"][:atoms])
+        monkeypatch.setattr(refine_module, "MAX_INSTANCES", cases)
+        assert validate_mapping(ClosureRefinement(AND2), universe).checked == cases
+        monkeypatch.setattr(refine_module, "MAX_INSTANCES", cases - 1)
+        with pytest.raises(UniverseTooLargeError, match=f"^validate_mapping has {cases:,} cases over "):
+            validate_mapping(ClosureRefinement(AND2), universe)
+
+    @pytest.mark.parametrize("atoms, count", [
+        (3, "8,421,120"), (4, "about 10^14"), (16, "about 10^59184"),
+    ])
+    def test_a_universe_over_the_budget_is_refused_before_any_call(self, atoms, count):
+        def never(mset, profile_models):
+            raise AssertionError("the mapping was called")
+
+        universe = Universe([chr(ord("a") + i) for i in range(atoms)])
+        message = f"validate_mapping has {count} cases over {atoms} atoms, over the budget of 1,000,000"
+        with pytest.raises(UniverseTooLargeError, match=f"^{re.escape(message)}$"):
+            validate_mapping(BetaMapping(AND2, never), universe)
+
     def test_mapping_refinement_applies_the_function(self):
         e, mu = example_instance()
         op = BetaMapping(AND2, lambda mset, x: closure(AND2, mset), "closure")
@@ -284,6 +318,35 @@ class TestRefinementProperties:
             args = (AND2, instances) if checker is check_refinement_properties else (instances,)
             assert checker(base, refined, *args).checked == len(instances)
             assert (base.calls, base.tables) == (0, 2 * len(profiles))
+
+    def test_an_empty_refined_output_fails_consistency(self):
+        class Empty:
+            label = "empty"
+
+            def __call__(self, profile, mu):
+                return ModelSet(mu.universe)
+
+        instances = fragment_instances(HORN)
+        report = check_refinement_properties(SIG2, Empty(), AND2, instances)
+        _, _, base_out, refined_out = witness = report.violations["consistency"][0]
+        assert base_out and not refined_out
+        # A closed merge output refined to nothing breaks invariance too, and
+        # each property gets its witness or an "ok" line in the report.
+        assert report.render().splitlines() == [
+            f"checked {len(instances)} cases",
+            f"VIOLATED consistency: {witness}",
+            "ok containment",
+            f"VIOLATED invariance: {report.violations['invariance'][0]}",
+            "ok equivalence",
+        ]
+
+    def test_a_constraint_over_another_universe_is_refused(self):
+        e, mu = example_instance()
+        refined = RefinedOperator(SIG2, ClosureRefinement(AND2))
+        for checker in (check_refinement_properties, is_fair):
+            args = (AND2,) if checker is check_refinement_properties else ()
+            with pytest.raises(UniverseMismatchError, match="^constraint and profile over different universes$"):
+                checker(SIG2, refined, *args, [(e, mu), (e, ModelSet.full(U3))])
 
     def test_broken_refinement_fails_containment(self):
         report = check_refinement_properties(
@@ -341,25 +404,6 @@ class TestFairness:
                 refined = RefinedOperator(base, LexClosureRefinement(fragment.beta))
                 report = is_fair(base, refined, fragment_instances(fragment))
                 assert report.ok, report.render()
-
-    def test_limit_stops_early(self):
-        base = MergeOperator(CountingDistance.hamming(2), Aggregator.GMAX)
-        refined = RefinedOperator(base, ClosureRefinement(AND2))
-        full = is_fair(base, refined, fragment_instances(HORN))
-        assert len(full.violations["fairness"]) >= 1
-        limited = is_fair(base, refined, fragment_instances(HORN), limit=1)
-        assert len(limited.violations["fairness"]) == 1
-
-    @pytest.mark.parametrize("limit", [0, -1])
-    def test_a_limit_below_one_is_refused_before_any_table(self, limit):
-        def unread():
-            raise AssertionError("an instance was read")
-            yield
-
-        base = MergeOperator(CountingDistance.hamming(2), Aggregator.GMAX)
-        refined = RefinedOperator(base, ClosureRefinement(AND2))
-        with pytest.raises(ValueError, match=f"^limit must be at least 1, got {limit}$"):
-            is_fair(base, refined, unread(), limit=limit)
 
     @pytest.mark.parametrize("fragment", [HORN, KROM])
     @pytest.mark.parametrize("base_op", [SIG2, GMAX2])
@@ -471,10 +515,9 @@ class TestCheckersAgainstSlowOracle:
             assert all(len(found) == 1 for found in report.violations.values())
             assert (report.checked, first) == slow_check_refinement_properties(
                 base, refined, beta, instances), refined.label
-            for limit in (None, 1):
-                report = is_fair(base, refined, instances, limit=limit)
-                assert (report.checked, report.violations.get("fairness", [])) == slow_is_fair(
-                    base, refined, instances, limit=limit), (refined.label, limit)
+            report = is_fair(base, refined, instances)
+            assert (report.checked, report.violations.get("fairness", [])) == slow_is_fair(
+                base, refined, instances), refined.label
 
     def test_one_memo_serves_operators_of_other_gauges_and_aggregators(self):
         # The checkers hand the base and the refined operator one memo.  A
