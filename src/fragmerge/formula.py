@@ -98,9 +98,19 @@ def _preorder(phi) -> tuple:
 class Atom(Formula, record_type("Atom", "name")):
     __slots__ = ()
 
+    def __new__(cls, name: str):
+        if not isinstance(name, str):
+            raise TypeError(f"an atom name is a str, got {name!r}")
+        return super().__new__(cls, name)
+
 
 class Const(Formula, record_type("Const", "value")):
     __slots__ = ()
+
+    def __new__(cls, value: bool):
+        if not isinstance(value, bool):
+            raise TypeError(f"a constant's value is a bool, got {value!r}")
+        return super().__new__(cls, value)
 
 
 TOP = Const(True)

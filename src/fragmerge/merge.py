@@ -17,6 +17,7 @@ with bit m for interpretation m) reaches w at step k = min over models m of
 Answer tables work on plain ints: a profile is a tuple of its bases'
 bitsets, in presentation order, and a table is the tuple of an operator's
 output bitsets for a tuple of constraint bitsets, `keys`, in their order.
+An operator's table function over `keys` maps a profile to its table.
 """
 
 from enum import Enum
@@ -258,7 +259,8 @@ def score_table(profile: Profile, mu: ModelSet, d: CountingDistance, f: Aggregat
 
 class Memo(dict):
     """What the answer tables of one `search` or checker call share, over one
-    universe.  Each operator keeps its part under a key of its own."""
+    universe: each table function under (op, keys), and each operator's own
+    part under a key of its own."""
 
     __slots__ = ("universe",)
 
@@ -282,35 +284,50 @@ class MergeOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return merge(profile, mu, self.distance, self.aggregator)
 
-    def answers(self, bases: tuple, keys: tuple, memo: Memo) -> tuple:
-        """(self(profile, mu).bits for each mu.bits in `keys`), for the profile
-        with base bitsets `bases`: `merge`'s least level (`_levels` of the
-        keys' union) that meets mu.  The memo keeps `_levels`' rings, groups
-        and levels per gauge, aggregator and union, so profiles with one
-        multiset of bases share their levels.  The gauge is checked once per
-        memo."""
+    def answers(self, keys: tuple, memo: Memo):
+        """The table function over `keys`: bases -> (self(profile, mu).bits
+        for each mu.bits in `keys`), on the profile with base bitsets `bases`,
+        read as `merge` does off `_levels` of the keys' union, whose rings,
+        groups and levels the memo keeps per gauge, aggregator and union.
+        Profiles with equal levels share one table.  The gauge is checked
+        once per memo."""
         within = reduce(or_, keys, 0)
-        gauge, sigma = self.distance.gauge, self.aggregator is Aggregator.SIGMA
+        gauge, sigma, width = self.distance.gauge, self.aggregator is Aggregator.SIGMA, len(memo.universe)
         kept = memo.get((gauge, sigma, within))
         if kept is None:
             _check_merge_inputs(memo.universe, self.distance)
             kept = memo[gauge, sigma, within] = {}, {}, {}
-        levels = _levels(bases, within, gauge, sigma, len(memo.universe), kept)
-        # Built from a list: CPython resizes a tuple built from a generator,
-        # so it bypasses the free list of its size when made but joins it when
-        # freed, and the tables a search keeps would fill those lists.
-        return tuple([_least(levels, bits) for bits in keys])
+        tables = {}
+
+        def table(bases):
+            levels = _levels(bases, within, gauge, sigma, width, kept)
+            found = tables.get(levels)
+            if found is None:
+                # From a list: a tuple from a generator is resized, so it skips
+                # its size's free list when made but fills it when freed.
+                found = tables[levels] = tuple([_least(levels, bits) for bits in keys])
+            return found
+
+        return table
 
     def __repr__(self):
         return f"<{self.label}>"
 
 
-def answer_table(op, bases: tuple, keys: tuple, memo: Memo) -> tuple:
-    """(op(profile, mu).bits for each mu.bits in `keys`), for the profile with
-    base bitsets `bases`: `op.answers` when the operator has it, else one
-    call of `op` per key on a `Profile` built for it."""
-    if hasattr(op, "answers"):
-        return op.answers(bases, keys, memo)
-    universe = memo.universe
-    profile = Profile.from_bits(universe, bases)
-    return tuple(op(profile, ModelSet.from_bits(universe, bits)).bits for bits in keys)
+def answer_table(op, keys: tuple, memo: Memo):
+    """The table function of `op` over `keys`, bases -> (op(profile, mu).bits
+    for each mu.bits in `keys`): `op.answers(keys, memo)` when the operator
+    has it, else one call of `op` per key on a `Profile` built for the bases.
+    The memo keeps one per (op, keys), so `op` must be hashable."""
+    found = memo.get((op, keys))
+    if found is None and hasattr(op, "answers"):
+        found = memo[op, keys] = op.answers(keys, memo)
+    elif found is None:
+        universe, mus = memo.universe, [ModelSet.from_bits(memo.universe, bits) for bits in keys]
+
+        def found(bases):
+            profile = Profile.from_bits(universe, bases)
+            return tuple([op(profile, mu).bits for mu in mus])
+
+        memo[op, keys] = found
+    return found

@@ -106,9 +106,10 @@ class _Answers(dict):
     """Answer tables by profile, a tuple of base bitsets, for one `search` or
     `check_postulate` call, sharing one memo.  A table is a tuple over
     `keys`: the constraints' bitsets in order, then with `pairs` (ic7/ic8)
-    each pair's conjunction; `index` gives each key's position.  `table`
-    makes one that is not kept, for ic3's flipped presentation and ic4's
-    narrower keys."""
+    each pair's conjunction; `index` gives each key's position.  `table` is
+    the table function over `keys`, which makes one that is not kept, for
+    ic3's flipped presentation; `function` gives it over other keys, for
+    ic4's narrower ones."""
 
     def __init__(self, op, universe, bits, pairs):
         keys = dict.fromkeys(bits)
@@ -117,13 +118,14 @@ class _Answers(dict):
         self.keys = tuple(keys)
         self.index = {b: i for i, b in enumerate(self.keys)}
         self.op, self.memo = op, Memo(universe)
+        self.table = self.function(self.keys)
 
     def __missing__(self, profile):
         table = self[profile] = self.table(profile)
         return table
 
-    def table(self, profile, keys=None):
-        return answer_table(self.op, profile, self.keys if keys is None else keys, self.memo)
+    def function(self, keys):
+        return answer_table(self.op, keys, self.memo)
 
 
 # Each shape's scan walks its instances over a space in search order and
@@ -170,7 +172,7 @@ def _two_bases_scan(answers, profiles, constraints, violated):
                 if both not in holding:
                     holding[both] = tuple(c for c in bits if not both & ~c)
                 keys = answers.keys if e in answers else holding[both]
-                tables[i, j] = e, dict(zip(keys, answers[e] if e in answers else answers.table(e, keys)))
+                tables[i, j] = e, dict(zip(keys, answers[e] if e in answers else answers.function(keys)(e)))
             e, table = tables[i, j]
             out = table[b]
             values = out, bool(out & bits[i]), bool(out & bits[j])
@@ -420,12 +422,12 @@ def search(space: SearchSpace, op, limit: int = None):
     deterministic order, and return the witnesses found (all, or the first
     `limit`).  A profile is a tuple of base bitsets.  Each profile, profile
     union (ic5/ic6) and flipped presentation (ic3) gets one whole answer
-    table, from `op.answers` if the operator has it; each shape's `scan`
-    then walks its instances as loops over ints and yields only the
-    violations, and only those become `Instance`s.  Before any table is
-    built, raises ValueError for a `limit` below 1, SpaceTooLargeError over
-    MAX_INSTANCES instances and EmptySpaceError for none: finding no witness
-    there shows nothing."""
+    table, from the operator's table function (`merge.answer_table`); each
+    shape's `scan` then walks its instances as loops over ints and yields
+    only the violations, and only those become `Instance`s.  Before any
+    table is built, raises ValueError for a `limit` below 1,
+    SpaceTooLargeError over MAX_INSTANCES instances and EmptySpaceError for
+    none: finding no witness there shows nothing."""
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     pids = [pid for pid in ALL_POSTULATES if pid in space.postulates]

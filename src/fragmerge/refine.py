@@ -289,7 +289,7 @@ def _outputs(base_op, refined_op, instances):
             raise UniverseMismatchError("constraint and profile over different universes")
         keys = tuple(dict.fromkeys([mu.bits for _, mu in run]))
         memo = memos.get(universe) or memos.setdefault(universe, Memo(universe))
-        base, refined = (dict(zip(keys, answer_table(op, bases, keys, memo))) for op in (base_op, refined_op))
+        base, refined = (dict(zip(keys, answer_table(op, keys, memo)(bases))) for op in (base_op, refined_op))
         multiset = universe, tuple(sorted(bases))
         for profile, mu in run:
             yield profile, mu, multiset, base[mu.bits], refined[mu.bits]
@@ -356,34 +356,36 @@ class RefinedOperator:
     def __call__(self, profile: Profile, mu: ModelSet) -> ModelSet:
         return refine(self.kind, self.base(profile, mu), profile, mu)
 
-    def answers(self, bases: tuple, keys: tuple, memo: Memo) -> tuple:
-        """(self(profile, mu).bits for each mu.bits in `keys`), on this
-        presentation `bases` of the profile.  Of the profile's model sets X,
-        the refinement reads whether the base output M meets the bitset
-        `kind.reads(bases)` when the kind has `reads`, else all of X in order.
-        Across the tables sharing `memo` (under this operator's own key), it
-        runs once per (M, what it reads of X), and a table is made once per
-        (keys, base table, `reads(bases)` or X)."""
-        base = answer_table(self.base, bases, keys, memo)
-        x = self.kind.reads(bases) if hasattr(self.kind, "reads") else bases
-        outs, tables = memo.get(self) or memo.setdefault(self, ({}, {}))
-        table = tables.get((keys, base, x))
-        if table is None:
-            table = tables[keys, base, x] = self._table(bases, keys, base, x, outs, memo.universe)
-        return table
+    def answers(self, keys: tuple, memo: Memo):
+        """The table function over `keys`: bases -> (self(profile, mu).bits
+        for each mu.bits in `keys`), on the presentation `bases` of the
+        profile.  Of its model sets X, the refinement reads whether the base
+        output M meets the bitset `kind.reads(bases)` when the kind has
+        `reads`, else all of X in order.  It runs once per (M, what it reads)
+        in a memo, and a table is made once per (base table, what it reads)."""
+        base_table, kind, universe = answer_table(self.base, keys, memo), self.kind, memo.universe
+        reads = getattr(kind, "reads", None)
+        outs, tables = memo.get(self) or memo.setdefault(self, {}), {}
 
-    def _table(self, bases, keys, base, x, outs, universe) -> tuple:
-        meets = hasattr(self.kind, "reads")
-        models, table = tuple([ModelSet.from_bits(universe, b) for b in bases]), []
-        for bits, out in zip(keys, base):
-            if out & ~bits:
-                raise ValueError(_OUTSIDE)
-            seen = out & x != 0 if meets else x
-            refined = outs.get((out, seen))
-            if refined is None:
-                refined = outs[out, seen] = self.kind(ModelSet.from_bits(universe, out), models).bits
-            table.append(refined)
-        return tuple(table)
+        def table(bases):
+            base = base_table(bases)
+            x = bases if reads is None else reads(bases)
+            found = tables.get((base, x))
+            if found is None:
+                models, found = None, []
+                for bits, out in zip(keys, base):
+                    if out & ~bits:
+                        raise ValueError(_OUTSIDE)
+                    seen = x if reads is None else out & x != 0
+                    refined = outs.get((out, seen))
+                    if refined is None:
+                        models = models or tuple([ModelSet.from_bits(universe, b) for b in bases])
+                        refined = outs[out, seen] = kind(ModelSet.from_bits(universe, out), models).bits
+                    found.append(refined)
+                found = tables[base, x] = tuple(found)
+            return found
+
+        return table
 
     def __repr__(self):
         return f"<{self.label}>"

@@ -255,6 +255,19 @@ class TestModels:
         with pytest.raises(TypeError, match=f"^not a formula node: {item}$"):
             models(phi, U2)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Atom(Not), "an atom name is a str, got <class 'fragmerge.formula.Not'>"),
+        (lambda: Const(And), "a constant's value is a bool, got <class 'fragmerge.formula.And'>"),
+        (lambda: Atom(Atom("a")), "an atom name is a str, got Atom(name='a')"),
+        (lambda: Const("x"), "a constant's value is a bool, got 'x'"),
+    ], ids=["atom-of-class", "const-of-class", "atom-of-atom", "const-of-str"])
+    def test_a_leaf_field_is_checked_when_the_node_is_built(self, build, field):
+        # `models` reads leaf fields off the pre-order walk, where a node class
+        # or node in a leaf would pass for an operator or an operand.
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value) == field
+
 
 class TestCnf:
     @pytest.mark.parametrize("clauses, text, verdict", [

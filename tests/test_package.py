@@ -81,9 +81,9 @@ def test_the_exports_are_pinned():
 @pytest.mark.parametrize("function, parameters", [
     (fragmerge.synthesize, ["mset", "fragment"]),
     (fragmerge.closed_model_sets, ["beta", "universe"]),
-    (MergeOperator.answers, ["self", "bases", "keys", "memo"]),
-    (RefinedOperator.answers, ["self", "bases", "keys", "memo"]),
-    (answer_table, ["op", "bases", "keys", "memo"]),
+    (MergeOperator.answers, ["self", "keys", "memo"]),
+    (RefinedOperator.answers, ["self", "keys", "memo"]),
+    (answer_table, ["op", "keys", "memo"]),
     (fragmerge.validate_mapping, ["mapping", "universe"]),
     (fragmerge.is_fair, ["base_op", "refined_op", "instances"]),
 ], ids=["synthesize", "closed_model_sets", "MergeOperator.answers", "RefinedOperator.answers",

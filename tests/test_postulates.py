@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import fragmerge.merge as merge_module
 import fragmerge.postulates as postulates
-from fragmerge.merge import Memo
+from fragmerge.merge import Memo, answer_table
 from fragmerge import (
     AND2,
     HORN,
@@ -643,9 +643,9 @@ def base_bits(profile):
 
 
 class TestAnswers:
-    """`answers(bases, keys, memo)` gives, for every constraint bitset in
-    `keys`, the bits the operator's own call gives on the profile with base
-    bitsets `bases`, in the order of `keys`."""
+    """`answers(keys, memo)` is a function that gives, on the profile with
+    base bitsets `bases`, for every constraint bitset in `keys`, the bits
+    the operator's own call gives, in the order of `keys`."""
 
     @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
     def test_every_two_atom_profile_and_constraint(self, fragment):
@@ -656,7 +656,7 @@ class TestAnswers:
             op, memo = cli_operator(fragment, *spec), Memo(U2)
             for e in space.profiles():
                 for shown in (e, Profile(e.bases[::-1])):
-                    table = op.answers(base_bits(shown), keys, memo)
+                    table = op.answers(keys, memo)(base_bits(shown))
                     assert table == tuple(op(shown, mu).bits for mu in constraints)
 
     @settings(max_examples=60, deadline=None)
@@ -678,7 +678,7 @@ class TestAnswers:
         for _ in range(2):
             bases = data.draw(st.lists(st.frozensets(masks, min_size=1, max_size=8), min_size=1, max_size=4))
             e = Profile(tuple(Base(ModelSet(universe, b)) for b in bases))
-            table = dict(zip(keys, op.answers(base_bits(e), keys, memo)))
+            table = dict(zip(keys, op.answers(keys, memo)(base_bits(e))))
             assert [table[mu.bits] for mu in constraints] == [op(e, mu).bits for mu in constraints]
 
     def test_refinement_runs_once_per_distinct_input_per_search(self):
@@ -714,9 +714,9 @@ class TestAnswers:
         for e in SearchSpace(atoms=2, fragment=None, max_profile_size=2).profiles():
             for keys in key_lists:
                 for op in ops:
-                    table = op.answers(base_bits(e), keys, memo)
+                    table = op.answers(keys, memo)(base_bits(e))
                     assert table == tuple(op(e, ModelSet.from_bits(U2, b)).bits for b in keys)
-                    assert table == op.answers(base_bits(e), keys, Memo(U2)), op.label
+                    assert table == op.answers(keys, Memo(U2))(base_bits(e)), op.label
 
     @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
     def test_one_ring_search_per_base_and_within(self, fragment, monkeypatch):
@@ -748,10 +748,15 @@ class TestAnswers:
         # does, and over the same full set, so with the same levels: one memo
         # serves both, and never hands back a table built over other keys.
         class KeyedMerge(MergeOperator):
-            def answers(self, bases, keys, memo):
-                table = super().answers(bases, keys, memo)
-                asked.append((bases, keys, table))
-                return table
+            def answers(self, keys, memo):
+                table = super().answers(keys, memo)
+
+                def keyed(bases):
+                    out = table(bases)
+                    asked.append((bases, keys, out))
+                    return out
+
+                return keyed
 
         asked = []
         base = KeyedMerge(CountingDistance.hamming(2), Aggregator.SIGMA)
@@ -767,7 +772,100 @@ class TestAnswers:
     def test_base_output_outside_the_constraint_is_refused(self):
         op = RefinedOperator(lambda e, mu: ms(U2, "a", "b"), ClosureRefinement(AND2))
         with pytest.raises(ValueError, match="contained in the constraint"):
-            op.answers((ms(U2, "a").bits,), (ms(U2, "a").bits,), Memo(U2))
+            op.answers((ms(U2, "a").bits,), Memo(U2))((ms(U2, "a").bits,))
+
+
+class TestTableFunctions:
+    """Every table of a table function, `answer_table(op, keys, memo)`,
+    equals one `op(Profile, ModelSet)` call per key, on every presentation
+    a search asks for: sorted profiles, flipped ones (ic3), profile unions
+    (ic5/ic6) and ic4's narrower keys."""
+
+    @staticmethod
+    def operators(fragment, atoms):
+        # The 16 `check --op` operators, and for each refined one the same
+        # operator over a cached merge: the oracle, which refines the
+        # merge's own answer and shares it among the four refinements.
+        ops, oracles = [], []
+        for distance, aggregator, refinement in OPERATORS:
+            merge_op = MergeOperator(getattr(CountingDistance, distance)(atoms), aggregator)
+            kind = REFINEMENTS[refinement]
+            if kind is None:
+                ops.append(merge_op)
+                oracles.append(cached := PresentationCache(merge_op))
+            else:
+                ops.append(RefinedOperator(merge_op, kind(fragment.beta)))
+                oracles.append(RefinedOperator(cached, kind(fragment.beta)))
+        return ops, oracles
+
+    @pytest.mark.parametrize("fragment, atoms, max_bases", [(HORN, 2, None), (KROM, 2, None), (KROM, 3, 36)],
+                             ids=["horn-2", "krom-2", "krom-3-36"])
+    def test_every_table_matches_one_call_per_key(self, fragment, atoms, max_bases):
+        space = SearchSpace(atoms=atoms, fragment=fragment, max_bases=max_bases)
+        universe, (profiles, pool) = space.universe, bitsets(space)
+        pairs, singles = [e for e in profiles if len(e) == 2], [e for e in profiles if len(e) == 1]
+        shown, keys = profiles, pool
+        if atoms == 2:
+            # Flipped pairs, unions of a pair and a single, and ic7/ic8's
+            # conjoined keys; over 3 atoms they would take seconds.
+            shown = profiles + [e[::-1] for e in pairs] + [e + singles[i % len(singles)] for i, e in enumerate(pairs)]
+            keys = tuple(dict.fromkeys(pool + tuple(b1 & b2 for b1 in pool for b2 in pool)))
+        narrower = {e: tuple(c for c in pool if not (e[0] | e[1]) & ~c) for e in pairs}
+        ops, oracles = self.operators(fragment, atoms)
+        refined_acts = False
+        for op, oracle in zip(ops, oracles):
+            memo = Memo(universe)
+            table = answer_table(op, keys, memo)
+            assert answer_table(op, keys, memo) is table  # one function per (op, keys, memo)
+            for e in shown:
+                profile = Profile.from_bits(universe, e)
+                want = tuple(oracle(profile, ModelSet.from_bits(universe, b)).bits for b in keys)
+                assert table(e) == want, (op.label, e)
+                if isinstance(op, RefinedOperator):
+                    refined_acts |= want != answer_table(op.base, keys, memo)(e)
+            for e, narrow in narrower.items():
+                profile = Profile.from_bits(universe, e)
+                want = tuple(oracle(profile, ModelSet.from_bits(universe, b)).bits for b in narrow)
+                assert answer_table(op, narrow, memo)(e) == want, (op.label, e)
+        # Over 2 atoms every set is Krom-closed, so no Krom refinement acts
+        # there; over 3 atoms and 36 bases, four merge outputs need refining.
+        assert refined_acts == (fragment is HORN or atoms == 3)
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
+    def test_profiles_with_equal_levels_share_one_table(self, fragment):
+        space = SearchSpace(atoms=2, fragment=fragment)
+        profiles, pool = bitsets(space)
+        within, shared = functools.reduce(operator.or_, pool), 0
+        for op in self.operators(fragment, 2)[0][::4]:
+            sigma = op.aggregator is Aggregator.SIGMA
+            by_levels, table = {}, answer_table(op, pool, Memo(U2))
+            for e in profiles:
+                levels = merge_module._levels(e, within, op.distance.gauge, sigma, 2, ({}, {}, {}))
+                by_levels.setdefault(levels, []).append(e)
+            for group in by_levels.values():
+                assert all(table(e) is table(group[0]) for e in group)
+                shared += len(group) - 1
+        assert shared
+
+    def test_an_operator_without_answers_is_asked_once_per_profile_and_key(self):
+        calls = []
+
+        class FirstBase:
+            label = "first-base"
+
+            def __call__(self, profile, mu):
+                calls.append((tuple(b.models.bits for b in profile.bases), mu.bits))
+                return profile.bases[0].models & mu
+
+        op, memo = FirstBase(), Memo(U2)
+        profiles, pool = bitsets(SearchSpace(atoms=2, fragment=HORN))
+        shown = profiles + [e[::-1] for e in profiles if len(e) > 1]
+        table = answer_table(op, pool, memo)
+        assert answer_table(op, pool, memo) is table
+        for e in shown:
+            calls.clear()
+            assert table(e) == tuple(e[0] & b for b in pool)
+            assert calls == [(e, b) for b in pool]
 
 
 # The gmax merge, each Horn refinement kind on it, and an order-dependent mapping.
@@ -801,25 +899,37 @@ class TestIntEngine:
     def test_one_refined_table_per_distinct_base_table(self, monkeypatch, fragment, kind):
         # Closure and lex read nothing of X, so a refined table depends on
         # the base table alone; lex-closure reads the union of X's models.
-        base_tables, built = set(), []
-        answers, table = MergeOperator.answers, RefinedOperator._table
+        # A table served again is the same object, so the distinct objects
+        # served are the tables built.
+        base_tables, served = set(), []
+        merge_answers, refined_answers = MergeOperator.answers, RefinedOperator.answers
 
-        def merge_answers(self, bases, keys, memo):
-            out = answers(self, bases, keys, memo)
-            union = functools.reduce(operator.or_, bases) if kind is LexClosureRefinement else None
-            base_tables.add((keys, out, union))
-            return out
+        def merge_function(self, keys, memo):
+            table = merge_answers(self, keys, memo)
 
-        def refined_table(self, bases, keys, base, *rest):
-            built.append((keys, base))
-            return table(self, bases, keys, base, *rest)
+            def recorded(bases):
+                out = table(bases)
+                union = functools.reduce(operator.or_, bases) if kind is LexClosureRefinement else None
+                base_tables.add((keys, out, union))
+                return out
 
-        monkeypatch.setattr(MergeOperator, "answers", merge_answers)
-        monkeypatch.setattr(RefinedOperator, "_table", refined_table)
+            return recorded
+
+        def refined_function(self, keys, memo):
+            table = refined_answers(self, keys, memo)
+
+            def recorded(bases):
+                served.append(table(bases))
+                return served[-1]
+
+            return recorded
+
+        monkeypatch.setattr(MergeOperator, "answers", merge_function)
+        monkeypatch.setattr(RefinedOperator, "answers", refined_function)
         op = RefinedOperator(GMAX2, kind(fragment.beta))
         space = SearchSpace(atoms=2, fragment=fragment, postulates=ALL_POSTULATES[:5] + ALL_POSTULATES[7:])
         search(space, op)
-        assert len(built) == len(base_tables) < space.profile_count
+        assert len({id(table) for table in served}) == len(base_tables) < space.profile_count
 
     @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
     @pytest.mark.parametrize("postulate", [PostulateId.IC7, PostulateId.IC8], ids=["ic7", "ic8"])

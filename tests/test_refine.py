@@ -305,9 +305,14 @@ class TestRefinementProperties:
                 self.calls += 1
                 return super().__call__(profile, mu)
 
-            def answers(self, profile, keys, memo):
-                self.tables += 1
-                return super().answers(profile, keys, memo)
+            def answers(self, keys, memo):
+                table = super().answers(keys, memo)
+
+                def counted(bases):
+                    self.tables += 1
+                    return table(bases)
+
+                return counted
 
         base = CountingMerge(CountingDistance.hamming(2), Aggregator.SIGMA)
         refined = RefinedOperator(base, LexClosureRefinement(AND2))
