@@ -76,7 +76,7 @@ class ProblemFileError(ValueError):
 
 class ProblemFile(record_type("ProblemFile", "universe bases constraints")):
     """A parsed problem file: its Universe, its bases as (name, Base) pairs
-    and its constraints as model sets, each list in file order."""
+    and its constraints as model sets, each a tuple in file order."""
 
     __slots__ = ()
 
@@ -174,7 +174,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         raise ProblemFileError("missing atoms declaration")
     if not bases:
         raise ProblemFileError("problem file declares no bases")
-    return ProblemFile(universe, bases, constraints)
+    return ProblemFile(universe, tuple(bases), tuple(constraints))
 
 
 _FRAGMENTS = {**{fragment.name: fragment for fragment in (HORN, KROM)}, "none": None}

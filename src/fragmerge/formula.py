@@ -423,11 +423,8 @@ def _pool_listed(universe: Universe, fragment: Fragment, target: int):
     return listed[::-1], literals
 
 
-# The most atoms whose Horn tables are kept: ~0.35 MiB at 12 atoms, ~6 MiB at 16.
-_HORN_TABLES_KEPT = 12
-
-
-@functools.lru_cache(maxsize=8)
+# Kept for the last 4 universes, as `_row_pool` is: ~6 MiB each at 16 atoms.
+@functools.lru_cache(maxsize=4)
 def _horn_tables(universe: Universe):
     # `_literal_ranks`, and two tables by mask: the same set in name order
     # (renamed), and by a name-order set the ranks of its !x (negs).
@@ -449,8 +446,7 @@ def _horn_listed(mset: ModelSet):
     # below every `y` and list literals in name order, so b is the last of
     # the first name-order run of atoms outside w that holds one.
     n = len(mset.universe)
-    tables = _horn_tables if n <= _HORN_TABLES_KEPT else _horn_tables.__wrapped__
-    literals, by_name, renamed, negs = tables(mset.universe)
+    literals, by_name, renamed, negs = _horn_tables(mset.universe)
     top, half = (1 << n) - 1, 1 << n - 1
     closed = [top] * (1 << n)
     for m in mset.masks:

@@ -186,30 +186,45 @@ def _literal_falsifiers(n: int) -> tuple:
     )
 
 
-class Interpretation:
+def record_type(typename, field_names, defaults=(), compared=slice(None)):
+    """A slotted namedtuple base for an immutable record that compares as a
+    frozen dataclass does: equal only to a record of its own class whose
+    `compared` fields (a slice of the field tuple) are equal, hashed as the
+    tuple of those fields, and unordered."""
+
+    class Record(namedtuple(typename, field_names, defaults=defaults)):
+        __slots__ = ()
+
+        def __eq__(self, other):
+            return type(other) is type(self) and self[compared] == other[compared]
+
+        def __ne__(self, other):
+            return not self == other
+
+        def __hash__(self):
+            return hash(self[compared])
+
+        def __lt__(self, other):
+            return NotImplemented
+
+        __le__ = __gt__ = __ge__ = __lt__
+
+    return Record
+
+
+class Interpretation(record_type("Interpretation", "universe mask")):
     """Truth assignment over a universe, held as a bitmask."""
 
-    __slots__ = ("universe", "mask")
+    __slots__ = ()
 
-    def __init__(self, universe: Universe, mask: int):
+    def __new__(cls, universe: Universe, mask: int):
         if not 0 <= mask < (1 << len(universe)):
             raise ValueError(f"mask {mask} out of range for {len(universe)} atoms")
-        self.universe = universe
-        self.mask = mask
+        return super().__new__(cls, universe, mask)
 
     @property
     def true_atoms(self) -> tuple:
         return tuple(a for i, a in enumerate(self.universe.atoms) if self.mask >> i & 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Interpretation)
-            and self.universe == other.universe
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.universe, self.mask))
 
     def __lt__(self, other):
         if not isinstance(other, Interpretation):
@@ -353,32 +368,6 @@ def model_sets(universe: Universe, include_empty: bool = True):
     start = 0 if include_empty else 1
     for code in range(start, 1 << (1 << len(universe))):
         yield ModelSet.from_bits(universe, code)
-
-
-def record_type(typename, field_names, defaults=(), compared=slice(None)):
-    """A slotted namedtuple base for an immutable record that compares as a
-    frozen dataclass does: equal only to a record of its own class whose
-    `compared` fields (a slice of the field tuple) are equal, hashed as the
-    tuple of those fields, and unordered."""
-
-    class Record(namedtuple(typename, field_names, defaults=defaults)):
-        __slots__ = ()
-
-        def __eq__(self, other):
-            return type(other) is type(self) and self[compared] == other[compared]
-
-        def __ne__(self, other):
-            return not self == other
-
-        def __hash__(self):
-            return hash(self[compared])
-
-        def __lt__(self, other):
-            return NotImplemented
-
-        __le__ = __gt__ = __ge__ = __lt__
-
-    return Record
 
 
 class BooleanFn(record_type("BooleanFn", "arity table name by_weight", compared=slice(2))):
@@ -532,20 +521,16 @@ def _fixpoint(beta: BooleanFn, bits: int, width: int) -> int:
     return _to_bits(known)
 
 
-# (image, closure) of each builtin function: the image of an argument tuple
-# as one int expression over whole masks, and the closure of a truth table
-# over `width` atoms.  Keys compare by truth table.
-_KERNELS = {
-    AND2: (lambda a, b: a & b, _and_closure),
-    MAJ3: (lambda a, b, c: a & b | c & (a | b), _maj3_closure),
-}
+# The closure of a truth table over `width` atoms, by builtin function.
+# Keys compare by truth table.
+_KERNELS = {AND2: _and_closure, MAJ3: _maj3_closure}
 
 
 def _closure_of(beta: BooleanFn, bits: int, width: int) -> int:
     kernel = _KERNELS.get(beta)
     if kernel is None:
         return _fixpoint(beta, bits, width)
-    return kernel[1](bits, width)
+    return kernel(bits, width)
 
 
 # Closures asked for again (refinements, closedness checks) come from here;
@@ -565,14 +550,12 @@ def _closed_witness(beta: BooleanFn, bits: int, width: int):
     # per multiset (beta is symmetric) in combinations_with_replacement
     # order of the ascending members.  A builtin function's closure decides
     # closedness first, so the scan runs only when a witness exists.
-    kernel = _KERNELS.get(beta)
-    if kernel is not None and _closure_bits(beta, bits, width) == bits:
+    if beta in _KERNELS and _closure_bits(beta, bits, width) == bits:
         return None
-    image = kernel[0] if kernel is not None else lambda *tup: _apply_masks(beta, tup, width)
     masks = _from_bits(bits)
     members = set(masks)
     for tup in itertools.combinations_with_replacement(masks, beta.arity):
-        img = image(*tup)
+        img = _apply_masks(beta, tup, width)
         if img not in members:
             return tup, img
     return None

@@ -161,21 +161,19 @@ def _flipped_values(answers, profiles, constraints):
 
 
 def _two_bases_scan(answers, profiles, constraints, violated):
-    # Each two-base profile's answers by constraint, from its kept table or,
-    # if it has none, from a new one over only the constraints holding both.
+    # Each two-base profile's answers by constraint, from a table over only
+    # the constraints holding both bases.
     bits, tables, holding = constraints, {}, {}
     for b in bits:
-        inside = [i for i, k in enumerate(bits) if not k & ~b]
-        for i, j in itertools.combinations_with_replacement(inside, 2):
-            if (i, j) not in tables:
-                e, both = (bits[i], bits[j]), bits[i] | bits[j]
+        inside = [k for k in bits if not k & ~b]
+        for e in itertools.combinations_with_replacement(inside, 2):
+            if e not in tables:
+                both = e[0] | e[1]
                 if both not in holding:
                     holding[both] = tuple(c for c in bits if not both & ~c)
-                keys = answers.keys if e in answers else holding[both]
-                tables[i, j] = e, dict(zip(keys, answers[e] if e in answers else answers.function(keys)(e)))
-            e, table = tables[i, j]
-            out = table[b]
-            values = out, bool(out & bits[i]), bool(out & bits[j])
+                tables[e] = dict(zip(holding[both], answers.function(holding[both])(e)))
+            out = tables[e][b]
+            values = out, bool(out & e[0]), bool(out & e[1])
             if violated(*values):
                 yield (e,), (b,), values
 

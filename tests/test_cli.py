@@ -96,7 +96,7 @@ class TestProblemFile:
         want = parse_problem_file(text)
         u = want.universe
         assert want.bases[0][1].models == models(parse("a & (b | !c)", u), u)
-        assert want.constraints == [models(parse("!a -> b <-> c", u), u)]
+        assert want.constraints == (models(parse("!a -> b <-> c", u), u),)
 
         def refuse(*args):
             raise AssertionError("a formula node was built")

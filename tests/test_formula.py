@@ -32,7 +32,8 @@ from fragmerge import (
     truth_table,
 )
 from fragmerge.formula import (
-    MAX_NESTING, And, Atom, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool, _pool_size, _row_pool,
+    MAX_NESTING, And, Atom, Const, Iff, Implies, Not, Or, TOP, BOTTOM, _clause_pool, _horn_tables,
+    _pool_size, _row_pool,
 )
 from helpers import (
     U2,
@@ -489,6 +490,17 @@ class TestSynthesize:
         for universe in (Universe("cab"), Universe(["ab", "a", "b_"])):
             for mset in closed_model_sets(AND2, universe):
                 assert truth_table(str(synthesize(mset, HORN)), universe) == mset.bits
+
+    def test_horn_tables_are_kept_for_the_last_four_universes(self):
+        # At any size, as the other rows' pools are: a second set over a
+        # 13-atom universe reads the tables the first one built.
+        assert _horn_tables.cache_info().maxsize == _row_pool.cache_info().maxsize == 4
+        u = Universe("abcdefghijklm")
+        _horn_tables.cache_clear()
+        for members in (("a", "ab"), ("b", "bcm")):
+            mset = closure(AND2, ModelSet.from_sets(u, *members))
+            assert truth_table(str(synthesize(mset, HORN)), u) == mset.bits
+        assert (_horn_tables.cache_info().hits, _horn_tables.cache_info().misses) == (1, 1)
 
     @pytest.mark.parametrize("fragment, atoms, members, expected", [
         # Majority-closed sets, so the AND-closed reading does not apply.

@@ -26,6 +26,7 @@ from fragmerge import (
     Cnf,
     CountingDistance,
     Instance,
+    Interpretation,
     LexClosureRefinement,
     LexRefinement,
     PostulateId,
@@ -164,6 +165,7 @@ def _records():
         LexClosureRefinement(AND2),
         BetaMapping(AND2, closure, "closure"),
         parse_problem_file("atoms: a b\nbase K: a\n"),
+        Interpretation(U2, 1),
     ]
 
 
@@ -172,7 +174,7 @@ def test_records_are_immutable_and_equal_only_their_own_class(record):
     with pytest.raises(AttributeError):
         setattr(record, record._fields[0], None)
     again = copy.copy(record)
-    assert again == record and not again != record
+    assert again == record and not again != record and hash(again) == hash(record)
     assert record != tuple(record) and not record == tuple(record)
 
 

@@ -540,6 +540,20 @@ class TestEngineAgainstSlowOracle:
             assert all(recheck(w, op) for w in found)
             assert [w.render() for w in search(space, op, limit=1)] == want[:1]
 
+    def test_ic4_witnesses_do_not_depend_on_the_postulates_searched_before(self):
+        # ic3 keeps full tables for the profiles it reads; ic4 reads its own.
+        # Only Horn operators have ic4 witnesses at 2 atoms.
+        found = 0
+        for fragment, spec in itertools.product((HORN, KROM), OPERATORS):
+            op = cli_operator(fragment, *spec)
+            spaces = [SearchSpace(atoms=2, fragment=fragment, postulates=pids)
+                      for pids in ((PostulateId.IC4,), (PostulateId.IC3, PostulateId.IC4))]
+            alone, after = ([w.render() for w in search(space, op) if w.postulate is PostulateId.IC4]
+                            for space in spaces)
+            assert after == alone
+            found += len(alone)
+        assert found
+
     @pytest.mark.parametrize("fragment", list(FRAGMENTS), ids=list(FRAGMENTS))
     def test_check_postulate_and_instance_order_match(self, fragment):
         frag = FRAGMENTS[fragment]
@@ -893,10 +907,10 @@ class TestIntEngine:
         assert found or op is GMAX2  # the gmax merge satisfies ic0-ic8
         assert len(built) == sum(len(w.instance.profiles) for w in found)
 
-    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
-    @pytest.mark.parametrize("kind", [ClosureRefinement, LexRefinement, LexClosureRefinement],
-                             ids=["closure", "lex", "lex-closure"])
-    def test_one_refined_table_per_distinct_base_table(self, monkeypatch, fragment, kind):
+    @staticmethod
+    def _refined_tables(monkeypatch, fragment, kind, postulates):
+        # The distinct tables a refined gmax search serves, and the distinct
+        # (keys, base table, union) triples its base function gives.
         # Closure and lex read nothing of X, so a refined table depends on
         # the base table alone; lex-closure reads the union of X's models.
         # A table served again is the same object, so the distinct objects
@@ -926,10 +940,26 @@ class TestIntEngine:
 
         monkeypatch.setattr(MergeOperator, "answers", merge_function)
         monkeypatch.setattr(RefinedOperator, "answers", refined_function)
-        op = RefinedOperator(GMAX2, kind(fragment.beta))
-        space = SearchSpace(atoms=2, fragment=fragment, postulates=ALL_POSTULATES[:5] + ALL_POSTULATES[7:])
-        search(space, op)
-        assert len({id(table) for table in served}) == len(base_tables) < space.profile_count
+        space = SearchSpace(atoms=2, fragment=fragment, postulates=postulates)
+        search(space, RefinedOperator(GMAX2, kind(fragment.beta)))
+        return len({id(table) for table in served}), len(base_tables), space
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
+    @pytest.mark.parametrize("kind", [ClosureRefinement, LexRefinement, LexClosureRefinement],
+                             ids=["closure", "lex", "lex-closure"])
+    def test_one_refined_table_per_distinct_base_table(self, monkeypatch, fragment, kind):
+        served, base_tables, _ = self._refined_tables(
+            monkeypatch, fragment, kind, ALL_POSTULATES[:5] + ALL_POSTULATES[7:])
+        assert served == base_tables
+
+    @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
+    @pytest.mark.parametrize("kind", [ClosureRefinement, LexRefinement, LexClosureRefinement],
+                             ids=["closure", "lex", "lex-closure"])
+    def test_fewer_refined_tables_than_profiles_without_ic4(self, monkeypatch, fragment, kind):
+        # ic4 asks for narrower tables of its own, one per two-base profile.
+        served, base_tables, space = self._refined_tables(
+            monkeypatch, fragment, kind, ALL_POSTULATES[:4] + ALL_POSTULATES[7:])
+        assert served == base_tables < space.profile_count
 
     @pytest.mark.parametrize("fragment", [HORN, KROM], ids=["horn", "krom"])
     @pytest.mark.parametrize("postulate", [PostulateId.IC7, PostulateId.IC8], ids=["ic7", "ic8"])
